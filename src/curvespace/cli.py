@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -58,23 +59,30 @@ class _UsageError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports the ValueError as a usage error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvespace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("circles", help="concentric-circle geodesic")
-    p.add_argument("--curvature", type=float, required=True)
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--r1", type=float, required=True)
+    p.add_argument("--curvature", type=_finite_float, required=True)
+    p.add_argument("--r0", type=_finite_float, required=True)
+    p.add_argument("--r1", type=_finite_float, required=True)
     p.add_argument("--s-samples", type=int, default=64)
     p.add_argument("--t-samples", type=int, default=256)
     p.add_argument("--out", required=True)
     p.add_argument("--traj", default=None)
 
     p = sub.add_parser("helices", help="coaxial-helix geodesic")
-    p.add_argument("--pitch", type=float, required=True)
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--r1", type=float, required=True)
+    p.add_argument("--pitch", type=_finite_float, required=True)
+    p.add_argument("--r0", type=_finite_float, required=True)
+    p.add_argument("--r1", type=_finite_float, required=True)
     p.add_argument("--s-samples", type=int, default=64)
     p.add_argument("--t-samples", type=int, default=256)
     p.add_argument("--out", required=True)

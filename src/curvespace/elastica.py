@@ -5,11 +5,13 @@ to rigid motion) by the amplitude ``k`` of its curvature, the tension
 ``lambda``, and the torsion constant ``mu = kappa^2 tau``.  The curvature
 profile solves the second-order ODE
 
-    kappa_tt = -kappa^3 / 2 + mu^2 / kappa^3 + (lambda - 2 K) kappa / 2,
+    kappa_tt = -kappa^3 / 2 + mu^2 / kappa^3 + (lambda - 2 K) kappa / 2
 
-integrated from the amplitude (kappa(0) = k, kappa_t(0) = 0), and the
-curve itself is rebuilt by integrating the Frenet system (or its 2D
-intrinsic analogue on a surface) from an initial frame.
+from the amplitude (kappa(0) = k, kappa_t(0) = 0).  Its first integral
+makes kappa a Jacobi elliptic function, evaluated in closed form (Langer
+& Singer, *Knotted elastic curves in R^3*, 1984).  The curve itself is
+rebuilt by integrating the Frenet system (or its 2D intrinsic analogue
+on a surface) from an initial frame.
 
 Constant profiles kappa = k occur exactly on the circle locus
 
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
+from scipy.special import ellipj, ellipk
 
 from .discrete_curves import DiscreteCurve, _normal_2d, build_curve
 from .errors import (
@@ -145,16 +148,11 @@ def circle_locus_residual(params: ElasticaParams) -> float:
     return k**6 + (2.0 * K - lam) * k**4 + MU_LOCUS_SIGN * 2.0 * mu**2
 
 
-def curvature_rhs(kappa: float, lam: float, mu: float, K: float) -> float:
-    """Right-hand side P(kappa) of the profile ODE kappa_tt = P(kappa)."""
-    val = -0.5 * kappa**3 + 0.5 * (lam - 2.0 * K) * kappa
-    if mu != 0.0:
-        val += mu * mu / kappa**3
-    return val
-
-
 def curvature_well(kappa, lam: float, mu: float, K: float):
-    """Potential Q with Q' = -2 P; kappa_t^2 + Q(kappa) is conserved."""
+    """Potential Q with Q' = -2 P for the profile ODE kappa_tt = P(kappa).
+
+    kappa_t^2 + Q(kappa) is conserved along every profile.
+    """
     kappa = np.asarray(kappa, dtype=float)
     val = 0.25 * kappa**4 + 0.5 * (2.0 * K - lam) * kappa**2
     if mu != 0.0:
@@ -171,81 +169,66 @@ def first_integral(params: ElasticaParams, kappa, kappa_t):
 # curvature profile
 
 
-def solve_curvature_profile(params: ElasticaParams, n: int, *, substeps: int = 4,
-                            with_derivative: bool = False):
-    """Integrate the profile ODE over [0, L] from the amplitude.
+def solve_curvature_profile(params: ElasticaParams, n: int, *, with_derivative: bool = False):
+    """Closed-form curvature profile over [0, L] from the amplitude.
 
-    Classic RK4 on a grid refined by ``substeps``; returns ``n`` samples of
-    kappa and tau = mu / kappa^2 (plus the integrator's kappa_t samples
-    when ``with_derivative`` is set).  The initial condition kappa(0) = k,
+    Returns ``n`` samples of the Jacobi elliptic solution kappa and of
+    tau = mu / kappa^2 (plus kappa_t when ``with_derivative`` is set); see
+    ``_batch_profiles``.  The initial condition kappa(0) = k,
     kappa_t(0) = 0 makes k the curvature maximum whenever P(k) <= 0
     (equivalently, a nonnegative circle-locus residual); for parameters on
     the other side of the locus the profile oscillates above k instead.
     """
     if n < 64:
         raise PreconditionError("profile needs n >= 64 samples")
-    k, lam, mu, K = params.k, params.lam, params.mu, params.K
+    k, mu = params.k, params.mu
     if k == 0.0:
-        if with_derivative:
-            return np.zeros(n), np.zeros(n), np.zeros(n)
-        return np.zeros(n), np.zeros(n)
-
-    kappa_all, kap_t_all = _batch_profiles(
-        np.array([k]), np.array([lam]), np.array([mu]), K,
-        np.array([params.L]), n, substeps,
-    )
-    kappa = kappa_all[0]
-    if mu != 0.0:
-        tau = mu / kappa**2
+        kappa, kappa_t = np.zeros(n), np.zeros(n)
     else:
-        tau = np.zeros_like(kappa)
-    if with_derivative:
-        return kappa, tau, kap_t_all[0]
-    return kappa, tau
+        kappa, kappa_t = (v[0] for v in _batch_profiles(
+            np.array([k]), np.array([params.lam]), np.array([mu]), params.K, np.array([params.L]), n
+        ))
+    tau = mu / kappa**2 if mu != 0.0 else np.zeros(n)
+    return (kappa, tau, kappa_t) if with_derivative else (kappa, tau)
 
 
-def _batch_profiles(ks, lams, mus, K: float, Ls, n: int, substeps: int):
-    """Vectorized RK4 of the profile ODE for a whole family of parameters.
+def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
+    """Closed-form profiles of a whole family of parameters at once.
 
-    All parameter arrays have shape (m,); each member integrates over its
-    own length with its own step.  Returns kappa and kappa_t as (m, n).
+    u = kappa^2 solves u_t^2 = -(u - u1)(u - u2)(u - u3); deflating the
+    cubic by its known root k^2 leaves u^2 + b u + c.  The motion stays in
+    [u2, u1] from k^2, so u = u2 + (u1 - u2) cn^2(omega t + shift, p) with
+    omega = sqrt(u1 - u3) / 2, p = (u1 - u2) / (u1 - u3) and the quarter
+    period shift = K(p) when k^2 is the lower root u2.  For mu = 0 and
+    u2 = 0 (wave-like branch, separatrix) kappa = k cn(.) changes sign.
+    Parameter arrays have shape (m,); returns kappa and kappa_t as (m, n).
     """
-    m = len(ks)
-    steps = substeps * (n - 1)
-    h = np.asarray(Ls, dtype=float) / steps
-    coef = 0.5 * (np.asarray(lams, dtype=float) - 2.0 * K)
-    mu2 = np.asarray(mus, dtype=float) ** 2
-    torsional = mu2 > 0.0
+    ks = np.asarray(ks, dtype=float)[:, None]
+    mu2 = np.asarray(mus, dtype=float)[:, None] ** 2
+    a = ks**2
+    b = a + 2.0 * (2.0 * K - np.asarray(lams, dtype=float)[:, None])
+    c = -4.0 * mu2 / a  # exactly 0 when mu = 0
+    # cancellation-free roots of u^2 + b u + c; r1 = 0 only when c = 0
+    r1 = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c), b))
+    r2 = c / np.where(r1 != 0.0, r1, 1.0)
+    u3, u2, u1 = np.sort(np.stack([a, r1, r2]), axis=0)
+    d = u1 - u2
+    omega = 0.5 * np.sqrt(u1 - u3)
+    p = d / (u1 - u3)
+    shift = np.where(a < u1, ellipk(p), 0.0)
+    t = np.asarray(Ls, dtype=float)[:, None] * np.linspace(0.0, 1.0, n)
+    sn, cn, dn, _ = ellipj(omega * t + shift, p)
 
-    def rhs(kv):
-        val = -0.5 * kv**3 + coef * kv
-        if np.any(torsional):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = val + np.where(torsional, mu2 / kv**3, 0.0)
-        return val
-
-    y0 = np.asarray(ks, dtype=float).copy()
-    y1 = np.zeros(m)
-    kap = np.empty((m, steps + 1))
-    kap_t = np.empty((m, steps + 1))
-    kap[:, 0], kap_t[:, 0] = y0, y1
-    half = 0.5 * h
-    for i in range(steps):
-        b1 = rhs(y0)
-        a2 = y1 + half * b1
-        b2 = rhs(y0 + half * y1)
-        a3 = y1 + half * b2
-        b3 = rhs(y0 + half * a2)
-        a4 = y1 + h * b3
-        b4 = rhs(y0 + h * a3)
-        y0 = y0 + h * (y1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        y1 = y1 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-        if not np.all(np.isfinite(y0)) or not np.all(np.isfinite(y1)):
-            raise NumericFailure("curvature profile integration blew up")
-        if np.any(torsional & (y0 <= 1e-9)):
-            raise NumericFailure("curvature reached zero with nonzero torsion constant")
-        kap[:, i + 1], kap_t[:, i + 1] = y0, y1
-    return kap[:, ::substeps].copy(), kap_t[:, ::substeps].copy()
+    signed = (mu2 == 0.0) & (u2 == 0.0)
+    kappa = np.where(signed, ks * cn, np.sqrt(u2 + d * cn**2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa_t = -omega * d * sn * dn * np.where(signed, 1.0 / ks, cn / kappa)
+    kappa[:, 0], kappa_t[:, 0] = ks[:, 0], 0.0
+    if not np.all(np.isfinite(kappa)) or not np.all(np.isfinite(kappa_t)):
+        raise NumericFailure("curvature profile evaluation produced non-finite values")
+    if np.any((mu2 > 0.0) & (kappa <= 1e-9)):
+        raise NumericFailure("curvature reached zero with nonzero torsion constant")
+    return kappa, kappa_t
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +450,7 @@ def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
 
     base = spec.start.frame
     try:
-        kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n, substeps=2)
+        kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
         if spec.K == 0.0:
             origins = _gauge_anchor(spec.start)[None, :] - base.N[None, :] / ks[:, None]
             frames = np.empty((spec.m, 4, 3))

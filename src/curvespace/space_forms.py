@@ -53,6 +53,8 @@ class SpaceForm:
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "curvature", float(self.curvature))
         K = self.curvature
+        if not math.isfinite(K):
+            raise DomainError(f"curvature must be finite, got {K}")
         if self.model in (Model.PLANE2D, Model.EUCLIDEAN3D) and K != 0.0:
             raise DomainError(f"{self.model.value} requires curvature 0, got {K}")
         if self.model is Model.SPHERE2D and K <= 0.0:
@@ -107,10 +109,12 @@ class SpaceForm:
         R = self.radius
         if self.model is Model.SPHERE2D:
             return np.abs(np.sqrt(np.sum(p * p, axis=-1)) - R)
+        # |f - R| / |grad f| for f = sqrt(q): rounding floor eps |p|, not eps |p|^2
         q = -self.inner(p, p)
         bad = (q <= 0.0) | (p[..., 2] <= 0.0)
-        dist = np.where(bad, np.inf, np.abs(np.sqrt(np.abs(q)) - R))
-        return dist
+        root = np.sqrt(np.abs(q))
+        dist = np.abs(root - R) * root / np.linalg.norm(p, axis=-1)
+        return np.where(bad, np.inf, dist)
 
     def check_on_surface(self, p, tol: float = SURFACE_TOL):
         scale = 1.0 + (self.radius if self.curved else 1.0)
@@ -171,7 +175,7 @@ def surface_of_curvature(K: float) -> SpaceForm:
         return sphere(K)
     if K < 0.0:
         return hyperbolic(K)
-    return plane()
+    return SpaceForm(Model.PLANE2D, K)  # rejects NaN
 
 
 # ---------------------------------------------------------------------------

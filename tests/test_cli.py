@@ -67,6 +67,22 @@ class TestCircles:
     def test_bad_radius_usage_error(self):
         assert run(["circles", "--curvature", "0", "--r0", "1", "--r1", "1", "--out", "/tmp/x.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circles", "--curvature", "nan", "--r0", "1", "--r1", "2"],
+            ["circles", "--curvature", "0", "--r0", "nan", "--r1", "2"],
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "inf"],
+            ["helices", "--pitch", "inf", "--r0", "1", "--r1", "2"],
+            ["helices", "--pitch", "1", "--r0", "-inf", "--r1", "2"],
+        ],
+    )
+    def test_non_finite_flag_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_rejected(self):
         assert run(["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--out", "/tmp/x.json", "--bogus", "3"]) == 1
 
@@ -222,6 +238,6 @@ class TestElasticaCommand:
 
 class TestExitCodes:
     def test_numeric_failure_exit_code(self, tmp_path):
-        # pitch = nan makes the profile quadrature fail to converge
+        # pitch = 1e308 overflows the helix profile: the quadrature fails to converge
         out = tmp_path / "x.json"
-        assert run(["helices", "--pitch", "nan", "--r0", "1", "--r1", "2", "--out", str(out)]) == 2
+        assert run(["helices", "--pitch", "1e308", "--r0", "1", "--r1", "2", "--out", str(out)]) == 2

@@ -159,6 +159,93 @@ class TestCurvatureProfile:
                 assert np.max(np.abs(kap_off - k)) > 1e-3
 
 
+def rk4_profiles(ks, coefs, mus, Ls, n, substeps=64):
+    """Reference integrator: RK4 of kappa_tt = -kappa^3/2 + coef kappa + mu^2/kappa^3.
+
+    Vectorized over members with coef = (lambda - 2K)/2; samples every
+    ``substeps`` steps, so it returns (m, n) arrays of kappa and kappa_t.
+    """
+    steps = substeps * (n - 1)
+    h = Ls / steps
+    mu2 = mus**2
+
+    def rhs(kv):
+        return -0.5 * kv**3 + coefs * kv + mu2 / np.where(mu2 > 0.0, kv, 1.0) ** 3
+
+    y0, y1 = ks.astype(float), np.zeros(len(ks))
+    kap, kap_t = [y0], [y1]
+    for i in range(1, steps + 1):
+        b1 = rhs(y0)
+        b2 = rhs(y0 + 0.5 * h * y1)
+        b3 = rhs(y0 + 0.5 * h * (y1 + 0.5 * h * b1))
+        b4 = rhs(y0 + h * (y1 + 0.5 * h * b2))
+        y0, y1 = (
+            y0 + h * (y1 + h * (b1 + b2 + b3) / 6.0),
+            y1 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0,
+        )
+        if i % substeps == 0:
+            kap.append(y0)
+            kap_t.append(y1)
+    return np.array(kap).T, np.array(kap_t).T
+
+
+# (k, lambda, mu, K, L): every branch of the closed-form profile
+PROFILE_CASES = {
+    "flat_off_locus": (1.0, 0.7, 0.0, 0.0, 8.0),
+    "flat_torsional": (1.2, 0.5, 0.1, 0.0, 10.0),
+    "lower_root": (1.1, 1.1**2 + 0.5, 0.05, 0.0, 8.0 / 1.1),
+    "sphere_wave": (1.0, 0.2, 0.0, 1.0, 8.0),
+    "hyperbolic": (1.2, 1.2**2 - 2.0 - 0.3, 0.0, -1.0, 8.0 / 1.2),
+    "hyperbolic_wave": (0.74, -2.873, 0.0, -1.0, 8.0 / 0.74),
+    "separatrix": (1.0, 0.5, 0.0, 0.0, 8.0),
+    "circle_locus": (0.9, (0.9**6 + MU_LOCUS_SIGN * 2 * 0.0729**2) / 0.9**4, 0.0729, 0.0, 8.0),
+}
+
+
+def profile_params(k, lam, mu, K, L):
+    frame = default_flat_frame(k) if K == 0.0 else default_surface_frame(K)
+    return ElasticaParams(k=k, lam=lam, mu=mu, K=K, L=L, frame=frame)
+
+
+@pytest.fixture(scope="module")
+def rk4_reference():
+    k, lam, mu, K, L = (np.array(col, dtype=float) for col in zip(*PROFILE_CASES.values()))
+    kap, kap_t = rk4_profiles(k, 0.5 * (lam - 2.0 * K), mu, L, 256)
+    return {name: (kap[i], kap_t[i]) for i, name in enumerate(PROFILE_CASES)}
+
+
+class TestClosedFormProfile:
+    """The elliptic-function profile against the RK4 oracle it replaced."""
+
+    @pytest.mark.parametrize("name", list(PROFILE_CASES))
+    def test_matches_rk4(self, name, rk4_reference):
+        p = profile_params(*PROFILE_CASES[name])
+        kap, _, kap_t = solve_curvature_profile(p, 256, with_derivative=True)
+        ref, ref_t = rk4_reference[name]
+        assert kap[0] == p.k and kap_t[0] == 0.0
+        assert np.max(np.abs(kap - ref)) <= 1e-9
+        assert np.max(np.abs(kap_t - ref_t)) <= 1e-9
+
+    @pytest.mark.parametrize("name", list(PROFILE_CASES))
+    def test_first_integral_at_roundoff(self, name):
+        # absolute: the integral vanishes on the separatrix
+        p = profile_params(*PROFILE_CASES[name])
+        kap, _, kap_t = solve_curvature_profile(p, 256, with_derivative=True)
+        fi = first_integral(p, kap, kap_t)
+        assert np.ptp(fi) <= 1e-12 * max(1.0, abs(fi[0]))
+
+    def test_branches_are_exercised(self):
+        def kappa(name):
+            return solve_curvature_profile(profile_params(*PROFILE_CASES[name]), 256)[0]
+
+        k = PROFILE_CASES["lower_root"][0]
+        assert kappa("lower_root").min() >= k and kappa("lower_root").max() > k + 0.1
+        assert kappa("sphere_wave").min() < 0.0  # kappa changes sign
+        assert kappa("hyperbolic_wave").min() < 0.0
+        assert np.all(kappa("separatrix") > 0.0)
+        assert np.max(np.abs(kappa("circle_locus") - 0.9)) <= 1e-12
+
+
 class TestReconstruction:
     def test_unit_circle_closes(self):
         p = flat_params(1.0, 1.0, 0.0, L=2 * np.pi)
@@ -212,6 +299,15 @@ class TestReconstruction:
         assert c.space == sphere(1.0)
         meas = build_curve(sphere(1.0), c.points, closed=False)
         assert np.max(np.abs(meas.kappa - kap)) <= 2e-5
+
+    def test_long_hyperbolic_curve_builds(self):
+        # far out on the hyperboloid (|p| ~ 1e4) the surface check must not
+        # mistake rounding for distance
+        k = 0.7396222529152228
+        p = ElasticaParams(k=k, lam=-2.8732483068553294, mu=0.0, K=-1.0, L=8.0 / k,
+                           frame=default_surface_frame(-1.0))
+        c = generate_curve(p, 256)
+        assert np.max(np.linalg.norm(c.points, axis=1)) > 1e3
 
     def test_torsion_on_surface_rejected(self):
         p = ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=1.0, L=2.0, frame=default_surface_frame(1.0))

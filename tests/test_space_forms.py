@@ -18,6 +18,7 @@ from curvespace import (
     space_to_dict,
     sphere,
     standard_frame,
+    surface_of_curvature,
 )
 
 
@@ -33,6 +34,14 @@ class TestSpaceFormValidation:
             SpaceForm(Model.HYPERBOLIC2D, 0.5)
         with pytest.raises(DomainError):
             SpaceForm(Model.PLANE2D, 0.1)
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curvature_rejected(self, K):
+        with pytest.raises(DomainError):
+            surface_of_curvature(K)
+        for model in Model:
+            with pytest.raises(DomainError):
+                SpaceForm(model, K)
 
     def test_ambient_dims(self):
         assert plane().ambient_dim == 2
@@ -157,6 +166,20 @@ class TestExpPolar:
             for r in radii:
                 pts = exp_polar(space, fr, r, t)
                 assert float(np.max(space.surface_distance(pts))) <= 1e-9
+
+
+class TestSurfaceMembership:
+    def test_far_hyperboloid_point_resolved(self):
+        # at |p| ~ 1e4 rounding in z^2 - x^2 - y^2 is ~1e-8; a true point must
+        # pass and one moved 1e-6 along the Euclidean surface normal must not
+        space = hyperbolic(-1.0)
+        p = exp_polar(space, standard_frame(space), 10.0, 0.3)
+        assert 5e3 < np.linalg.norm(p) < 5e4
+        space.check_on_surface(p)
+        moved = p + 1e-6 * np.array([-p[0], -p[1], p[2]]) / np.linalg.norm(p)
+        assert space.surface_distance(moved) == pytest.approx(1e-6, rel=0.05)
+        with pytest.raises(DomainError):
+            space.check_on_surface(moved)
 
 
 class TestTangentProject:
