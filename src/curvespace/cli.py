@@ -121,9 +121,12 @@ def parse_command(argv) -> Command:
 
 
 def _dump_json(data, out_path: str) -> None:
+    try:  # strict JSON has no NaN or infinity; fail before the file exists
+        text = json.dumps(data, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"{out_path}: result is not finite") from exc
     with open(out_path, "w") as fh:
-        json.dump(data, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -234,7 +237,10 @@ def _cmd_check(opt) -> int:
 
 def _cmd_distance(opt) -> int:
     path = _load_path(opt["input"])
-    print(f"{sm.path_length(path):.12g}")
+    distance = sm.path_length(path)
+    if not math.isfinite(distance):
+        raise NumericFailure(f"path length is not finite: {distance}")
+    print(f"{distance:.12g}")
     return EXIT_OK
 
 
@@ -318,7 +324,9 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[command.subcommand](command.options)
+        # non-finite results surface through the checks, not as warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _HANDLERS[command.subcommand](command.options)
     except InputFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT

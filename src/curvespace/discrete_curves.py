@@ -140,6 +140,8 @@ def build_curve(
     if points.ndim != 2 or points.shape[0] < MIN_SAMPLES:
         raise PreconditionError(f"need at least {MIN_SAMPLES} samples, got {points.shape}")
     n, dim = points.shape
+    if not np.all(np.isfinite(points)):
+        raise DomainError("curve points must be finite")
     if dim != space.ambient_dim:
         raise DomainError(f"{space.model.value} expects dimension {space.ambient_dim}, got {dim}")
     if surface_tol is None:

@@ -10,8 +10,10 @@ profile solves the second-order ODE
 from the amplitude (kappa(0) = k, kappa_t(0) = 0).  Its first integral
 makes kappa a Jacobi elliptic function, evaluated in closed form (Langer
 & Singer, *Knotted elastic curves in R^3*, 1984).  The curve itself is
-rebuilt by integrating the Frenet system (or its 2D intrinsic analogue
-on a surface) from an initial frame.
+rebuilt from an initial frame by Lie-group steps: the Frenet system (or
+its 2D intrinsic analogue on a surface) is linear in the frame rows, so
+each step is the exponential of a fourth-order Magnus exponent, and a
+log-depth prefix product of the steps gives every point at once.
 
 Constant profiles kappa = k occur exactly on the circle locus
 
@@ -80,11 +82,11 @@ class FrenetFrame:
     B: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-        object.__setattr__(self, "N", np.asarray(self.N, dtype=float))
-        if self.B is not None:
-            object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
+        for name in ("origin", "T", "N", "B"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                if not np.all(np.isfinite(getattr(self, name))):
+                    raise DomainError(f"frame vector {name} must be finite")
 
 
 def _ambient_space(K: float) -> SpaceForm:
@@ -129,6 +131,8 @@ class ElasticaParams:
     frame: FrenetFrame
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.k, self.lam, self.mu, self.K, self.L)):
+            raise DomainError("elastica parameters k, lambda, mu, K and L must be finite")
         if self.k < 0.0:
             raise DomainError("curvature amplitude k must be nonnegative")
         if self.mu != 0.0 and self.k <= 0.0:
@@ -235,119 +239,117 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
 # curve reconstruction
 
 
-def _half_samples(values: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of (m, n) profile samples at the grid midpoints."""
-    sigma = np.linspace(0.0, 1.0, values.shape[1])
-    spline = CubicSpline(sigma, values, axis=1)
-    return spline(sigma[:-1] + 0.5 * sigma[1])
+# Gauss points of one step, as fractions of the step
+_GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_INV_FACTORIAL = 1.0 / np.cumprod([1.0, *range(1, 17)])  # 1/j! for j = 0..16
 
 
-def _batch_reconstruct_3d(frames, kappas, taus, Ls, n: int) -> np.ndarray:
-    """Frenet reconstruction of a family of space curves in one RK4 sweep.
+def _expm(X: np.ndarray) -> np.ndarray:
+    """Exponential of every matrix of an (..., d, d) stack.
 
-    ``frames`` is an (m, 4, 3) stack of (origin, T, N, B) rows; ``kappas``
-    and ``taus`` are (m, n) profiles; ``Ls`` the per-curve lengths.
-    Returns points of shape (m, n, 3).
+    Scaling and squaring per matrix around the degree-16 Taylor polynomial,
+    summed by Horner's rule in X^4 over cubic blocks (Paterson-Stockmeyer).
     """
-    m = frames.shape[0]
-    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None, None]
-    k_half = _half_samples(kappas)
-    t_half = _half_samples(taus)
+    norm = np.linalg.norm(X, axis=(-2, -1))
+    if not np.all(np.isfinite(norm)):
+        raise NumericFailure("Frenet reconstruction met a non-finite generator")
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)  # |X / 2^s| < 1/2: Taylor tail < 1e-19
+    X = np.ldexp(X, -s[..., None, None])
+    X2 = X @ X
+    powers, X4 = (np.eye(X.shape[-1]), X, X2, X2 @ X), X2 @ X2
+    blocks = [sum(c * P for c, P in zip(_INV_FACTORIAL[j : j + 4], powers)) for j in (12, 8, 4, 0)]
+    E = blocks[0] + _INV_FACTORIAL[16] * X4
+    for block in blocks[1:]:
+        E = block + X4 @ E
+    for j in range(int(s.max(initial=0))):
+        E = np.where((s > j)[..., None, None], E @ E, E)
+    return E
 
-    def rhs(Y, kv, ta):
-        out = np.empty_like(Y)
-        out[:, 0] = Y[:, 1]
-        out[:, 1] = kv[:, None] * Y[:, 2]
-        out[:, 2] = -kv[:, None] * Y[:, 1] + ta[:, None] * Y[:, 3]
-        out[:, 3] = -ta[:, None] * Y[:, 2]
-        return out
 
-    Y = frames.astype(float).copy()
-    points = np.empty((m, n, 3))
-    points[:, 0] = Y[:, 0]
-    for i in range(n - 1):
-        s1 = rhs(Y, kappas[:, i], taus[:, i])
-        s2 = rhs(Y + 0.5 * h * s1, k_half[:, i], t_half[:, i])
-        s3 = rhs(Y + 0.5 * h * s2, k_half[:, i], t_half[:, i])
-        s4 = rhs(Y + h * s3, kappas[:, i + 1], taus[:, i + 1])
-        Y = Y + h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-        # keep the transported frames orthonormal
-        T = Y[:, 1]
-        T /= np.linalg.norm(T, axis=1, keepdims=True)
-        N = Y[:, 2] - np.sum(Y[:, 2] * T, axis=1, keepdims=True) * T
-        N /= np.linalg.norm(N, axis=1, keepdims=True)
-        Y[:, 1], Y[:, 2] = T, N
-        Y[:, 3] = np.cross(T, N)
-        points[:, i + 1] = Y[:, 0]
+def _prefix_products(Phi: np.ndarray) -> np.ndarray:
+    """P_i = Phi_{i-1} ... Phi_0 (P_0 = I) along axis 1 of an (m, n - 1, d, d) stack.
+
+    Log-depth doubling scan (Blelloch, *Prefix sums and their applications*,
+    1990): after the round with offset 2^r each P_i is the product of the
+    2^(r+1) factors before it.
+    """
+    m, steps, d, _ = Phi.shape
+    P = np.concatenate([np.broadcast_to(np.eye(d), (m, 1, d, d)), Phi], axis=1)
+    shift = 1
+    while shift <= steps:
+        P[:, shift:] = P[:, shift:] @ P[:, :-shift]
+        shift *= 2
+    return P
+
+
+def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
+    """Fourth-order Magnus exponents, (m, n - 1, 4, 4): one per step of each curve.
+
+    Omega_i = h/2 (A_1 + A_2) + sqrt(3)/12 h^2 [A_2, A_1] with A (see
+    ``_batch_reconstruct``) at the two Gauss points of step i, where a
+    cubic spline through the (m, n) samples gives kappa and tau.
+    """
+    samples = np.stack([kappas, taus])
+    if not np.all(np.isfinite(samples)):
+        raise NumericFailure("Frenet reconstruction got a non-finite profile")
+    m = samples.shape[1]
+    sigma = np.linspace(0.0, 1.0, n)
+    nodes = (sigma[:-1, None] + sigma[1] * _GAUSS_NODES).ravel()
+    at_nodes = CubicSpline(sigma, samples, axis=2)(nodes).reshape(2, m, n - 1, 2)
+    kap, tau = at_nodes.transpose(0, 3, 1, 2)  # axes: Gauss point, curve, step
+    A = np.zeros((2, m, n - 1, 4, 4))
+    A[..., 0, 1], A[..., 1, 0] = 1.0, -K
+    A[..., 1, 2], A[..., 2, 1] = kap, -kap
+    A[..., 2, 3], A[..., 3, 2] = tau, -tau
+    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None, None, None]
+    return 0.5 * h * (A[0] + A[1]) + math.sqrt(3.0) / 12.0 * h**2 * (A[1] @ A[0] - A[0] @ A[1])
+
+
+def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray:
+    """Rebuild a family of curves from their profiles by Lie-group steps.
+
+    The rows Y = (c, T, N, B) of each curve solve Y' = A(s) Y with
+    A = [[0, 1, 0, 0], [-K, 0, kappa, 0], [0, -kappa, 0, tau], [0, 0, -tau, 0]]:
+    the Frenet system for K = 0, and for K != 0 the intrinsic system on
+    the surface (tau = 0, B = 0, <T, T> = 1).  Step i propagates by
+    exp(Omega_i) (``_magnus_exponents``) and the points are the first rows
+    of the prefix products applied to the initial rows.  The products keep
+    P^T diag(K, 1, 1, 1) P = diag(K, 1, 1, 1): frames stay orthonormal and
+    points on the sphere or hyperboloid, with no projection.  ``frames``
+    is (m, 4, dim), the profiles (m, n); returns (m, n, dim) points.
+    """
+    P = _prefix_products(_expm(_magnus_exponents(K, kappas, taus, Ls, n)))
+    points = P[:, :, 0] @ frames
     if not np.all(np.isfinite(points)):
         raise NumericFailure("Frenet reconstruction produced non-finite points")
     return points
 
 
-def _batch_reconstruct_surface(space: SpaceForm, frames, kappas, Ls, n: int) -> np.ndarray:
-    """Intrinsic reconstruction on a 2D space form; frames are (m, 3, dim)."""
-    m = frames.shape[0]
-    K = space.curvature
-    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None, None]
-    k_half = _half_samples(kappas)
-
-    def rhs(Y, kv):
-        c, T, N = Y[:, 0], Y[:, 1], Y[:, 2]
-        out = np.empty_like(Y)
-        out[:, 0] = T
-        out[:, 1] = kv[:, None] * N - (K * space.inner(T, T))[:, None] * c
-        out[:, 2] = -kv[:, None] * T - (K * space.inner(T, N))[:, None] * c
-        return out
-
-    Y = frames.astype(float).copy()
-    points = np.empty((m, n, space.ambient_dim))
-    points[:, 0] = Y[:, 0]
-    for i in range(n - 1):
-        s1 = rhs(Y, kappas[:, i])
-        s2 = rhs(Y + 0.5 * h * s1, k_half[:, i])
-        s3 = rhs(Y + 0.5 * h * s2, k_half[:, i])
-        s4 = rhs(Y + h * s3, kappas[:, i + 1])
-        Y = Y + h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-        if space.curved:
-            Y[:, 0] = space.project_to_surface(Y[:, 0])
-            Y[:, 1] = space.tangent_project(Y[:, 0], Y[:, 1], check=False)
-            Y[:, 2] = space.tangent_project(Y[:, 0], Y[:, 2], check=False)
-        T = Y[:, 1]
-        T /= space.norm(T)[:, None]
-        N = Y[:, 2] - space.inner(Y[:, 2], T)[:, None] * T
-        N /= space.norm(N)[:, None]
-        Y[:, 1], Y[:, 2] = T, N
-        points[:, i + 1] = Y[:, 0]
-    if not np.all(np.isfinite(points)):
-        raise NumericFailure("surface reconstruction produced non-finite points")
-    return points
+def _frame_rows(frame: FrenetFrame) -> np.ndarray:
+    """Initial rows (c, T, N, B) of the reconstruction; B = 0 on a surface."""
+    B = np.zeros_like(frame.T) if frame.B is None else frame.B
+    return np.stack([frame.origin, frame.T, frame.N, B])
 
 
 def reconstruct_curve(params: ElasticaParams, kappa, tau, n: int) -> DiscreteCurve:
-    """Frenet reconstruction of the curve with the given profile.
+    """Rebuild the curve with the given profile from ``params.frame``.
 
-    Euclidean 3-space when K = 0; intrinsic 2D reconstruction on the
-    space form of curvature K when the torsion vanishes.  Fourth-order
-    one-step integration from ``params.frame``.
+    Euclidean 3-space when K = 0; the surface of curvature K when the
+    torsion vanishes.  Fourth-order Magnus propagators, combined by a
+    log-depth prefix product (see ``_batch_reconstruct``).
     """
     kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if kappa.shape != (n,) or tau.shape != (n,):
         raise DomainError("profile arrays must have length n")
-    frame = params.frame
-    if params.K != 0.0:
-        if params.mu != 0.0 or np.any(tau != 0.0):
-            raise CapabilityError(
-                "reconstruction with torsion is only available in Euclidean 3-space (K = 0)"
-            )
-        space = params.space
-        frames = np.stack([frame.origin, frame.T, frame.N])[None]
-        points = _batch_reconstruct_surface(space, frames, kappa[None], [params.L], n)[0]
-    else:
-        space = euclidean3d()
-        frames = np.stack([frame.origin, frame.T, frame.N, frame.B])[None]
-        points = _batch_reconstruct_3d(frames, kappa[None], tau[None], [params.L], n)[0]
-    return build_curve(space, points, closed=False)
+    if params.K != 0.0 and (params.mu != 0.0 or np.any(tau != 0.0)):
+        raise CapabilityError(
+            "reconstruction with torsion is only available in Euclidean 3-space (K = 0)"
+        )
+    points = _batch_reconstruct(
+        params.K, _frame_rows(params.frame)[None], kappa[None], tau[None], [params.L], n
+    )[0]
+    return build_curve(params.space, points, closed=False)
 
 
 def generate_curve(params: ElasticaParams, n: int) -> DiscreteCurve:
@@ -448,29 +450,15 @@ def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
         )
     Ls = spec.ell / ks
 
-    base = spec.start.frame
+    frames = np.repeat(_frame_rows(spec.start.frame)[None], spec.m, axis=0)
+    if spec.K == 0.0:
+        frames[:, 0] = _gauge_anchor(spec.start) - spec.start.frame.N / ks[:, None]
+    space = spec.start.space
     try:
         kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
-        if spec.K == 0.0:
-            origins = _gauge_anchor(spec.start)[None, :] - base.N[None, :] / ks[:, None]
-            frames = np.empty((spec.m, 4, 3))
-            frames[:, 0] = origins
-            frames[:, 1] = base.T
-            frames[:, 2] = base.N
-            frames[:, 3] = base.B
-            with np.errstate(divide="ignore", invalid="ignore"):
-                taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
-            points = _batch_reconstruct_3d(frames, kappas, taus, Ls, spec.n)
-            space = euclidean3d()
-        else:
-            frames = np.stack(
-                [np.broadcast_to(v, (spec.m, base.origin.size)) for v in (base.origin, base.T, base.N)],
-                axis=1,
-            )
-            points = _batch_reconstruct_surface(
-                surface_of_curvature(spec.K), frames, kappas, Ls, spec.n
-            )
-            space = surface_of_curvature(spec.K)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
+        points = _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
         curves = [build_curve(space, p, closed=False) for p in points]
     except CurveSpaceError as exc:
         raise NumericFailure(f"curve generation failed along the path: {exc}") from exc

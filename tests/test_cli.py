@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,46 @@ class TestCheck:
         assert max(report["horizontality_sup"]) <= 1e-4
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad,code", [(float("nan"), 3), (1e308, 2)])
+    def test_path_with_non_finite_point(self, bad, code, flat_path_file, tmp_path, capsys):
+        # NaN is rejected on load (exit 3); 1e308 loads but overflows (exit 2)
+        data = read_json(flat_path_file)
+        data["points"][3][5][0] = bad
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["distance", "--input", str(bad_file)]) == code
+            assert run(["check", "--input", str(bad_file), "--report", str(report)]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().out == ""
+        assert not report.exists()
+
+    def test_elastica_spec_with_nan_length(self, tmp_path, capsys):
+        spec = {
+            "K": 0.0,
+            "L": float("nan"),
+            "start": {"k": 1.0, "lambda": 1.0, "mu": 0.0},
+            "end": {"k": 0.8, "lambda": 0.64, "mu": 0.0},
+            "init_frame": {
+                "origin": [1.0, 0.0, 0.0],
+                "T": [0.0, 1.0, 0.0],
+                "N": [-1.0, 0.0, 0.0],
+                "B": [0.0, 0.0, 1.0],
+            },
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "path.json"
+        code = run(["elastica", "--spec", str(spec_file), "--out", str(out),
+                    "--trace", str(tmp_path / "trace.csv")])
+        assert code == 3
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRender:
     def test_svg_output(self, flat_path_file, tmp_path):
         fig = tmp_path / "fig.svg"
@@ -241,3 +282,16 @@ class TestExitCodes:
         # pitch = 1e308 overflows the helix profile: the quadrature fails to converge
         out = tmp_path / "x.json"
         assert run(["helices", "--pitch", "1e308", "--r0", "1", "--r1", "2", "--out", str(out)]) == 2
+
+    def test_overflow_reports_only_the_failure(self, tmp_path, capfd):
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["helices", "--pitch", "1e308", "--r0", "1", "--r1", "2", "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []  # no RuntimeWarning reaches stderr
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("numeric failure:")
+        assert not out.exists()

@@ -41,6 +41,13 @@ def ellipse_curvature(t, a=2.0, b=1.0):
 
 
 class TestBuildCurve:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts, _ = circle_points(64)
+        pts[7, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            build_curve(plane(), pts, closed=True)
+
     def test_unit_circle_curvature(self):
         pts, _ = circle_points(256)
         c = build_curve(plane(), pts, closed=True)

@@ -7,6 +7,7 @@ from curvespace import (
     ElasticaParams,
     ElasticaPathSpec,
     FrenetFrame,
+    NumericFailure,
     OptimizeOptions,
     build_curve,
     circle_locus_residual,
@@ -20,8 +21,13 @@ from curvespace import (
 )
 from curvespace.elastica import (
     MU_LOCUS_SIGN,
+    _batch_reconstruct,
     _end_frame,
+    _expm,
+    _frame_rows,
     _interior_seed,
+    _magnus_exponents,
+    _prefix_products,
     default_flat_frame,
     default_surface_frame,
     endpoints_from_dict,
@@ -320,6 +326,150 @@ class TestReconstruction:
             FrenetFrame(origin=[0, 0, 0], T=[0, 2, 0], N=[-1, 0, 0], B=[0, 0, 1])
             ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=0.0, L=1.0,
                            frame=FrenetFrame(origin=[0, 0, 0], T=[0, 2, 0], N=[-1, 0, 0], B=[0, 0, 1]))
+
+
+def rk4_reconstruct(Ks, frames, kappa, tau, Ls, substeps):
+    """Reference integrator: RK4 of the Frenet and surface systems.
+
+    The form the Lie-group reconstruction replaced, vectorized over
+    members: rows (c, T, N, B) with B = 0 on a surface, and
+    c' = T, T' = kappa N - K <T, T> c, N' = -kappa T - K <T, N> c + tau B,
+    B' = -tau N under the ambient inner product (Minkowski for K < 0);
+    K = 0 is the Frenet system.  ``kappa`` and ``tau`` sample each profile
+    at every half step, (m, 2 substeps (n - 1) + 1); the points are
+    sampled every ``substeps`` steps, so it returns (m, n, 3).
+    """
+    steps = (kappa.shape[1] - 1) // 2
+    h = (Ls / steps)[:, None, None]
+    metric = np.ones((len(Ks), 3))
+    metric[Ks < 0.0, 2] = -1.0
+    K = Ks[:, None]
+
+    def g(u, v):
+        return np.sum(u * v * metric, axis=1)[:, None]
+
+    def rhs(Y, kv, tv):
+        c, T, N, B = Y[:, 0], Y[:, 1], Y[:, 2], Y[:, 3]
+        kv, tv = kv[:, None], tv[:, None]
+        return np.stack(
+            [T, kv * N - K * g(T, T) * c, -kv * T - K * g(T, N) * c + tv * B, -tv * N], axis=1
+        )
+
+    Y = np.array(frames, dtype=float)
+    points = [Y[:, 0]]
+    for i in range(steps):
+        (k0, km, k1), (t0, tm, t1) = kappa[:, 2 * i : 2 * i + 3].T, tau[:, 2 * i : 2 * i + 3].T
+        s1 = rhs(Y, k0, t0)
+        s2 = rhs(Y + 0.5 * h * s1, km, tm)
+        s3 = rhs(Y + 0.5 * h * s2, km, tm)
+        s4 = rhs(Y + h * s3, k1, t1)
+        Y = Y + h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+        if (i + 1) % substeps == 0:
+            points.append(Y[:, 0])
+    return np.stack(points, axis=1)
+
+
+# one case per branch of the curves workload: K = 0, K = 0 torsional, +1, -1
+RECONSTRUCTION_CASES = ["flat_off_locus", "flat_torsional", "sphere_wave", "hyperbolic"]
+
+
+@pytest.fixture(scope="module")
+def rk4_curves():
+    n, substeps = 256, 8
+    params = [profile_params(*PROFILE_CASES[name]) for name in RECONSTRUCTION_CASES]
+    fine = [solve_curvature_profile(p, 2 * substeps * (n - 1) + 1) for p in params]
+    points = rk4_reconstruct(
+        np.array([p.K for p in params]),
+        np.stack([_frame_rows(p.frame) for p in params]),
+        np.stack([kap for kap, _ in fine]),
+        np.stack([tau for _, tau in fine]),
+        np.array([p.L for p in params]),
+        substeps,
+    )
+    return dict(zip(RECONSTRUCTION_CASES, points))
+
+
+class TestLieGroupReconstruction:
+    """Magnus propagators and their prefix products against RK4 and scipy."""
+
+    @pytest.mark.parametrize("name", RECONSTRUCTION_CASES)
+    def test_matches_rk4(self, name, rk4_curves):
+        points = generate_curve(profile_params(*PROFILE_CASES[name]), 256).points
+        ref = rk4_curves[name]
+        assert np.max(np.abs(points - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", RECONSTRUCTION_CASES + ["hyperbolic_wave"])
+    def test_fourth_order_convergence(self, name):
+        p = profile_params(*PROFILE_CASES[name])
+        end = {n: generate_curve(p, n).points[-1] for n in (256, 512, 4096)}
+        err256 = np.linalg.norm(end[256] - end[4096])
+        err512 = np.linalg.norm(end[512] - end[4096])
+        assert err256 / err512 >= 12.0
+
+    @pytest.mark.parametrize("name", RECONSTRUCTION_CASES + ["hyperbolic_wave"])
+    def test_prefix_products_stay_in_the_group(self, name):
+        # P^T G P = G: orthonormal frames, and <c, c> = 1/K on the surfaces
+        p = profile_params(*PROFILE_CASES[name])
+        kap, tau = solve_curvature_profile(p, 256)
+        P = _prefix_products(_expm(_magnus_exponents(p.K, kap[None], tau[None], [p.L], 256)))
+        G = np.diag([p.K, 1.0, 1.0, 1.0])
+        defect = np.max(np.abs(np.swapaxes(P, -1, -2) @ G @ P - G))
+        assert defect <= 1e-12 * max(1.0, np.max(np.abs(P)) ** 2)
+
+    def test_prefix_products_match_sequential(self):
+        rng = np.random.default_rng(2)
+        Phi = _expm(0.3 * rng.normal(size=(2, 37, 4, 4)))
+        P = _prefix_products(Phi)
+        ref = np.eye(4)
+        for i in range(38):
+            assert np.allclose(P[:, i], ref, rtol=1e-13, atol=1e-13)
+            if i < 37:
+                ref = Phi[:, i] @ ref
+
+    def test_taylor_exp_matches_scipy(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(1)
+        # Frobenius norms from about 0.4 to 2.5, across the 1/2 scaling threshold
+        X = np.concatenate([0.2 * rng.normal(size=(500, 4, 4)), 0.4 * rng.normal(size=(500, 4, 4))])
+        X[0] = 0.0
+        ref = expm(X)
+        err = np.max(np.abs(_expm(X) - ref), axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert np.max(err) <= 1e-14
+        assert np.array_equal(_expm(X[:1]), np.eye(4)[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profile_is_numeric_failure(self, bad):
+        p = flat_params(1.0, 1.0, 0.0)
+        kap = np.ones((1, 64))
+        kap[0, 10] = bad
+        with pytest.raises(NumericFailure):
+            _batch_reconstruct(0.0, _frame_rows(p.frame)[None], kap, np.zeros((1, 64)), [p.L], 64)
+        with pytest.raises(NumericFailure):
+            _expm(np.full((2, 4, 4), bad))
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("field", ["k", "lam", "mu", "K", "L"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_reject_non_finite(self, field, bad):
+        values = dict(k=1.0, lam=1.0, mu=0.0, K=0.0, L=2.0, frame=default_flat_frame(1.0))
+        values[field] = bad
+        with pytest.raises(DomainError):
+            ElasticaParams(**values)
+
+    @pytest.mark.parametrize("field", ["origin", "T", "N", "B"])
+    def test_frame_rejects_non_finite(self, field):
+        values = dict(origin=[1.0, 0.0, 0.0], T=[0.0, 1.0, 0.0], N=[-1.0, 0.0, 0.0], B=[0.0, 0.0, 1.0])
+        values[field] = [np.nan, 0.0, 1.0]
+        with pytest.raises(DomainError):
+            FrenetFrame(**values)
+
+    def test_endpoint_record_with_nan_length(self):
+        data = endpoints_to_dict(*circle_endpoints())
+        data["L"] = float("nan")
+        with pytest.raises(DomainError):
+            endpoints_from_dict(data)
 
 
 class TestPathEnergy:
