@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import PreconditionError
 
-# one-sided fourth-order first-derivative rows (times 12 h)
-_EDGE4_ROW0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
-_EDGE4_ROW1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
-
 
 def _wrap_extend(values: np.ndarray, pad: int, wrap_shift) -> np.ndarray:
     """Periodically extend ``values`` by ``pad`` samples on both sides."""
@@ -27,13 +23,16 @@ def _wrap_extend(values: np.ndarray, pad: int, wrap_shift) -> np.ndarray:
     return np.concatenate([head, values, tail], axis=0)
 
 
-def diff1(values, dt: float, periodic: bool, *, order: int = 2, wrap_shift=None):
+def diff1(values, dt: float, periodic: bool, *, order: int = 2, wrap_shift=None, axis: int = 0):
     """d(values)/dt on a uniform grid with spacing ``dt``.
 
-    ``values`` has the grid on axis 0; trailing axes broadcast.  Open grids
-    use one-sided stencils of the same order at the ends.
+    ``values`` has the grid on ``axis``; the other axes broadcast, and
+    ``wrap_shift`` broadcasts against the trailing ones.  Open grids use
+    one-sided stencils of the same order at the ends.  The result is
+    C-contiguous, so reductions over it sum in the same order as over a
+    single row.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).swapaxes(0, axis)
     n = v.shape[0]
     if order not in (2, 4):
         raise PreconditionError(f"unsupported stencil order {order}")
@@ -45,47 +44,20 @@ def diff1(values, dt: float, periodic: bool, *, order: int = 2, wrap_shift=None)
         pad = 2 if order == 4 else 1
         ext = _wrap_extend(v, pad, wrap_shift)
         if order == 2:
-            return (ext[2:] - ext[:-2]) / (2.0 * dt)
-        return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * dt)
-
-    out = np.empty_like(v)
-    if order == 2:
+            out = (ext[2:] - ext[:-2]) / (2.0 * dt)
+        else:
+            out = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * dt)
+    elif order == 2:
+        out = np.empty_like(v)
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-        return out
-    out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * dt)
-    out[0] = np.tensordot(_EDGE4_ROW0, v[:5], axes=(0, 0)) / (12.0 * dt)
-    out[1] = np.tensordot(_EDGE4_ROW1, v[:5], axes=(0, 0)) / (12.0 * dt)
-    out[-2] = -np.tensordot(_EDGE4_ROW1, v[-1:-6:-1], axes=(0, 0)) / (12.0 * dt)
-    out[-1] = -np.tensordot(_EDGE4_ROW0, v[-1:-6:-1], axes=(0, 0)) / (12.0 * dt)
-    return out
-
-
-def diff1_at(values, dt: float, j: int, *, order: int = 2):
-    """Single-row first derivative in the path parameter at index ``j``.
-
-    Interior rows are central; boundary rows one-sided, at the requested
-    order.  ``values`` has the sample axis first.
-    """
-    v = np.asarray(values, dtype=float)
-    m = v.shape[0]
-    if not 0 <= j < m:
-        raise PreconditionError(f"sample index {j} out of range")
-    if order == 2:
-        if j == 0:
-            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-        if j == m - 1:
-            return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-        return (v[j + 1] - v[j - 1]) / (2.0 * dt)
-    if order == 4:
-        if m < 5:
-            raise PreconditionError("grid too short for order-4 stencil")
-        if j <= 1:
-            row = _EDGE4_ROW0 if j == 0 else _EDGE4_ROW1
-            return np.tensordot(row, v[:5], axes=(0, 0)) / (12.0 * dt)
-        if j >= m - 2:
-            row = _EDGE4_ROW0 if j == m - 1 else _EDGE4_ROW1
-            return -np.tensordot(row, v[-1:-6:-1], axes=(0, 0)) / (12.0 * dt)
-        return (-v[j + 2] + 8.0 * v[j + 1] - 8.0 * v[j - 1] + v[j - 2]) / (12.0 * dt)
-    raise PreconditionError(f"unsupported stencil order {order}")
+    else:
+        out = np.empty_like(v)
+        out[2:-2] = -v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]
+        out[0] = -25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]
+        out[1] = -3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]
+        out[-2] = 3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]
+        out[-1] = 25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
+        out /= 12.0 * dt
+    return np.ascontiguousarray(out.swapaxes(0, axis))

@@ -266,27 +266,22 @@ def _project(points: np.ndarray) -> np.ndarray:
 
 
 def _render_svg(path: sm.CurvePath) -> str:
-    flat = np.concatenate([_project(c.points) for c in path.curves])
-    lo = flat.min(axis=0)
-    hi = flat.max(axis=0)
+    pts = _project(path.points)
+    lo = pts.min(axis=(0, 1))
+    hi = pts.max(axis=(0, 1))
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
     scale = (_VIEW - 2.0 * _MARGIN) / span
-
-    def to_screen(pts):
-        x = _MARGIN + (pts[:, 0] - lo[0]) * scale
-        y = _VIEW - _MARGIN - (pts[:, 1] - lo[1]) * scale
-        return x, y
+    if path.closed:
+        pts = np.concatenate([pts, pts[:, :1]], axis=1)
+    xs = _MARGIN + (pts[..., 0] - lo[0]) * scale
+    ys = _VIEW - _MARGIN - (pts[..., 1] - lo[1]) * scale
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW:.0f}" '
         f'height="{_VIEW:.0f}" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for j, curve in enumerate(path.curves):
-        pts = _project(curve.points)
-        if curve.closed:
-            pts = np.vstack([pts, pts[:1]])
-        x, y = to_screen(pts)
+    for j, (x, y) in enumerate(zip(xs, ys)):
         coord = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
         if j == 0:
             style = 'stroke="#1a9641" stroke-width="2.2"'

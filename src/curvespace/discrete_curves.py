@@ -6,6 +6,12 @@ rest of the package: length element ``omega``, unit tangent ``T``, unit
 normal ``N``, signed curvature ``kappa`` (2D) and, for space curves,
 binormal ``B`` and torsion ``tau``.
 
+One ``DiscreteCurve`` may also hold a whole stack of ``m`` curves on one
+grid: points of shape (m, n, dim), fields of shape (m, n) or
+(m, n, dim).  The t axis is then ``points.ndim - 2``, every operation
+here works along it, and ``DiscreteCurve.row`` returns curve j as views.
+A path of curves (``sobolev_metric.CurvePath``) is such a stack.
+
 Conventions
 -----------
 * closed curves live on the grid ``t_i = 2 pi i / n``; open curves on
@@ -24,7 +30,7 @@ the length of a 256-point circle accurate to 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +75,8 @@ class DiscreteCurve:
     with ``t`` for screw-symmetric open curves (helix families); stencils
     then wrap periodically with that shift instead of using one-sided
     rows.  ``frame_ok`` flags the 3D samples where the Frenet frame is
-    defined (``kappa`` above the floor).
+    defined (``kappa`` above the floor).  A stack of curves keeps its
+    leading axis on every per-sample field (see the module docstring).
     """
 
     space: SpaceForm
@@ -87,11 +94,11 @@ class DiscreteCurve:
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     @property
     def dt(self) -> float:
@@ -101,18 +108,24 @@ class DiscreteCurve:
     def periodic(self) -> bool:
         return self.closed or self.screw_shift is not None
 
+    def row(self, j: int) -> "DiscreteCurve":
+        """Curve j of a stack, sharing memory with the stack's fields."""
+        per_sample = ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok")
+        views = {f: getattr(self, f)[j] for f in per_sample if getattr(self, f) is not None}
+        return replace(self, **views)
+
 
 def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Rotate T by +pi/2 in the oriented tangent plane of the model."""
     if space.model is Model.PLANE2D:
-        return np.stack([-T[:, 1], T[:, 0]], axis=1)
+        return np.stack([-T[..., 1], T[..., 0]], axis=-1)
     if space.model is Model.SPHERE2D:
-        nu = points / np.linalg.norm(points, axis=1, keepdims=True)
+        nu = points / np.linalg.norm(points, axis=-1, keepdims=True)
         return np.cross(nu, T)
     # hyperboloid: J (p_hat x T) is unit, tangent, and consistently oriented
     p_hat = points / space.radius
     w = np.cross(p_hat, T)
-    w[:, 2] = -w[:, 2]
+    w[..., 2] = -w[..., 2]
     return w
 
 
@@ -125,31 +138,29 @@ def build_curve(
     screw_shift=None,
     resample_arclength: bool = False,
     kappa_floor: float = KAPPA_FLOOR,
-    surface_tol: float | None = None,
 ) -> DiscreteCurve:
     """Build a :class:`DiscreteCurve` from sampled points.
 
-    Computes ``omega`` and ``T`` from a fourth-order derivative of the
-    points, then the frame and curvature from arclength derivatives of
-    the same order.  Raises :class:`ImmersionError` when the discrete
-    derivative vanishes and flags (without failing) the 3D samples where
-    the curvature is below ``kappa_floor``.  The floor and the on-surface
-    tolerance default to the module constants.
+    ``points`` is one (n, dim) curve or an (m, n, dim) stack of curves on
+    one grid; a stack is built in one pass along its t axis.  Computes
+    ``omega`` and ``T`` from a fourth-order derivative of the points,
+    then the frame and curvature from arclength derivatives of the same
+    order.  Raises :class:`ImmersionError` when the discrete derivative
+    vanishes and flags (without failing) the 3D samples where the
+    curvature is below ``kappa_floor``.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[0] < MIN_SAMPLES:
+    if points.ndim not in (2, 3) or points.shape[-2] < MIN_SAMPLES:
         raise PreconditionError(f"need at least {MIN_SAMPLES} samples, got {points.shape}")
-    n, dim = points.shape
+    n, dim = points.shape[-2:]
+    axis = points.ndim - 2
     if not np.all(np.isfinite(points)):
         raise DomainError("curve points must be finite")
     if dim != space.ambient_dim:
         raise DomainError(f"{space.model.value} expects dimension {space.ambient_dim}, got {dim}")
-    if surface_tol is None:
-        space.check_on_surface(points)
-    else:
-        space.check_on_surface(points, tol=surface_tol)
+    space.check_on_surface(points)
 
-    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    chords = np.linalg.norm(np.diff(points, axis=axis), axis=-1)
     if np.any(chords == 0.0):
         raise ImmersionError("consecutive samples coincide")
 
@@ -163,37 +174,36 @@ def build_curve(
         if closed:
             raise DomainError("screw_shift only applies to open curves")
         screw_shift = np.asarray(screw_shift, dtype=float)
+        if not np.all(np.isfinite(screw_shift)):
+            raise DomainError("screw_shift must be finite")
     dt = float(t_grid[1] - t_grid[0])
     periodic = closed or screw_shift is not None
 
-    dc = diff1(points, dt, periodic, order=4, wrap_shift=screw_shift)
+    dc = diff1(points, dt, periodic, order=4, wrap_shift=screw_shift, axis=axis)
     omega = np.asarray(space.norm(dc))
     if np.any(omega < 1e-12):
         raise ImmersionError("curve derivative vanishes; not an immersion")
-    T = dc / omega[:, None]
+    T = dc / omega[..., None]
 
     if resample_arclength:
-        if screw_shift is not None:
-            raise CapabilityError("arclength resampling is not supported for screw-periodic curves")
+        if screw_shift is not None or points.ndim == 3:
+            raise CapabilityError("arclength resampling needs one curve without screw_shift")
         points = _resample_by_arclength(space, points, t_grid, omega, closed)
-        return build_curve(
-            space, points, closed, t_grid=t_grid,
-            kappa_floor=kappa_floor, surface_tol=surface_tol,
-        )
+        return build_curve(space, points, closed, t_grid=t_grid, kappa_floor=kappa_floor)
 
     def dtheta(values):
-        return diff1(values, dt, periodic, order=4) / omega[:, None]
+        return diff1(values, dt, periodic, order=4, axis=axis) / omega[..., None]
 
     if space.model is Model.EUCLIDEAN3D:
         curv = dtheta(T)
-        curv -= np.sum(curv * T, axis=1)[:, None] * T  # drop tangential FD noise
-        kappa = np.linalg.norm(curv, axis=1)
+        curv -= np.sum(curv * T, axis=-1)[..., None] * T  # drop tangential FD noise
+        kappa = np.linalg.norm(curv, axis=-1)
         frame_ok = kappa >= kappa_floor
         N = np.zeros_like(T)
         N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
         B = np.cross(T, N)
         dB = dtheta(B)
-        tau = np.where(frame_ok, -np.sum(dB * N, axis=1), 0.0)
+        tau = np.where(frame_ok, -np.sum(dB * N, axis=-1), 0.0)
         return DiscreteCurve(
             space=space, closed=closed, t_grid=t_grid, points=points,
             omega=omega, T=T, N=N, kappa=kappa, B=B, tau=tau,
@@ -238,12 +248,12 @@ def d_theta(curve: DiscreteCurve, field):
     quantities.
     """
     values = _field_values(field)
-    if values.shape[0] != curve.n:
+    if values.shape[: curve.omega.ndim] != curve.omega.shape:
         raise DomainError("field length does not match the curve grid")
-    deriv = diff1(values, curve.dt, curve.periodic, order=4)
-    if values.ndim == 1:
+    deriv = diff1(values, curve.dt, curve.periodic, order=4, axis=curve.omega.ndim - 1)
+    if values.ndim == curve.omega.ndim:
         return deriv / curve.omega
-    return deriv / curve.omega[:, None]
+    return deriv / curve.omega[..., None]
 
 
 def cov_d_T(curve: DiscreteCurve, field) -> np.ndarray:
@@ -253,17 +263,23 @@ def cov_d_T(curve: DiscreteCurve, field) -> np.ndarray:
     is the exact Levi-Civita connection on the embedded models.
     """
     values = _field_values(field)
-    if values.ndim != 2:
+    if values.ndim != curve.points.ndim:
         raise DomainError("cov_d_T expects a vector field")
     deriv = d_theta(curve, values)
     return curve.space.tangent_project(curve.points, deriv, check=False)
 
 
-def length(curve: DiscreteCurve) -> float:
-    """Curve length: trapezoid rule of omega over the parameter grid."""
+def _integrate_dtheta(curve: DiscreteCurve, values):
+    """Quadrature of scalar samples against d theta = omega dt, one value per curve."""
+    weighted = values * curve.omega
     if curve.periodic:
-        return float(np.sum(curve.omega) * curve.dt)
-    return float(np.trapezoid(curve.omega, dx=curve.dt))
+        return np.sum(weighted, axis=-1) * curve.dt
+    return np.trapezoid(weighted, dx=curve.dt, axis=-1)
+
+
+def length(curve: DiscreteCurve):
+    """Curve length: the quadrature of omega over the parameter grid."""
+    return _integrate_dtheta(curve, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .errors import (
     OptimizationFailure,
     PreconditionError,
 )
-from .sobolev_metric import CurvePath, path_energy, path_from_curves
+from .sobolev_metric import CurvePath, path_energy
 from .space_forms import (
     Model,
     SpaceForm,
@@ -436,7 +436,7 @@ def parameter_trajectory(spec: ElasticaPathSpec):
 
 
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
-    """Generate the m curves of the path in one batched integration."""
+    """Generate the m curves of the path in one batched integration and one ``build_curve``."""
     traj = parameter_trajectory(spec)
     s_grid = np.linspace(0.0, 1.0, spec.m)
     values = traj(s_grid)
@@ -459,10 +459,9 @@ def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
         with np.errstate(divide="ignore", invalid="ignore"):
             taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
         points = _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
-        curves = [build_curve(space, p, closed=False) for p in points]
+        return CurvePath(s_grid=s_grid, batch=build_curve(space, points, closed=False))
     except CurveSpaceError as exc:
         raise NumericFailure(f"curve generation failed along the path: {exc}") from exc
-    return path_from_curves(curves)
 
 
 def elastica_path_energy(spec: ElasticaPathSpec) -> tuple[float, CurvePath]:

@@ -5,22 +5,26 @@ The metric on variations h, k of a curve c is
     G_c(h, k) = integral of  g(h, k) + g(D_T h, D_T k)  d theta,
 
 with D_T the covariant arclength derivative.  A path of curves is stored
-as an s-indexed family on one shared grid; its velocity field, Sobolev
-speed, energy, and the two horizontality diagnostics (the direct defect
-g(eta, T) with eta = c' - D_T^2 c', and the normal-path criterion
-d_theta(rho^2 kappa)) are computed here.
+as an s-indexed family on one shared grid: one (m, n, dim) point array
+and one stacked ``DiscreteCurve`` whose fields carry the s axis first.
+Its velocity field, Sobolev speed, energy, and the two horizontality
+diagnostics (the direct defect g(eta, T) with eta = c' - D_T^2 c', and
+the normal-path criterion d_theta(rho^2 kappa)) are whole-array
+expressions over that stack; the per-sample functions take row j of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._fd import diff1_at
+from ._fd import diff1
 from .discrete_curves import (
     DiscreteCurve,
     _field_values,
+    _integrate_dtheta,
     build_curve,
     cov_d_T,
     d_theta,
@@ -34,26 +38,26 @@ MIN_PATH_SAMPLES = 3
 
 @dataclass(frozen=True, eq=False)
 class CurvePath:
-    """Family of curves c(s, .) on a uniform s-grid over [0, 1]."""
+    """Family of curves c(s, .) on a uniform s-grid over [0, 1], stacked in ``batch``."""
 
     s_grid: np.ndarray
-    curves: tuple[DiscreteCurve, ...]
+    batch: DiscreteCurve
 
     @property
     def m(self) -> int:
-        return len(self.curves)
+        return self.batch.points.shape[0]
 
     @property
     def n(self) -> int:
-        return self.curves[0].n
+        return self.batch.n
 
     @property
     def space(self) -> SpaceForm:
-        return self.curves[0].space
+        return self.batch.space
 
     @property
     def closed(self) -> bool:
-        return self.curves[0].closed
+        return self.batch.closed
 
     @property
     def ds(self) -> float:
@@ -61,8 +65,21 @@ class CurvePath:
 
     @property
     def points(self) -> np.ndarray:
-        """All sample points stacked as an (m, n, dim) array."""
-        return np.stack([c.points for c in self.curves])
+        """All sample points as an (m, n, dim) array."""
+        return self.batch.points
+
+    @property
+    def curves(self) -> tuple[DiscreteCurve, ...]:
+        """The m curves, as row views of ``batch``."""
+        return tuple(self.batch.row(j) for j in range(self.m))
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        """c' at every sample by second-order differences in s, projected tangent; read-only."""
+        v = diff1(self.points, self.ds, False, order=2)
+        v = self.space.tangent_project(self.points, v, check=False)
+        v.flags.writeable = False
+        return v
 
 
 def path_from_curves(curves) -> CurvePath:
@@ -75,7 +92,12 @@ def path_from_curves(curves) -> CurvePath:
             raise DomainError("path curves must share space, closedness, and grid size")
         if not np.array_equal(c.t_grid, first.t_grid):
             raise DomainError("path curves must share one t-grid")
-    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), curves=curves)
+        if not np.array_equal(c.screw_shift, first.screw_shift):
+            raise DomainError("path curves must share one screw_shift")
+    return make_path(
+        first.space, np.stack([c.points for c in curves]), first.closed,
+        t_grid=first.t_grid, screw_shift=first.screw_shift,
+    )
 
 
 def make_path(space, points, closed, *, t_grid=None, screw_shift=None) -> CurvePath:
@@ -83,27 +105,18 @@ def make_path(space, points, closed, *, t_grid=None, screw_shift=None) -> CurveP
     points = np.asarray(points, dtype=float)
     if points.ndim != 3:
         raise DomainError("expected an (m, n, dim) array of path points")
-    curves = [
-        build_curve(space, p, closed, t_grid=t_grid, screw_shift=screw_shift)
-        for p in points
-    ]
-    return path_from_curves(curves)
+    if points.shape[0] < MIN_PATH_SAMPLES:
+        raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
+    batch = build_curve(space, points, closed, t_grid=t_grid, screw_shift=screw_shift)
+    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(points)), batch=batch)
 
 
 # ---------------------------------------------------------------------------
 # metric and path quantities
 
 
-def _integrate_dtheta(curve: DiscreteCurve, values: np.ndarray) -> float:
-    """Quadrature of scalar samples against d theta = omega dt."""
-    weighted = values * curve.omega
-    if curve.periodic:
-        return float(np.sum(weighted) * curve.dt)
-    return float(np.trapezoid(weighted, dx=curve.dt))
-
-
-def sobolev_inner(curve: DiscreteCurve, h, k) -> float:
-    """The metric G_c(h, k); symmetric and bilinear in the fields."""
+def sobolev_inner(curve: DiscreteCurve, h, k):
+    """The metric G_c(h, k), one value per curve of a stack; symmetric and bilinear."""
     hv = _field_values(h)
     kv = _field_values(k)
     if hv.shape != curve.points.shape or kv.shape != curve.points.shape:
@@ -115,20 +128,16 @@ def sobolev_inner(curve: DiscreteCurve, h, k) -> float:
 
 
 def path_velocity(path: CurvePath, j: int) -> np.ndarray:
-    """Velocity field c'(s_j) by second-order differences in s, projected tangent."""
+    """Velocity field c'(s_j): row j of ``path.velocity``."""
     if not 0 <= j < path.m:
         raise PreconditionError(f"path index {j} out of range")
-    v = diff1_at(path.points, path.ds, j, order=2)
-    return path.space.tangent_project(path.curves[j].points, v, check=False)
+    return path.velocity[j]
 
 
 def path_speed(path: CurvePath) -> np.ndarray:
     """Sobolev speed nu(s_j) = sqrt(G(c', c')) at every path sample."""
-    nu = np.empty(path.m)
-    for j in range(path.m):
-        v = path_velocity(path, j)
-        nu[j] = np.sqrt(max(sobolev_inner(path.curves[j], v, v), 0.0))
-    return nu
+    v = path.velocity
+    return np.sqrt(np.maximum(sobolev_inner(path.batch, v, v), 0.0))
 
 
 def path_energy(path: CurvePath) -> float:
@@ -152,19 +161,19 @@ def horizontality_defect(path: CurvePath, j: int) -> np.ndarray:
     Vanishes (for all t) exactly when the path velocity is orthogonal to
     every reparametrization direction.
     """
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     v = path_velocity(path, j)
     ddv = cov_d_T(curve, cov_d_T(curve, v))
     return np.asarray(curve.space.inner(v - ddv, curve.T))
 
 
 def tangential_component(path: CurvePath, j: int) -> np.ndarray:
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     return np.asarray(curve.space.inner(path_velocity(path, j), curve.T))
 
 
 def rho_normal_component(path: CurvePath, j: int) -> np.ndarray:
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     return np.asarray(curve.space.inner(path_velocity(path, j), curve.N))
 
 
@@ -174,7 +183,7 @@ def rho_kappa_defect(path: CurvePath, j: int, *, normal_tol: float = NORMALITY_T
     Only meaningful for normal paths, so a tangential component above
     ``normal_tol`` raises :class:`NormalityError`.
     """
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     tangential = tangential_component(path, j)
     if float(np.max(np.abs(tangential))) > normal_tol:
         raise NormalityError(
@@ -212,11 +221,18 @@ class PathDiagnostics:
 
 
 def diagnose_path(path: CurvePath) -> PathDiagnostics:
-    speed = path_speed(path)
-    hdef = np.array([np.max(np.abs(horizontality_defect(path, j))) for j in range(path.m)])
-    rho = np.stack([rho_normal_component(path, j) for j in range(path.m)])
-    tang = np.stack([tangential_component(path, j) for j in range(path.m)])
-    return PathDiagnostics(speed=speed, horizontality_defect=hdef, rho=rho, tangential=tang)
+    """Speed and both horizontality fields of every sample, over the whole stack."""
+    batch, v = path.batch, path.velocity
+    dv = cov_d_T(batch, v)
+    ddv = cov_d_T(batch, dv)
+    inner = batch.space.inner
+    speed = np.sqrt(np.maximum(_integrate_dtheta(batch, inner(v, v) + inner(dv, dv)), 0.0))
+    return PathDiagnostics(
+        speed=speed,
+        horizontality_defect=np.max(np.abs(inner(v - ddv, batch.T)), axis=-1),
+        rho=inner(v, batch.N),
+        tangential=inner(v, batch.T),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def predicted_omega_variation(path: CurvePath, j: int) -> np.ndarray:
     On normal paths the result is cross-checked against the reduced form
     -rho kappa omega; the discrepancy is reported on the module logger.
     """
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     v = path_velocity(path, j)
     dv = cov_d_T(curve, v)
     result = np.asarray(curve.space.inner(dv, curve.T)) * curve.omega
@@ -80,7 +80,7 @@ def normal_omega_discrepancy(path: CurvePath, j: int, *, normal_tol: float = NOR
 
     Only defined on normal paths, where the two expressions agree.
     """
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     if float(np.max(np.abs(tangential_component(path, j)))) > normal_tol:
         raise NormalityError("the -rho kappa omega form only applies to normal paths")
     rho = rho_normal_component(path, j)
@@ -90,7 +90,7 @@ def normal_omega_discrepancy(path: CurvePath, j: int, *, normal_tol: float = NOR
 
 def predicted_kappa_variation(path: CurvePath, j: int) -> np.ndarray:
     """g(D_T^2 c', N) - 2 kappa g(D_T c', T) + K g(c', N) per t-sample."""
-    curve = path.curves[j]
+    curve = path.batch.row(j)
     v = path_velocity(path, j)
     dv = cov_d_T(curve, v)
     ddv = cov_d_T(curve, dv)
@@ -111,9 +111,8 @@ def fd_variation(path: CurvePath, quantity: str, j: int, eps_steps: int = 1) -> 
         raise PreconditionError("eps_steps must be a positive integer")
     if not k <= j <= path.m - 1 - k:
         raise PreconditionError("index too close to the path boundary for the FD oracle")
-    q_plus = getattr(path.curves[j + k], quantity)
-    q_minus = getattr(path.curves[j - k], quantity)
-    return (q_plus - q_minus) / (2.0 * k * path.ds)
+    q = getattr(path.batch, quantity)
+    return (q[j + k] - q[j - k]) / (2.0 * k * path.ds)
 
 
 def variation_report(path: CurvePath, quantity: str, j: int, eps_steps: int = 1) -> VariationReport:
@@ -160,28 +159,25 @@ def parallel_geodesic_alpha(
     expression is evaluated at t = 0 after checking its relative spread
     over t stays below ``spread_tol``.
     """
-    omegas = np.stack([c.omega for c in path.curves])
-    omega_prime = diff1(omegas, path.ds, False, order=2)
+    batch = path.batch
+    omega_prime = diff1(batch.omega, path.ds, False, order=2)
     if float(np.max(np.abs(omega_prime))) < 1e-12:
         raise PreconditionError("constant path: alpha is degenerate (omega' = 0)")
-    alphas = np.empty(path.m)
-    for j, curve in enumerate(path.curves):
-        if float(np.max(np.abs(tangential_component(path, j)))) > normal_tol:
-            raise NormalityError("alpha requires a normal path")
-        kap_scale = float(np.max(np.abs(curve.kappa)))
-        if kap_scale < 1e-8:
-            raise DomainError("alpha is undefined for geodesic (kappa = 0) curves")
-        kap_t = d_theta(curve, curve.kappa)
-        if float(np.max(np.abs(kap_t))) > kappa_theta_tol * max(1.0, kap_scale):
-            raise PreconditionError("alpha requires constant-curvature curves (kappa_theta = 0)")
-        field = (
-            omega_prime[j] ** 2 * (1.0 + curve.kappa**2) / (curve.omega * curve.kappa**2)
-        )
-        mean = float(np.mean(field))
-        if mean != 0.0 and float(np.max(np.abs(field - mean))) > spread_tol * abs(mean):
-            raise PreconditionError("alpha expression is not t-independent on this family")
-        alphas[j] = field[0]
-    return alphas
+    if float(np.max(np.abs(batch.space.inner(path.velocity, batch.T)))) > normal_tol:
+        raise NormalityError("alpha requires a normal path")
+    kap = batch.kappa
+    kap_scale = np.max(np.abs(kap), axis=-1)
+    if float(np.min(kap_scale)) < 1e-8:
+        raise DomainError("alpha is undefined for geodesic (kappa = 0) curves")
+    kap_t = d_theta(batch, kap)
+    if np.any(np.max(np.abs(kap_t), axis=-1) > kappa_theta_tol * np.maximum(1.0, kap_scale)):
+        raise PreconditionError("alpha requires constant-curvature curves (kappa_theta = 0)")
+    field = omega_prime**2 * (1.0 + kap**2) / (batch.omega * kap**2)
+    mean = np.mean(field, axis=-1)
+    spread = np.max(np.abs(field - mean[:, None]), axis=-1)
+    if np.any((mean != 0.0) & (spread > spread_tol * np.abs(mean))):
+        raise PreconditionError("alpha expression is not t-independent on this family")
+    return field[:, 0]
 
 
 def shortening_flow_field(curve: DiscreteCurve) -> np.ndarray:

@@ -155,6 +155,31 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out == ""
         assert not report.exists()
 
+    @pytest.mark.parametrize("pitch", [float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize("subcommand", ["check", "distance", "render"])
+    def test_helix_path_with_non_finite_pitch(self, pitch, subcommand, tmp_path, capsys):
+        # a non-finite screw shift 2 pi pitch is rejected on load (exit 3)
+        good = tmp_path / "h.json"
+        assert run(["helices", "--pitch", "0.5", "--r0", "1", "--r1", "1.5",
+                    "--s-samples", "8", "--t-samples", "32", "--out", str(good)]) == 0
+        data = read_json(good)
+        data["pitch"] = pitch
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = {
+            "check": ["check", "--input", str(bad_file), "--report", str(out)],
+            "distance": ["distance", "--input", str(bad_file)],
+            "render": ["render", "--input", str(bad_file), "--out", str(out)],
+        }[subcommand]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input" in captured.err
+        assert not out.exists()
+
     def test_elastica_spec_with_nan_length(self, tmp_path, capsys):
         spec = {
             "K": 0.0,

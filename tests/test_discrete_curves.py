@@ -3,6 +3,8 @@ import pytest
 
 from curvespace import (
     DomainError,
+    ElasticaParams,
+    ElasticaPathSpec,
     ImmersionError,
     PreconditionError,
     TangentField,
@@ -17,6 +19,7 @@ from curvespace import (
     plane,
     sphere,
 )
+from curvespace.elastica import _end_frame, _interior_seed, default_flat_frame, materialize_path
 
 
 def circle_points(n, radius=1.0):
@@ -236,6 +239,91 @@ class TestTangentFieldType:
         c = build_curve(plane(), pts, closed=True)
         tf = TangentField.along(c, c.T)
         assert np.array_equal(cov_d_T(c, tf), cov_d_T(c, c.T))
+
+
+def _plane_stack(m=5, n=96):
+    t = 2 * np.pi * np.arange(n) / n
+    a = np.linspace(1.0, 2.0, m)[:, None]
+    y = np.broadcast_to(np.sin(t) + 0.1 * np.sin(3 * t), (m, n))
+    return np.stack([a * np.cos(t) + 0.2 * np.cos(2 * t), y], axis=2)
+
+
+def _sphere_stack(m=5, n=96):
+    t = 2 * np.pi * np.arange(n) / n
+    r = np.linspace(0.4, 1.2, m)[:, None] + 0.1 * np.sin(2 * t)
+    return np.stack([np.sin(r) * np.cos(t), np.sin(r) * np.sin(t), np.cos(r)], axis=2)
+
+
+def _hyperboloid_stack(m=5, n=96):
+    t = np.linspace(0.0, 2.0, n)
+    r = np.linspace(0.5, 1.5, m)[:, None] + 0.2 * t**2
+    return np.stack([np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t), np.cosh(r)], axis=2)
+
+
+def _helix_stack(m=5, n=96, h=0.4):
+    t = 2 * np.pi * np.arange(n) / n
+    r = np.linspace(0.8, 1.6, m)[:, None] * (1.0 + 0.1 * np.cos(3 * t))
+    return np.stack([r * np.cos(t), r * np.sin(t), np.broadcast_to(h * t, r.shape)], axis=2), t
+
+
+def _torsional_elastica_stack():
+    start = ElasticaParams(k=1.0, lam=0.6, mu=0.1, K=0.0, L=2 * np.pi, frame=default_flat_frame(1.0))
+    end = ElasticaParams(k=0.8, lam=0.3, mu=0.05, K=0.0, L=2 * np.pi / 0.8, frame=_end_frame(start, 0.8))
+    spec = ElasticaPathSpec(
+        start=start, end=end, control_points=_interior_seed(start, end, 2), m=7, n=96
+    )
+    return materialize_path(spec).points
+
+
+def _batch_cases():
+    helix, t = _helix_stack()
+    return {
+        "plane": (plane(), _plane_stack(), dict(closed=True)),
+        "sphere": (sphere(1.0), _sphere_stack(), dict(closed=True)),
+        "hyperboloid": (hyperbolic(-1.0), _hyperboloid_stack(), dict(closed=False)),
+        "helix": (
+            euclidean3d(), helix,
+            dict(closed=False, t_grid=t, screw_shift=np.array([0.0, 0.0, 2 * np.pi * 0.4])),
+        ),
+        "torsional_elastica": (euclidean3d(), _torsional_elastica_stack(), dict(closed=False)),
+    }
+
+
+class TestBatchedBuild:
+    """One build over an (m, n, dim) stack against m per-row builds."""
+
+    FIELDS = ("points", "omega", "T", "N", "kappa", "B", "tau")
+
+    @pytest.mark.parametrize(
+        "case", ["plane", "sphere", "hyperboloid", "helix", "torsional_elastica"]
+    )
+    def test_matches_per_row_builds(self, case):
+        space, pts, kwargs = _batch_cases()[case]
+        batch = build_curve(space, pts, **kwargs)
+        assert batch.n == pts.shape[1] and batch.dim == pts.shape[2]
+        for j in range(len(pts)):
+            ref = build_curve(space, pts[j], **kwargs)
+            row = batch.row(j)
+            for name in self.FIELDS:
+                got, want = getattr(row, name), getattr(ref, name)
+                if want is None:
+                    assert got is None
+                    continue
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (case, j, name)
+            if ref.frame_ok is not None:
+                assert np.array_equal(row.frame_ok, ref.frame_ok)
+            assert length(row) == pytest.approx(length(ref), rel=1e-12)
+
+    def test_checks_apply_to_every_row(self):
+        pts = _plane_stack()
+        pts[3, 5] = pts[3, 4]
+        with pytest.raises(ImmersionError):
+            build_curve(plane(), pts, closed=True)
+        off = _sphere_stack()
+        off[2] *= 1.01
+        with pytest.raises(DomainError):
+            build_curve(sphere(1.0), off, closed=True)
 
 
 class TestCurveSerialization:

@@ -8,6 +8,7 @@ from curvespace import (
     diagnose_path,
     euclidean3d,
     horizontality_defect,
+    hyperbolic,
     make_path,
     path_energy,
     path_from_dict,
@@ -127,6 +128,57 @@ class TestPathVelocity:
         assert np.max(np.abs(norms - delta)) <= 1e-6
 
 
+def row_velocity(path, j):
+    """Per-sample second-order s-difference, one-sided at the ends, projected tangent."""
+    p, ds = path.points, path.ds
+    if j == 0:
+        v = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * ds)
+    elif j == path.m - 1:
+        v = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * ds)
+    else:
+        v = (p[j + 1] - p[j - 1]) / (2.0 * ds)
+    return path.space.tangent_project(p[j], v, check=False)
+
+
+def helix_path(m=9, n=128):
+    from curvespace import solve_helix_geodesic
+
+    return solve_helix_geodesic(1.0, 2.0, 0.5, m=m, n=n)[1]
+
+
+class TestBatchedPathSpeed:
+    """The whole-stack speed against a per-curve loop over separately built curves."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: concentric_path(1.0 + np.linspace(0, 1, 9) ** 2),
+            lambda: latitude_path(lambda s: 0.5 + 0.6 * s**2, m=9),
+            lambda: solve_concentric_geodesic(hyperbolic(-1.0), 0.5, 1.0, m=9, n=128)[1],
+            helix_path,
+        ],
+        ids=["plane", "sphere", "hyperboloid", "helix"],
+    )
+    def test_matches_per_row_sobolev_inner(self, make):
+        path = make()
+        nu = path_speed(path)
+        for j in range(path.m):
+            v = row_velocity(path, j)
+            assert np.array_equal(path_velocity(path, j), v)
+            row = path.curves[j]
+            curve = build_curve(
+                path.space, row.points, path.closed,
+                t_grid=row.t_grid, screw_shift=row.screw_shift,
+            )
+            ref = np.sqrt(max(sobolev_inner(curve, v, v), 0.0))
+            assert nu[j] == pytest.approx(ref, rel=1e-12)
+
+    def test_velocity_is_read_only(self):
+        path = concentric_path(np.linspace(1.0, 2.0, 5))
+        with pytest.raises(ValueError):
+            path_velocity(path, 2)[0, 0] = 1.0
+
+
 class TestPathSpeedAndEnergy:
     def test_constant_path_zero(self):
         c, _ = circle_curve(64)
@@ -155,6 +207,21 @@ class TestPathSpeedAndEnergy:
             path = concentric_path(1.0 + s + 0.2 * np.sin(np.pi * s))
             vals.append(path_energy(path))
         assert abs(vals[0] - vals[1]) <= 0.02 * abs(vals[1])
+
+
+class TestPathFromCurves:
+    def test_mixed_screw_shift_rejected(self):
+        helix = helix_path(m=3, n=64).curves[1]
+        plain = build_curve(helix.space, helix.points, closed=False, t_grid=helix.t_grid)
+        with pytest.raises(DomainError, match="screw_shift"):
+            path_from_curves([helix, plain, helix])
+
+    def test_rebuilds_the_same_curves(self):
+        path = helix_path(m=5, n=64)
+        again = path_from_curves(path.curves)
+        assert np.array_equal(again.points, path.points)
+        assert np.array_equal(again.batch.tau, path.batch.tau)
+        assert np.array_equal(path_speed(again), path_speed(path))
 
 
 class TestHorizontality:
