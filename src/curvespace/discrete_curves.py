@@ -41,6 +41,7 @@ from .space_forms import Model, SpaceForm, space_from_dict, space_to_dict
 KAPPA_FLOOR = 1e-8
 TANGENCY_TOL = 1e-9
 MIN_SAMPLES = 8
+PER_SAMPLE_FIELDS = ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,7 @@ class DiscreteCurve:
 
     def row(self, j: int) -> "DiscreteCurve":
         """Curve j of a stack, sharing memory with the stack's fields."""
-        per_sample = ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok")
-        views = {f: getattr(self, f)[j] for f in per_sample if getattr(self, f) is not None}
+        views = {f: getattr(self, f)[j] for f in PER_SAMPLE_FIELDS if getattr(self, f) is not None}
         return replace(self, **views)
 
 
@@ -147,9 +147,11 @@ def build_curve(
     then the frame and curvature from arclength derivatives of the same
     order.  Raises :class:`ImmersionError` when the discrete derivative
     vanishes and flags (without failing) the 3D samples where the
-    curvature is below ``kappa_floor``.
+    curvature is below ``kappa_floor``.  The curve keeps a read-only copy
+    of ``points``, so its cached fields cannot go stale.
     """
-    points = np.ascontiguousarray(np.asarray(points, dtype=float))
+    points = np.array(points, dtype=float, order="C")
+    points.flags.writeable = False
     if points.ndim not in (2, 3) or points.shape[-2] < MIN_SAMPLES:
         raise PreconditionError(f"need at least {MIN_SAMPLES} samples, got {points.shape}")
     n, dim = points.shape[-2:]
@@ -287,6 +289,8 @@ def length(curve: DiscreteCurve):
 
 
 def curve_to_dict(curve: DiscreteCurve) -> dict:
+    if curve.points.ndim != 2:
+        raise PreconditionError("curve_to_dict takes one curve, not a stack")
     return {
         "space": space_to_dict(curve.space),
         "closed": curve.closed,

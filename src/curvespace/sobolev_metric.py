@@ -15,13 +15,14 @@ expressions over that stack; the per-sample functions take row j of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from ._fd import diff1
 from .discrete_curves import (
+    PER_SAMPLE_FIELDS,
     DiscreteCurve,
     _field_values,
     _integrate_dtheta,
@@ -83,9 +84,12 @@ class CurvePath:
 
 
 def path_from_curves(curves) -> CurvePath:
+    """Stack single curves on one grid into a path; each keeps the fields it was built with."""
     curves = tuple(curves)
     if len(curves) < MIN_PATH_SAMPLES:
         raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
+    if any(c.points.ndim != 2 for c in curves):
+        raise PreconditionError("path_from_curves takes single curves; make_path takes a stack")
     first = curves[0]
     for c in curves[1:]:
         if c.space != first.space or c.closed != first.closed or c.n != first.n:
@@ -94,10 +98,10 @@ def path_from_curves(curves) -> CurvePath:
             raise DomainError("path curves must share one t-grid")
         if not np.array_equal(c.screw_shift, first.screw_shift):
             raise DomainError("path curves must share one screw_shift")
-    return make_path(
-        first.space, np.stack([c.points for c in curves]), first.closed,
-        t_grid=first.t_grid, screw_shift=first.screw_shift,
-    )
+    fields = {f: np.stack([getattr(c, f) for c in curves])
+              for f in PER_SAMPLE_FIELDS if getattr(first, f) is not None}
+    fields["points"].flags.writeable = False
+    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), batch=replace(first, **fields))
 
 
 def make_path(space, points, closed, *, t_grid=None, screw_shift=None) -> CurvePath:
@@ -223,12 +227,10 @@ class PathDiagnostics:
 def diagnose_path(path: CurvePath) -> PathDiagnostics:
     """Speed and both horizontality fields of every sample, over the whole stack."""
     batch, v = path.batch, path.velocity
-    dv = cov_d_T(batch, v)
-    ddv = cov_d_T(batch, dv)
+    ddv = cov_d_T(batch, cov_d_T(batch, v))
     inner = batch.space.inner
-    speed = np.sqrt(np.maximum(_integrate_dtheta(batch, inner(v, v) + inner(dv, dv)), 0.0))
     return PathDiagnostics(
-        speed=speed,
+        speed=path_speed(path),
         horizontality_defect=np.max(np.abs(inner(v - ddv, batch.T)), axis=-1),
         rho=inner(v, batch.N),
         tangential=inner(v, batch.T),

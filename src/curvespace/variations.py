@@ -181,7 +181,7 @@ def parallel_geodesic_alpha(
 
 
 def shortening_flow_field(curve: DiscreteCurve) -> np.ndarray:
-    """The flow field kappa N of the curve-shortening flow (2D curves)."""
+    """The flow field kappa N of the curve-shortening flow (2D curves or stacks)."""
     if curve.space.model is Model.EUCLIDEAN3D:
         raise DomainError("the shortening flow field is defined for 2D curves")
-    return curve.kappa[:, None] * curve.N
+    return curve.kappa[..., None] * curve.N

@@ -104,6 +104,13 @@ class TestBuildCurve:
         default = build_curve(euclidean3d(), pts, closed=False)
         assert np.all(default.frame_ok)
 
+    def test_keeps_a_read_only_copy_of_the_points(self):
+        pts, _ = circle_points(64)
+        c = build_curve(plane(), pts, closed=True)
+        assert not np.shares_memory(c.points, pts) and pts.flags.writeable
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 0.0
+
     def test_too_few_samples(self):
         with pytest.raises(PreconditionError):
             build_curve(plane(), np.zeros((5, 2)), closed=False)
@@ -343,3 +350,9 @@ class TestCurveSerialization:
     def test_bad_record(self):
         with pytest.raises(DomainError):
             curve_from_dict({"closed": True, "points": [[0, 0]]})
+
+    def test_stack_rejected(self):
+        pts, _ = circle_points(64)
+        stack = build_curve(plane(), np.stack([pts, 2.0 * pts]), closed=True)
+        with pytest.raises(PreconditionError):
+            curve_to_dict(stack)

@@ -4,6 +4,7 @@ import pytest
 from curvespace import (
     DomainError,
     NormalityError,
+    PreconditionError,
     build_curve,
     diagnose_path,
     euclidean3d,
@@ -222,6 +223,26 @@ class TestPathFromCurves:
         assert np.array_equal(again.points, path.points)
         assert np.array_equal(again.batch.tau, path.batch.tau)
         assert np.array_equal(path_speed(again), path_speed(path))
+
+    def test_keeps_the_fields_each_curve_was_built_with(self):
+        t = np.linspace(0.0, 1.0, 64)
+        rows = [np.stack([r * np.cos(t), r * np.sin(t), t], axis=1) for r in (1.0, 1.1, 1.2)]
+        curves = [build_curve(euclidean3d(), p, closed=False, kappa_floor=1.0) for p in rows]
+        path = path_from_curves(curves)
+        assert not np.any(path.batch.frame_ok)
+        for j, c in enumerate(curves):
+            for f in ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok"):
+                assert np.array_equal(getattr(path.curves[j], f), getattr(c, f)), f
+
+    def test_stacked_curves_rejected(self):
+        path = helix_path(m=3, n=64)
+        with pytest.raises(PreconditionError):
+            path_from_curves([path.batch] * 3)
+
+    def test_points_are_read_only(self):
+        for path in (helix_path(m=3, n=64), path_from_curves(helix_path(m=3, n=64).curves)):
+            with pytest.raises(ValueError):
+                path.points[0, 0, 0] = 0.0
 
 
 class TestHorizontality:

@@ -227,6 +227,15 @@ class TestShorteningFlow:
         with pytest.raises(DomainError):
             shortening_flow_field(c)
 
+    def test_stack_matches_rows(self):
+        t = 2 * np.pi * np.arange(128) / 128
+        rows = np.stack([np.stack([a * np.cos(t), np.sin(t)], axis=1) for a in (1.0, 2.0, 3.0)])
+        stack = build_curve(plane(), rows, closed=True)
+        field = shortening_flow_field(stack)
+        assert field.shape == rows.shape
+        for j in range(3):
+            assert np.array_equal(field[j], shortening_flow_field(stack.row(j)))
+
     def test_flow_horizontality_iff_constant_curvature(self):
         # circle: kappa_theta = 0 and the flow path is horizontal;
         # ellipse: neither holds
