@@ -26,6 +26,7 @@ from . import elastica as el
 from . import sobolev_metric as sm
 from . import special_geodesics as sg
 from . import variations as va
+from .discrete_curves import d_theta
 from .errors import (
     CurveSpaceError,
     DomainError,
@@ -220,9 +221,12 @@ def _cmd_check(opt) -> int:
     diag = sm.diagnose_path(path)
     rho_kappa_sup = None
     if diag.is_normal:
-        rho_kappa_sup = [
-            float(np.max(np.abs(sm.rho_kappa_defect(path, j)))) for j in range(path.m)
-        ]
+        # sm.rho_kappa_defect over the whole stack: sup_t |d_theta(rho^2 kappa)| per sample
+        batch = path.batch
+        if batch.frame_ok is not None and not np.all(batch.frame_ok):
+            raise DomainError("Frenet frame undefined somewhere; rho is not available")
+        defect = d_theta(batch, diag.rho * diag.rho * batch.kappa)
+        rho_kappa_sup = np.max(np.abs(defect), axis=-1).tolist()
     report = {
         "speed": diag.speed.tolist(),
         "speed_drift": diag.speed_drift,

@@ -13,7 +13,11 @@ makes kappa a Jacobi elliptic function, evaluated in closed form (Langer
 rebuilt from an initial frame by Lie-group steps: the Frenet system (or
 its 2D intrinsic analogue on a surface) is linear in the frame rows, so
 each step is the exponential of a fourth-order Magnus exponent, and a
-log-depth prefix product of the steps gives every point at once.
+log-depth prefix product of the steps gives every point at once.  The
+steps are closed forms: the exponents are one product with a constant
+basis of the isometry algebra, the exponential is a Rodrigues-type
+polynomial in the exponent, and a cached 6-point Lagrange stencil gives
+the curvature and torsion at the Gauss points.
 
 Constant profiles kappa = k occur exactly on the circle locus
 
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 from scipy.special import ellipj, ellipk
@@ -241,26 +247,34 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
 
 # Gauss points of one step, as fractions of the step
 _GAUSS_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_INV_FACTORIAL = 1.0 / np.cumprod([1.0, *range(1, 17)])  # 1/j! for j = 0..16
+# power series in t^2 of (1 - cos t) / t^2 and (t - sin t) / t^3, as
+# columns: (-1)^j / (2j + 2)! and (-1)^j / (2j + 3)! for j = 0..7
+_RODRIGUES_SERIES = np.array(
+    [[(-1) ** j / math.factorial(2 * j + k) for k in (2, 3)] for j in range(8)]
+)
+_STENCIL = 6  # points of the Lagrange interpolant for the Gauss-point values
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """Exponential of every matrix of an (..., d, d) stack.
+    """Exponential of every matrix of an (..., 4, 4) stack of Magnus exponents.
 
-    Scaling and squaring per matrix around the degree-16 Taylor polynomial,
-    summed by Horner's rule in X^4 over cubic blocks (Paterson-Stockmeyer).
+    Each exponent lies in the isometry algebra of the model, X^T G + G X = 0
+    with G = diag(K, 1, 1, 1), and its B row and column vanish when K != 0.
+    So X^4 = -theta^2 X^2 with theta^2 = -tr(X^2) / 2, and the Rodrigues-type
+    formula exp X = I + X + a X^2 + b X^3 holds with
+    a = (1 - cos theta) / theta^2 and b = (theta - sin theta) / theta^3
+    (cosh and sinh where theta^2 < 0, on the hyperboloid).  a and b are
+    8-term power series in theta^2 after scaling each X to Frobenius norm
+    < 1/2; squarings undo the scaling.  Not valid for general matrices.
     """
-    norm = np.linalg.norm(X, axis=(-2, -1))
+    norm = np.sqrt(np.einsum("...ij,...ij->...", X, X))  # Frobenius
     if not np.all(np.isfinite(norm)):
         raise NumericFailure("Frenet reconstruction met a non-finite generator")
-    s = np.maximum(np.frexp(2.0 * norm)[1], 0)  # |X / 2^s| < 1/2: Taylor tail < 1e-19
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)  # |X / 2^s| < 1/2: series tail < 1e-22
     X = np.ldexp(X, -s[..., None, None])
     X2 = X @ X
-    powers, X4 = (np.eye(X.shape[-1]), X, X2, X2 @ X), X2 @ X2
-    blocks = [sum(c * P for c, P in zip(_INV_FACTORIAL[j : j + 4], powers)) for j in (12, 8, 4, 0)]
-    E = blocks[0] + _INV_FACTORIAL[16] * X4
-    for block in blocks[1:]:
-        E = block + X4 @ E
+    a, b = polyval(-0.5 * np.einsum("...ii->...", X2), _RODRIGUES_SERIES)
+    E = np.eye(X.shape[-1]) + X + a[..., None, None] * X2 + b[..., None, None] * (X2 @ X)
     for j in range(int(s.max(initial=0))):
         E = np.where((s > j)[..., None, None], E @ E, E)
     return E
@@ -282,27 +296,73 @@ def _prefix_products(Phi: np.ndarray) -> np.ndarray:
     return P
 
 
+@lru_cache(maxsize=8)
+def _gauss_stencil(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (n - 1, 6) and weights (n - 1, 2, 6) giving the Gauss-point values.
+
+    Step i reads the 6 samples from i - 2, shifted inward at the ends of
+    the grid, and weighs them by the Lagrange basis polynomials at its two
+    Gauss points: exact for polynomials of degree <= 5.
+    """
+    if n < _STENCIL:
+        raise PreconditionError(f"Lie-group reconstruction needs n >= {_STENCIL} samples")
+    first = np.clip(np.arange(n - 1) - 2, 0, n - _STENCIL)
+    nodes = np.arange(_STENCIL)
+    # Gauss point x minus stencil node l, never 0, and the Lagrange weights
+    # w_j = prod_l (x - l) / ((x - j) prod_{l != j} (j - l))
+    d = ((np.arange(n - 1) - first)[:, None] + _GAUSS_NODES)[..., None] - nodes
+    scale = [np.prod(j - np.delete(nodes, j)) for j in nodes]
+    weights = np.prod(d, axis=-1, keepdims=True) / (d * scale)
+    index = first[:, None] + nodes
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights
+
+
+def _gauss_values(samples: np.ndarray) -> np.ndarray:
+    """Values at the two Gauss points of every step: (..., n) samples -> (..., n - 1, 2)."""
+    index, weights = _gauss_stencil(samples.shape[-1])
+    return np.einsum("...ik,ijk->...ij", samples[..., index], weights)
+
+
+@lru_cache(maxsize=8)
+def _magnus_basis(K: float) -> np.ndarray:
+    """Flattened (5, 16) matrices C, X, Y, [X, C], [X, Y] of the Magnus exponents.
+
+    A(kappa, tau) = C + kappa X + tau Y, so
+    [A_2, A_1] = (kappa_2 - kappa_1) [X, C] + (tau_2 - tau_1) [Y, C]
+    + (kappa_2 tau_1 - kappa_1 tau_2) [X, Y], and [Y, C] = 0.
+    """
+    C, X, Y = np.zeros((3, 4, 4))
+    C[0, 1], C[1, 0] = 1.0, -K
+    X[1, 2], X[2, 1] = 1.0, -1.0
+    Y[2, 3], Y[3, 2] = 1.0, -1.0
+    basis = np.stack([C, X, Y, X @ C - C @ X, X @ Y - Y @ X]).reshape(5, 16)
+    basis.flags.writeable = False
+    return basis
+
+
 def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
     """Fourth-order Magnus exponents, (m, n - 1, 4, 4): one per step of each curve.
 
     Omega_i = h/2 (A_1 + A_2) + sqrt(3)/12 h^2 [A_2, A_1] with A (see
     ``_batch_reconstruct``) at the two Gauss points of step i, where a
-    cubic spline through the (m, n) samples gives kappa and tau.
+    6-point Lagrange stencil (``_gauss_stencil``) gives kappa and tau.
+    Omega is linear in the constant basis of ``_magnus_basis``, so the
+    whole stack is one product of its coefficients with that basis.
     """
     samples = np.stack([kappas, taus])
     if not np.all(np.isfinite(samples)):
         raise NumericFailure("Frenet reconstruction got a non-finite profile")
-    m = samples.shape[1]
-    sigma = np.linspace(0.0, 1.0, n)
-    nodes = (sigma[:-1, None] + sigma[1] * _GAUSS_NODES).ravel()
-    at_nodes = CubicSpline(sigma, samples, axis=2)(nodes).reshape(2, m, n - 1, 2)
-    kap, tau = at_nodes.transpose(0, 3, 1, 2)  # axes: Gauss point, curve, step
-    A = np.zeros((2, m, n - 1, 4, 4))
-    A[..., 0, 1], A[..., 1, 0] = 1.0, -K
-    A[..., 1, 2], A[..., 2, 1] = kap, -kap
-    A[..., 2, 3], A[..., 3, 2] = tau, -tau
-    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None, None, None]
-    return 0.5 * h * (A[0] + A[1]) + math.sqrt(3.0) / 12.0 * h**2 * (A[1] @ A[0] - A[0] @ A[1])
+    (k1, k2), (t1, t2) = np.moveaxis(_gauss_values(samples), -1, 1)  # each (m, n - 1)
+    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None]
+    c = math.sqrt(3.0) / 12.0 * h * h
+    coefficients = np.stack(
+        np.broadcast_arrays(
+            h, 0.5 * h * (k1 + k2), 0.5 * h * (t1 + t2), c * (k2 - k1), c * (k2 * t1 - k1 * t2)
+        ),
+        axis=-1,
+    )
+    return (coefficients @ _magnus_basis(K)).reshape(*k1.shape, 4, 4)
 
 
 def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray:
@@ -312,7 +372,8 @@ def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray
     A = [[0, 1, 0, 0], [-K, 0, kappa, 0], [0, -kappa, 0, tau], [0, 0, -tau, 0]]:
     the Frenet system for K = 0, and for K != 0 the intrinsic system on
     the surface (tau = 0, B = 0, <T, T> = 1).  Step i propagates by
-    exp(Omega_i) (``_magnus_exponents``) and the points are the first rows
+    exp(Omega_i) (``_magnus_exponents``, then the closed form ``_expm``:
+    A and Omega lie in the isometry algebra) and the points are the first rows
     of the prefix products applied to the initial rows.  The products keep
     P^T diag(K, 1, 1, 1) P = diag(K, 1, 1, 1): frames stay orthonormal and
     points on the sphere or hyperboloid, with no projection.  ``frames``
@@ -388,6 +449,8 @@ class ElasticaPathSpec:
             raise DomainError("path endpoints must share the ambient curvature")
         if self.control_points.ndim != 2 or self.control_points.shape[1] != 3:
             raise DomainError("control points must be (k, lambda, mu) triples")
+        if not np.all(np.isfinite(self.control_points)):
+            raise DomainError("control points must be finite")
         if self.control_points.shape[0] < 1:
             raise PreconditionError("need at least one interior control point")
         if np.any(self.control_points[:, 0] <= 0.0):
@@ -422,9 +485,24 @@ def _gauge_anchor(start: ElasticaParams) -> np.ndarray:
     return start.frame.origin + start.frame.N / start.k
 
 
-def parameter_trajectory(spec: ElasticaPathSpec):
-    """Cubic interpolant of (k, lambda, mu) through endpoints and controls."""
-    nodes = np.linspace(0.0, 1.0, spec.q + 2)
+@lru_cache(maxsize=8)
+def _trajectory_weights(q: int, m: int) -> np.ndarray:
+    """(m, q + 2) weights of the not-a-knot cubic spline through q + 2 equispaced nodes.
+
+    The spline is linear in the node values, so splining the identity gives
+    its value at each of the m equispaced path samples as a weighted sum.
+    """
+    weights = CubicSpline(np.linspace(0.0, 1.0, q + 2), np.eye(q + 2))(np.linspace(0.0, 1.0, m))
+    weights.flags.writeable = False
+    return weights
+
+
+def parameter_trajectory(spec: ElasticaPathSpec) -> np.ndarray:
+    """(k, lambda, mu) at the m path samples, (m, 3).
+
+    The not-a-knot cubic spline through the endpoints and controls, as the
+    cached weights of ``_trajectory_weights`` times the node values.
+    """
     values = np.vstack(
         [
             [spec.start.k, spec.start.lam, spec.start.mu],
@@ -432,15 +510,13 @@ def parameter_trajectory(spec: ElasticaPathSpec):
             [spec.end.k, spec.end.lam, spec.end.mu],
         ]
     )
-    return CubicSpline(nodes, values, axis=0)
+    return _trajectory_weights(spec.q, spec.m) @ values
 
 
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
     """Generate the m curves of the path in one batched integration and one ``build_curve``."""
-    traj = parameter_trajectory(spec)
     s_grid = np.linspace(0.0, 1.0, spec.m)
-    values = traj(s_grid)
-    ks, lams, mus = values[:, 0], values[:, 1], values[:, 2]
+    ks, lams, mus = parameter_trajectory(spec).T
     if spec.K != 0.0:
         mus = np.zeros_like(mus)
     if np.any(ks <= 0.0):

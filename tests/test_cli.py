@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curvespace import path_from_dict
+from curvespace import euclidean3d, make_path, path_from_dict, path_to_dict, rho_kappa_defect
 from curvespace.cli import run
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
@@ -112,6 +112,29 @@ class TestDistance:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "curvature,r0,r1", [("0", "1", "2"), ("1", "0.3", "1.2"), ("-1", "1", "2")]
+    )
+    def test_rho_kappa_sup_matches_per_sample_loop(self, curvature, r0, r1, tmp_path):
+        # the whole-stack sup against the per-sample rho_kappa_defect it replaced
+        out, report_file = tmp_path / "p.json", tmp_path / "report.json"
+        assert run(["circles", "--curvature", curvature, "--r0", r0, "--r1", r1,
+                    "--s-samples", "16", "--t-samples", "64", "--out", str(out)]) == 0
+        assert run(["check", "--input", str(out), "--report", str(report_file)]) == 0
+        path = path_from_dict(read_json(out))
+        loop = [float(np.max(np.abs(rho_kappa_defect(path, j)))) for j in range(path.m)]
+        assert read_json(report_file)["rho_kappa_sup"] == loop
+
+    def test_undefined_frame_rejected(self, tmp_path, capsys):
+        # a normal path of straight segments in R^3: kappa = 0, so rho is undefined
+        t = np.linspace(0.0, 1.0, 32)
+        pts = np.stack([np.stack([t, 0.0 * t + s, 0.0 * t], axis=1) for s in np.linspace(0, 1, 5)])
+        path_file, report_file = tmp_path / "p.json", tmp_path / "report.json"
+        path_file.write_text(json.dumps(path_to_dict(make_path(euclidean3d(), pts, closed=False))))
+        assert run(["check", "--input", str(path_file), "--report", str(report_file)]) == 1
+        assert "Frenet frame undefined" in capsys.readouterr().err
+        assert not report_file.exists()
+
     def test_report_contents(self, flat_path_file, tmp_path):
         report_file = tmp_path / "report.json"
         assert run(["check", "--input", str(flat_path_file), "--report", str(report_file)]) == 0

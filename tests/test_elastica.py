@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
+from scipy.interpolate import CubicSpline
 
 from curvespace import (
     CapabilityError,
@@ -9,6 +11,7 @@ from curvespace import (
     FrenetFrame,
     NumericFailure,
     OptimizeOptions,
+    PreconditionError,
     build_curve,
     circle_locus_residual,
     elastica_path_energy,
@@ -21,10 +24,12 @@ from curvespace import (
 )
 from curvespace.elastica import (
     MU_LOCUS_SIGN,
+    _GAUSS_NODES,
     _batch_reconstruct,
     _end_frame,
     _expm,
     _frame_rows,
+    _gauss_values,
     _interior_seed,
     _magnus_exponents,
     _prefix_products,
@@ -35,6 +40,7 @@ from curvespace.elastica import (
     first_integral,
     generate_curve,
     materialize_path,
+    parameter_trajectory,
 )
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
@@ -389,6 +395,135 @@ def rk4_curves():
     return dict(zip(RECONSTRUCTION_CASES, points))
 
 
+def algebra_elements(K, count, rng):
+    """Random elements of the isometry algebra of G = diag(K, 1, 1, 1), (count, 4, 4).
+
+    Combinations of E_0j - K E_j0 and E_ij - E_ji; on a surface (K != 0)
+    only over the (c, T, N) block, so the B row and column stay zero.
+    """
+    dim = 4 if K == 0.0 else 3
+    basis = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            E = np.zeros((4, 4))
+            E[i, j], E[j, i] = 1.0, -K if i == 0 else -1.0
+            basis.append(E)
+    return np.einsum("cb,bij->cij", rng.normal(size=(count, len(basis))), np.array(basis))
+
+
+_INV_FACTORIAL = 1.0 / np.cumprod([1.0, *range(1, 17)])  # 1/j! for j = 0..16
+
+
+def taylor_expm(X):
+    """Reference exponential of any (..., d, d) stack: the Taylor form the closed form replaced.
+
+    Scaling and squaring per matrix to Frobenius norm < 1/2 around the
+    degree-16 Taylor polynomial, summed by Horner's rule in X^4 over cubic
+    blocks (Paterson-Stockmeyer).
+    """
+    s = np.maximum(np.frexp(2.0 * np.linalg.norm(X, axis=(-2, -1)))[1], 0)
+    X = np.ldexp(X, -s[..., None, None])
+    X2 = X @ X
+    powers, X4 = (np.eye(X.shape[-1]), X, X2, X2 @ X), X2 @ X2
+    blocks = [sum(c * P for c, P in zip(_INV_FACTORIAL[j : j + 4], powers)) for j in (12, 8, 4, 0)]
+    E = blocks[0] + _INV_FACTORIAL[16] * X4
+    for block in blocks[1:]:
+        E = block + X4 @ E
+    for j in range(int(s.max(initial=0))):
+        E = np.where((s > j)[..., None, None], E @ E, E)
+    return E
+
+
+def spline_gauss_values(samples):
+    """Reference Gauss-point values from a cubic spline: (..., n) -> (..., n - 1, 2)."""
+    n = samples.shape[-1]
+    sigma = np.linspace(0.0, 1.0, n)
+    nodes = (sigma[:-1, None] + sigma[1] * _GAUSS_NODES).ravel()
+    return CubicSpline(sigma, samples, axis=-1)(nodes).reshape(*samples.shape[:-1], n - 1, 2)
+
+
+def a_stack_exponents(K, kap, tau, Ls, n):
+    """Reference Magnus exponents from an explicit stack of A at the Gauss points.
+
+    ``kap`` and ``tau`` hold the (m, n - 1, 2) Gauss-point values; the
+    commutator is formed by 4x4 products, as before the bracket basis.
+    """
+    kap, tau = np.moveaxis(kap, -1, 0), np.moveaxis(tau, -1, 0)  # axes: Gauss point, curve, step
+    A = np.zeros(kap.shape + (4, 4))
+    A[..., 0, 1], A[..., 1, 0] = 1.0, -K
+    A[..., 1, 2], A[..., 2, 1] = kap, -kap
+    A[..., 2, 3], A[..., 3, 2] = tau, -tau
+    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None, None, None]
+    return 0.5 * h * (A[0] + A[1]) + np.sqrt(3.0) / 12.0 * h**2 * (A[1] @ A[0] - A[0] @ A[1])
+
+
+def case_profile(name, n=256):
+    """Parameters and (1, n) kappa and tau of a ``PROFILE_CASES`` entry."""
+    p = profile_params(*PROFILE_CASES[name])
+    kap, tau = solve_curvature_profile(p, n)
+    return p, kap[None], tau[None]
+
+
+class TestClosedFormSteps:
+    """Closed-form Magnus steps against the slow forms they replaced."""
+
+    @pytest.mark.parametrize("name", list(PROFILE_CASES))
+    def test_exponents_match_a_stack(self, name):
+        p, kap, tau = case_profile(name)
+        omega = _magnus_exponents(p.K, kap, tau, [p.L], 256)
+        ref = a_stack_exponents(p.K, _gauss_values(kap), _gauss_values(tau), [p.L], 256)
+        err = np.max(np.abs(omega - ref), axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+        assert np.max(err) <= 1e-14
+
+    @pytest.mark.parametrize("name", list(PROFILE_CASES))
+    def test_exp_matches_taylor_on_exponents(self, name):
+        p, kap, tau = case_profile(name)
+        omega = _magnus_exponents(p.K, kap, tau, [p.L], 256)
+        ref = taylor_expm(omega)
+        err = np.max(np.abs(_expm(omega) - ref), axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+        assert np.max(err) <= 1e-14
+
+    @pytest.mark.parametrize("n", [6, 7, 96])
+    def test_stencil_reproduces_quintics(self, n):
+        coefficients = np.random.default_rng(n).normal(size=(6, 3))  # three quintics
+        sigma = np.linspace(0.0, 1.0, n)
+        exact = polyval(sigma[:-1, None] + sigma[1] * _GAUSS_NODES, coefficients)
+        err = np.max(np.abs(_gauss_values(polyval(sigma, coefficients)) - exact))
+        assert err <= 1e-14 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_stencil_at_least_as_accurate_as_spline(self, n):
+        def f(x):
+            return np.sin(9.0 * x + 0.3) * np.exp(-x)
+
+        sigma = np.linspace(0.0, 1.0, n)
+        exact = f(sigma[:-1, None] + sigma[1] * _GAUSS_NODES)
+        err = np.max(np.abs(_gauss_values(f(sigma)) - exact))
+        assert err <= np.max(np.abs(spline_gauss_values(f(sigma)) - exact))
+
+    @pytest.mark.parametrize("q,m", [(1, 5), (3, 13), (4, 17)])
+    def test_trajectory_matches_spline(self, q, m):
+        start, end = circle_endpoints()
+        ctrl = _interior_seed(start, end, q) + 0.1 * np.random.default_rng(q).normal(size=(q, 3))
+        spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=64)
+        nodes = np.vstack([[start.k, start.lam, start.mu], ctrl, [end.k, end.lam, end.mu]])
+        ref = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes, axis=0)(np.linspace(0.0, 1.0, m))
+        assert np.max(np.abs(parameter_trajectory(spec) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_short_grids_keep_their_error_classes(self, n):
+        start, end = circle_endpoints()
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, 1), m=5, n=n
+        )
+        with pytest.raises(NumericFailure):
+            materialize_path(spec)
+        with pytest.raises(NumericFailure):
+            elastica_path_energy(spec)
+        with pytest.raises(PreconditionError):
+            reconstruct_curve(start, np.ones(n), np.zeros(n), n)
+
+
 class TestLieGroupReconstruction:
     """Magnus propagators and their prefix products against RK4 and scipy."""
 
@@ -418,7 +553,7 @@ class TestLieGroupReconstruction:
 
     def test_prefix_products_match_sequential(self):
         rng = np.random.default_rng(2)
-        Phi = _expm(0.3 * rng.normal(size=(2, 37, 4, 4)))
+        Phi = np.eye(4) + 0.3 * rng.normal(size=(2, 37, 4, 4))
         P = _prefix_products(Phi)
         ref = np.eye(4)
         for i in range(38):
@@ -427,11 +562,13 @@ class TestLieGroupReconstruction:
                 ref = Phi[:, i] @ ref
 
     def test_taylor_exp_matches_scipy(self):
+        # random elements of the three isometry algebras, where the closed form holds
         from scipy.linalg import expm
 
         rng = np.random.default_rng(1)
-        # Frobenius norms from about 0.4 to 2.5, across the 1/2 scaling threshold
-        X = np.concatenate([0.2 * rng.normal(size=(500, 4, 4)), 0.4 * rng.normal(size=(500, 4, 4))])
+        # Frobenius norms from 0.4 to 2.5, across the 1/2 scaling threshold
+        X = np.concatenate([algebra_elements(K, 334, rng) for K in (-1.0, 0.0, 1.0)])[:1000]
+        X *= (rng.uniform(0.4, 2.5, size=len(X)) / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
         X[0] = 0.0
         ref = expm(X)
         err = np.max(np.abs(_expm(X) - ref), axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
@@ -464,6 +601,15 @@ class TestNonFiniteParameters:
         values[field] = [np.nan, 0.0, 1.0]
         with pytest.raises(DomainError):
             FrenetFrame(**values)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_path_spec_rejects_non_finite_controls(self, column, bad):
+        start, end = circle_endpoints()
+        ctrl = _interior_seed(start, end, 2)
+        ctrl[1, column] = bad
+        with pytest.raises(DomainError):
+            ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=5, n=64)
 
     def test_endpoint_record_with_nan_length(self):
         data = endpoints_to_dict(*circle_endpoints())
