@@ -67,6 +67,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonneg_int(text: str) -> int:
+    value = int(text)  # argparse reports the ValueError as a usage error
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvespace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -75,8 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--curvature", type=_finite_float, required=True)
     p.add_argument("--r0", type=_finite_float, required=True)
     p.add_argument("--r1", type=_finite_float, required=True)
-    p.add_argument("--s-samples", type=int, default=64)
-    p.add_argument("--t-samples", type=int, default=256)
+    p.add_argument("--s-samples", type=_positive_int, default=64)
+    p.add_argument("--t-samples", type=_positive_int, default=256)
     p.add_argument("--out", required=True)
     p.add_argument("--traj", default=None)
 
@@ -84,17 +98,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--pitch", type=_finite_float, required=True)
     p.add_argument("--r0", type=_finite_float, required=True)
     p.add_argument("--r1", type=_finite_float, required=True)
-    p.add_argument("--s-samples", type=int, default=64)
-    p.add_argument("--t-samples", type=int, default=256)
+    p.add_argument("--s-samples", type=_positive_int, default=64)
+    p.add_argument("--t-samples", type=_positive_int, default=256)
     p.add_argument("--out", required=True)
     p.add_argument("--traj", default=None)
 
     p = sub.add_parser("elastica", help="energy-minimizing path of elastica")
     p.add_argument("--spec", required=True)
-    p.add_argument("--control-points", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s-samples", type=int, default=17)
-    p.add_argument("--t-samples", type=int, default=128)
+    p.add_argument("--control-points", type=_positive_int, default=3)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--s-samples", type=_positive_int, default=17)
+    p.add_argument("--t-samples", type=_positive_int, default=128)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", required=True)
 

@@ -2,15 +2,17 @@
 
 A :class:`DiscreteCurve` stores ``n`` points of an immersed curve on a
 uniform parameter grid together with the derived quantities used by the
-rest of the package: length element ``omega``, unit tangent ``T``, unit
-normal ``N``, signed curvature ``kappa`` (2D) and, for space curves,
-binormal ``B`` and torsion ``tau``.
+rest of the package: length element ``omega``, unit tangent ``T`` and,
+computed on first read, the frame: unit normal ``N``, signed curvature
+``kappa`` (2D) and, for space curves, binormal ``B`` and torsion ``tau``.
+Length, the metric and path energy need only ``omega`` and ``T``.
 
 One ``DiscreteCurve`` may also hold a whole stack of ``m`` curves on one
 grid: points of shape (m, n, dim), fields of shape (m, n) or
 (m, n, dim).  The t axis is then ``points.ndim - 2``, every operation
 here works along it, and ``DiscreteCurve.row`` returns curve j as views.
-A path of curves (``sobolev_metric.CurvePath``) is such a stack.
+A path of curves (``sobolev_metric.CurvePath``) is such a stack; a
+row's frame is a view of the stack's, computed once for the whole stack.
 
 Conventions
 -----------
@@ -30,7 +32,9 @@ the length of a 256-point circle accurate to 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .space_forms import Model, SpaceForm, space_from_dict, space_to_dict
 KAPPA_FLOOR = 1e-8
 TANGENCY_TOL = 1e-9
 MIN_SAMPLES = 8
-PER_SAMPLE_FIELDS = ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok")
+PER_SAMPLE_FIELDS = ("points", "omega", "T")
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,23 @@ def _field_values(field) -> np.ndarray:
     return np.asarray(field, dtype=float)
 
 
+class CurveFrame(NamedTuple):
+    """Normal and curvature of a curve or stack; binormal, torsion and flags in 3D."""
+
+    N: np.ndarray
+    kappa: np.ndarray
+    B: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    frame_ok: np.ndarray | None = None
+
+    def row(self, j: int) -> "CurveFrame":
+        return CurveFrame(*(None if v is None else v[j] for v in self))
+
+    @staticmethod
+    def stack(frames) -> "CurveFrame":
+        return CurveFrame(*(None if f[0] is None else np.stack(f) for f in zip(*frames)))
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteCurve:
     """Immutable sampled curve with cached frame and curvature data.
@@ -76,8 +97,11 @@ class DiscreteCurve:
     with ``t`` for screw-symmetric open curves (helix families); stencils
     then wrap periodically with that shift instead of using one-sided
     rows.  ``frame_ok`` flags the 3D samples where the Frenet frame is
-    defined (``kappa`` above the floor).  A stack of curves keeps its
-    leading axis on every per-sample field (see the module docstring).
+    defined (``kappa`` at or above ``kappa_floor``).  A stack of curves
+    keeps its leading axis on every per-sample field (see the module
+    docstring).  ``N``, ``kappa``, ``B``, ``tau`` and ``frame_ok`` read
+    ``frame``, computed on first read by ``_frame_source`` (a row or a
+    stack of curves that carry frames) or else by ``_fd_frame``.
     """
 
     space: SpaceForm
@@ -86,12 +110,9 @@ class DiscreteCurve:
     points: np.ndarray
     omega: np.ndarray
     T: np.ndarray
-    N: np.ndarray
-    kappa: np.ndarray
-    B: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    frame_ok: np.ndarray | None = None
     screw_shift: np.ndarray | None = None
+    kappa_floor: float = KAPPA_FLOOR
+    _frame_source: Callable[[], CurveFrame] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -109,10 +130,20 @@ class DiscreteCurve:
     def periodic(self) -> bool:
         return self.closed or self.screw_shift is not None
 
+    @cached_property
+    def frame(self) -> CurveFrame:
+        return _fd_frame(self) if self._frame_source is None else self._frame_source()
+
+    N = property(lambda self: self.frame.N)
+    kappa = property(lambda self: self.frame.kappa)
+    B = property(lambda self: self.frame.B)
+    tau = property(lambda self: self.frame.tau)
+    frame_ok = property(lambda self: self.frame.frame_ok)
+
     def row(self, j: int) -> "DiscreteCurve":
-        """Curve j of a stack, sharing memory with the stack's fields."""
-        views = {f: getattr(self, f)[j] for f in PER_SAMPLE_FIELDS if getattr(self, f) is not None}
-        return replace(self, **views)
+        """Curve j of a stack; its fields, frame included, are views of the stack's."""
+        views = {f: getattr(self, f)[j] for f in PER_SAMPLE_FIELDS}
+        return replace(self, **views, _frame_source=lambda: self.frame.row(j))
 
 
 def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -142,13 +173,14 @@ def build_curve(
     """Build a :class:`DiscreteCurve` from sampled points.
 
     ``points`` is one (n, dim) curve or an (m, n, dim) stack of curves on
-    one grid; a stack is built in one pass along its t axis.  Computes
-    ``omega`` and ``T`` from a fourth-order derivative of the points,
-    then the frame and curvature from arclength derivatives of the same
-    order.  Raises :class:`ImmersionError` when the discrete derivative
-    vanishes and flags (without failing) the 3D samples where the
-    curvature is below ``kappa_floor``.  The curve keeps a read-only copy
-    of ``points``, so its cached fields cannot go stale.
+    one grid; a stack is built in one pass along its t axis.  Runs every
+    check and computes ``omega`` and ``T`` from a fourth-order derivative
+    of the points; the frame and curvature, from arclength derivatives of
+    the same order, are computed on first read (``DiscreteCurve.frame``).
+    Raises :class:`ImmersionError` when the discrete derivative vanishes;
+    the frame flags (without failing) the 3D samples where the curvature
+    is below ``kappa_floor``.  The curve keeps a read-only copy of
+    ``points``, so its cached fields cannot go stale.
     """
     points = np.array(points, dtype=float, order="C")
     points.flags.writeable = False
@@ -193,31 +225,27 @@ def build_curve(
         points = _resample_by_arclength(space, points, t_grid, omega, closed)
         return build_curve(space, points, closed, t_grid=t_grid, kappa_floor=kappa_floor)
 
-    def dtheta(values):
-        return diff1(values, dt, periodic, order=4, axis=axis) / omega[..., None]
+    return DiscreteCurve(
+        space=space, closed=closed, t_grid=t_grid, points=points, omega=omega, T=T,
+        screw_shift=screw_shift, kappa_floor=kappa_floor,
+    )
 
-    if space.model is Model.EUCLIDEAN3D:
-        curv = dtheta(T)
+
+def _fd_frame(curve: DiscreteCurve) -> CurveFrame:
+    """The frame from fourth-order arclength derivatives of T (and of B in 3D)."""
+    T = curve.T
+    if curve.space.model is Model.EUCLIDEAN3D:
+        curv = d_theta(curve, T)
         curv -= np.sum(curv * T, axis=-1)[..., None] * T  # drop tangential FD noise
         kappa = np.linalg.norm(curv, axis=-1)
-        frame_ok = kappa >= kappa_floor
+        frame_ok = kappa >= curve.kappa_floor
         N = np.zeros_like(T)
         N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
         B = np.cross(T, N)
-        dB = dtheta(B)
-        tau = np.where(frame_ok, -np.sum(dB * N, axis=-1), 0.0)
-        return DiscreteCurve(
-            space=space, closed=closed, t_grid=t_grid, points=points,
-            omega=omega, T=T, N=N, kappa=kappa, B=B, tau=tau,
-            frame_ok=frame_ok, screw_shift=screw_shift,
-        )
-
-    N = _normal_2d(space, points, T)
-    kappa = np.asarray(space.inner(dtheta(T), N))
-    return DiscreteCurve(
-        space=space, closed=closed, t_grid=t_grid, points=points,
-        omega=omega, T=T, N=N, kappa=kappa, screw_shift=screw_shift,
-    )
+        tau = np.where(frame_ok, -np.sum(d_theta(curve, B) * N, axis=-1), 0.0)
+        return CurveFrame(N, kappa, B, tau, frame_ok)
+    N = _normal_2d(curve.space, curve.points, T)
+    return CurveFrame(N, np.asarray(curve.space.inner(d_theta(curve, T), N)))
 
 
 def _resample_by_arclength(space, points, t_grid, omega, closed):

@@ -13,11 +13,12 @@ makes kappa a Jacobi elliptic function, evaluated in closed form (Langer
 rebuilt from an initial frame by Lie-group steps: the Frenet system (or
 its 2D intrinsic analogue on a surface) is linear in the frame rows, so
 each step is the exponential of a fourth-order Magnus exponent, and a
-log-depth prefix product of the steps gives every point at once.  The
-steps are closed forms: the exponents are one product with a constant
-basis of the isometry algebra, the exponential is a Rodrigues-type
-polynomial in the exponent, and a cached 6-point Lagrange stencil gives
-the curvature and torsion at the Gauss points.
+blocked prefix product of the steps (about 2n products in about 2 sqrt(n)
+batched rounds) gives every point at once.  The steps are closed forms:
+the exponents are one product with a constant basis of the isometry
+algebra, the exponential is a Rodrigues-type polynomial in the exponent,
+and a cached 6-point Lagrange stencil gives the curvature and torsion at
+the Gauss points.
 
 Constant profiles kappa = k occur exactly on the circle locus
 
@@ -283,17 +284,24 @@ def _expm(X: np.ndarray) -> np.ndarray:
 def _prefix_products(Phi: np.ndarray) -> np.ndarray:
     """P_i = Phi_{i-1} ... Phi_0 (P_0 = I) along axis 1 of an (m, n - 1, d, d) stack.
 
-    Log-depth doubling scan (Blelloch, *Prefix sums and their applications*,
-    1990): after the round with offset 2^r each P_i is the product of the
-    2^(r+1) factors before it.
+    Two-level blocked scan over blocks of about sqrt(n) steps, the last
+    padded with identities: sequential products inside every block at once,
+    then block after block the previous block's last product carries in.
+    About 2n products in about 2 sqrt(n) batched rounds.
     """
     m, steps, d, _ = Phi.shape
-    P = np.concatenate([np.broadcast_to(np.eye(d), (m, 1, d, d)), Phi], axis=1)
-    shift = 1
-    while shift <= steps:
-        P[:, shift:] = P[:, shift:] @ P[:, :-shift]
-        shift *= 2
-    return P
+    size = math.isqrt(max(steps - 1, 0)) + 1  # ceil(sqrt(steps)) steps per block
+    blocks = -(-steps // size)
+    P = np.empty((m, blocks * size + 1, d, d))
+    P[:, 0] = np.eye(d)
+    P[:, 1 : steps + 1] = Phi
+    P[:, steps + 1 :] = np.eye(d)
+    Q = P[:, 1:].reshape(m, blocks, size, d, d)  # a view: step k of block b is Q[:, b, k]
+    for k in range(1, size):
+        Q[:, :, k] = Q[:, :, k] @ Q[:, :, k - 1]
+    for b in range(1, blocks):
+        Q[:, b] = Q[:, b] @ Q[:, b - 1, -1:]
+    return P[:, : steps + 1]
 
 
 @lru_cache(maxsize=8)
@@ -374,7 +382,8 @@ def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray
     the surface (tau = 0, B = 0, <T, T> = 1).  Step i propagates by
     exp(Omega_i) (``_magnus_exponents``, then the closed form ``_expm``:
     A and Omega lie in the isometry algebra) and the points are the first rows
-    of the prefix products applied to the initial rows.  The products keep
+    of the prefix products (the blocked scan ``_prefix_products``) applied
+    to the initial rows.  The products keep
     P^T diag(K, 1, 1, 1) P = diag(K, 1, 1, 1): frames stay orthonormal and
     points on the sphere or hyperboloid, with no projection.  ``frames``
     is (m, 4, dim), the profiles (m, n); returns (m, n, dim) points.
@@ -397,7 +406,7 @@ def reconstruct_curve(params: ElasticaParams, kappa, tau, n: int) -> DiscreteCur
 
     Euclidean 3-space when K = 0; the surface of curvature K when the
     torsion vanishes.  Fourth-order Magnus propagators, combined by a
-    log-depth prefix product (see ``_batch_reconstruct``).
+    blocked prefix product (see ``_batch_reconstruct``).
     """
     kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -559,6 +568,10 @@ class OptimizeOptions:
     restart_scale: float = 0.08
     k_bounds_factor: float = 5.0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.max_iter < 1 or self.max_restarts < 0:
+            raise DomainError("optimizer needs seed >= 0, max_iter >= 1 and max_restarts >= 0")
+
 
 def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.ndarray:
     s = np.linspace(0.0, 1.0, q + 2)[1:-1][:, None]
@@ -588,16 +601,14 @@ def optimize_elastica_path(
         raise PreconditionError("need at least one control point")
 
     flat = start.K == 0.0
-    same = (
-        start.k == end.k and start.lam == end.lam and start.mu == end.mu
+    # built once up front, so that a bad size or endpoint fails here instead
+    # of inside every objective evaluation
+    seed_spec = ElasticaPathSpec(
+        start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
     )
-    if same:
-        spec = ElasticaPathSpec(
-            start=start, end=end,
-            control_points=_interior_seed(start, end, q), m=m, n=n,
-        )
-        energy, path = elastica_path_energy(spec)
-        return spec, [(0, energy)], path
+    if start.k == end.k and start.lam == end.lam and start.mu == end.mu:
+        energy, path = elastica_path_energy(seed_spec)
+        return seed_spec, [(0, energy)], path
 
     # reject infeasible endpoints early
     for p in (start, end):
@@ -631,7 +642,7 @@ def optimize_elastica_path(
             trace.append((state["evals"], energy))
         return energy
 
-    x0 = _interior_seed(start, end, q)[:, :n_coords].ravel()
+    x0 = seed_spec.control_points[:, :n_coords].ravel()
     objective(x0)  # seeds the trace and the restart base
     rng = np.random.default_rng(opts.seed)
     scale = opts.restart_scale * max(

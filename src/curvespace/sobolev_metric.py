@@ -23,6 +23,7 @@ import numpy as np
 from ._fd import diff1
 from .discrete_curves import (
     PER_SAMPLE_FIELDS,
+    CurveFrame,
     DiscreteCurve,
     _field_values,
     _integrate_dtheta,
@@ -84,7 +85,10 @@ class CurvePath:
 
 
 def path_from_curves(curves) -> CurvePath:
-    """Stack single curves on one grid into a path; each keeps the fields it was built with."""
+    """Stack single curves on one grid into a path; each keeps the fields it was built with.
+
+    The stack's frame is the curves' frames stacked, on first read.
+    """
     curves = tuple(curves)
     if len(curves) < MIN_PATH_SAMPLES:
         raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
@@ -98,10 +102,12 @@ def path_from_curves(curves) -> CurvePath:
             raise DomainError("path curves must share one t-grid")
         if not np.array_equal(c.screw_shift, first.screw_shift):
             raise DomainError("path curves must share one screw_shift")
-    fields = {f: np.stack([getattr(c, f) for c in curves])
-              for f in PER_SAMPLE_FIELDS if getattr(first, f) is not None}
+        if c.kappa_floor != first.kappa_floor:
+            raise DomainError("path curves must share one kappa_floor")
+    fields = {f: np.stack([getattr(c, f) for c in curves]) for f in PER_SAMPLE_FIELDS}
     fields["points"].flags.writeable = False
-    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), batch=replace(first, **fields))
+    batch = replace(first, **fields, _frame_source=lambda: CurveFrame.stack(c.frame for c in curves))
+    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), batch=batch)
 
 
 def make_path(space, points, closed, *, t_grid=None, screw_shift=None) -> CurvePath:

@@ -299,23 +299,29 @@ def standard_frame(space: SpaceForm) -> PolarFrame:
     return polar_frame(space, center, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
-def exp_polar(space: SpaceForm, frame: PolarFrame, r: float, t):
+def exp_polar(space: SpaceForm, frame: PolarFrame, r, t):
     """Riemannian exponential of ``r (cos t e1 + sin t e2)`` at the frame center.
 
     ``t`` may be an array; the result then has shape ``(len(t), dim)``.
+    ``r`` may be an array of m radii; the result then has a leading axis
+    of length m, ``(m, len(t), dim)``.  The radius factors are scalar
+    ``math`` functions of each radius, the same arithmetic for one radius
+    or many.
     """
-    _check_radius(space, r)
-    r = float(r)
+    radii = _check_radius(space, r)
     t = np.asarray(t, dtype=float)
     direction = (
         np.cos(t)[..., None] * frame.e1 + np.sin(t)[..., None] * frame.e2
     )
+    shape = radii.shape + (1,) * direction.ndim
     if not space.curved:
-        return frame.center + r * direction
+        return frame.center + radii.reshape(shape) * direction
     R = space.radius
-    if space.model is Model.SPHERE2D:
-        return math.cos(r / R) * frame.center + R * math.sin(r / R) * direction
-    return math.cosh(r / R) * frame.center + R * math.sinh(r / R) * direction
+    cos, sin = (math.cos, math.sin) if space.model is Model.SPHERE2D else (math.cosh, math.sinh)
+    rs = radii.ravel().tolist()
+    a = np.array([cos(x / R) for x in rs]).reshape(shape)
+    b = np.array([R * sin(x / R) for x in rs]).reshape(shape)
+    return a * frame.center + b * direction
 
 
 def tangent_project(space: SpaceForm, point, v):

@@ -177,7 +177,7 @@ def solve_concentric_geodesic(
     if frame is None:
         frame = standard_frame(space)
     t = 2.0 * np.pi * np.arange(n) / n
-    points = np.stack([exp_polar(space, frame, rj, t) for rj in r])
+    points = exp_polar(space, frame, r, t)
     path = make_path(space, points, closed=True)
     traj = RadiusTrajectory(
         family=ConcentricCircles(space=space, frame=frame),

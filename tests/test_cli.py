@@ -252,7 +252,74 @@ class TestRender:
         assert figs[0] == figs[1]
 
 
+CIRCLE_ENDPOINTS = {
+    "K": 0.0,
+    "L": 2 * np.pi,
+    "start": {"k": 1.0, "lambda": 1.0, "mu": 0.0},
+    "end": {"k": 0.8, "lambda": 0.64, "mu": 0.0},
+    "init_frame": {
+        "origin": [1.0, 0.0, 0.0],
+        "T": [0.0, 1.0, 0.0],
+        "N": [-1.0, 0.0, 0.0],
+        "B": [0.0, 0.0, 1.0],
+    },
+}
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["elastica", "--spec", "s.json", "--seed", "-1"],
+            ["elastica", "--spec", "s.json", "--control-points", "0"],
+            ["elastica", "--spec", "s.json", "--s-samples", "-3"],
+            ["helices", "--pitch", "1", "--r0", "1", "--r1", "2", "--t-samples", "-5"],
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--s-samples", "0"],
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--t-samples", "1.5"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        argv = argv + ["--out", str(out)] + (["--trace", "t.csv"] if argv[0] == "elastica" else [])
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --")
+        assert not out.exists()
+
+    def test_too_few_path_samples_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        import curvespace.elastica as el
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(el, "minimize", no_search)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(CIRCLE_ENDPOINTS))
+        out = tmp_path / "path.json"
+        code = run(["elastica", "--spec", str(spec_file), "--s-samples", "2",
+                    "--out", str(out), "--trace", str(tmp_path / "trace.csv")])
+        assert code == 1
+        assert "m >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestElasticaCommand:
+    def test_seeded_runs_repeat_byte_for_byte(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(CIRCLE_ENDPOINTS))
+        outputs = []
+        for attempt in range(2):
+            out, trace = tmp_path / f"path{attempt}.json", tmp_path / f"trace{attempt}.csv"
+            code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
+                        "--seed", "0", "--s-samples", "7", "--t-samples", "64",
+                        "--out", str(out), "--trace", str(trace)])
+            assert code == 0
+            outputs.append((out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][1].decode().strip().split("\n")[1:]
+        energies = [float(r.split(",")[1]) for r in rows]
+        assert len(energies) >= 2
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
     def test_identical_endpoints_fast_path(self, tmp_path):
         spec = {
             "K": 0.0,

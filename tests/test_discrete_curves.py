@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import curvespace.discrete_curves as discrete_curves
 from curvespace import (
     DomainError,
     ElasticaParams,
     ElasticaPathSpec,
     ImmersionError,
+    Model,
     PreconditionError,
     TangentField,
     build_curve,
@@ -16,10 +18,22 @@ from curvespace import (
     euclidean3d,
     hyperbolic,
     length,
+    make_path,
+    path_from_curves,
+    path_length,
     plane,
     sphere,
 )
-from curvespace.elastica import _end_frame, _interior_seed, default_flat_frame, materialize_path
+from curvespace._fd import diff1
+from curvespace.cli import _render_svg
+from curvespace.discrete_curves import KAPPA_FLOOR, _normal_2d
+from curvespace.elastica import (
+    _end_frame,
+    _interior_seed,
+    default_flat_frame,
+    elastica_path_energy,
+    materialize_path,
+)
 
 
 def circle_points(n, radius=1.0):
@@ -273,13 +287,16 @@ def _helix_stack(m=5, n=96, h=0.4):
     return np.stack([r * np.cos(t), r * np.sin(t), np.broadcast_to(h * t, r.shape)], axis=2), t
 
 
-def _torsional_elastica_stack():
+def _torsional_elastica_spec():
     start = ElasticaParams(k=1.0, lam=0.6, mu=0.1, K=0.0, L=2 * np.pi, frame=default_flat_frame(1.0))
     end = ElasticaParams(k=0.8, lam=0.3, mu=0.05, K=0.0, L=2 * np.pi / 0.8, frame=_end_frame(start, 0.8))
-    spec = ElasticaPathSpec(
+    return ElasticaPathSpec(
         start=start, end=end, control_points=_interior_seed(start, end, 2), m=7, n=96
     )
-    return materialize_path(spec).points
+
+
+def _torsional_elastica_stack():
+    return materialize_path(_torsional_elastica_spec()).points
 
 
 def _batch_cases():
@@ -331,6 +348,102 @@ class TestBatchedBuild:
         off[2] *= 1.01
         with pytest.raises(DomainError):
             build_curve(sphere(1.0), off, closed=True)
+
+
+FRAME_FIELDS = ("N", "kappa", "B", "tau", "frame_ok")
+
+
+def _eager_frame(curve):
+    """The frame as build_curve computed it up front before it became lazy: the oracle."""
+    space, T, omega = curve.space, curve.T, curve.omega
+    axis = curve.points.ndim - 2
+
+    def dtheta(values):
+        return diff1(values, curve.dt, curve.periodic, order=4, axis=axis) / omega[..., None]
+
+    if space.model is not Model.EUCLIDEAN3D:
+        N = _normal_2d(space, curve.points, T)
+        return {"N": N, "kappa": np.asarray(space.inner(dtheta(T), N)),
+                "B": None, "tau": None, "frame_ok": None}
+    curv = dtheta(T)
+    curv -= np.sum(curv * T, axis=-1)[..., None] * T
+    kappa = np.linalg.norm(curv, axis=-1)
+    frame_ok = kappa >= curve.kappa_floor
+    N = np.zeros_like(T)
+    N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
+    B = np.cross(T, N)
+    tau = np.where(frame_ok, -np.sum(dtheta(B) * N, axis=-1), 0.0)
+    return {"N": N, "kappa": kappa, "B": B, "tau": tau, "frame_ok": frame_ok}
+
+
+def _assert_same(got, want, label):
+    if want is None:
+        assert got is None, label
+    else:
+        assert np.array_equal(got, want), label
+
+
+class TestLazyFrame:
+    """The frame is computed on first read, bitwise as the eager build computed it."""
+
+    @pytest.mark.parametrize(
+        "case", ["plane", "sphere", "hyperboloid", "helix", "torsional_elastica"]
+    )
+    def test_lazy_fields_match_the_eager_build(self, case):
+        space, pts, kwargs = _batch_cases()[case]
+        kappa = build_curve(space, pts, **kwargs).kappa
+        # the default floor, and one that flags about half of the 3D samples
+        for floor in (KAPPA_FLOOR, float(np.median(kappa))):
+            batch = build_curve(space, pts, kappa_floor=floor, **kwargs)
+            want = _eager_frame(batch)
+            if want["frame_ok"] is not None and floor != KAPPA_FLOOR:
+                assert 0 < np.count_nonzero(want["frame_ok"]) < want["frame_ok"].size
+            rows = [batch.row(j) for j in range(len(pts))]
+            for name in FRAME_FIELDS:
+                _assert_same(getattr(batch, name), want[name], (case, floor, name))
+                for j, row in enumerate(rows):
+                    got = getattr(row, name)
+                    _assert_same(got, None if want[name] is None else want[name][j], (case, j, name))
+            if len(pts) >= 3:
+                stacked = path_from_curves(rows).batch
+                for name in FRAME_FIELDS:
+                    _assert_same(getattr(stacked, name), want[name], (case, "stacked", name))
+
+    def test_kappa_floor_is_kept_by_rows_and_stacks(self):
+        space, pts, kwargs = _batch_cases()["helix"]
+        batch = build_curve(space, pts, kappa_floor=10.0, **kwargs)
+        rows = [batch.row(j) for j in range(len(pts))]
+        assert all(row.kappa_floor == 10.0 for row in rows)
+        assert path_from_curves(rows).batch.kappa_floor == 10.0
+        assert not np.any(rows[0].frame_ok) and np.all(rows[0].tau == 0.0)
+        loose = build_curve(space, pts[0], **kwargs)
+        with pytest.raises(DomainError, match="kappa_floor"):
+            path_from_curves([rows[0], loose, rows[1]])
+
+    def test_row_frame_shares_memory_with_the_batch(self):
+        space, pts, kwargs = _batch_cases()["helix"]
+        batch = build_curve(space, pts, **kwargs)
+        row = batch.row(2)
+        tau = row.tau  # a row read first computes the frame of the whole stack
+        assert np.shares_memory(tau, batch.tau)
+        for name in FRAME_FIELDS:
+            assert np.shares_memory(getattr(row, name), getattr(batch, name)), name
+
+    def test_energy_length_and_render_never_compute_the_frame(self, monkeypatch):
+        def no_frame(curve):
+            raise AssertionError("frame computed")
+
+        monkeypatch.setattr(discrete_curves, "_fd_frame", no_frame)
+        _, path = elastica_path_energy(_torsional_elastica_spec())
+        assert "frame" not in vars(path.batch)
+        t = 2 * np.pi * np.arange(64) / 64
+        rings = np.stack([r * np.stack([np.cos(t), np.sin(t)], axis=1) for r in (1.0, 1.5, 2.0)])
+        circles = make_path(plane(), rings, closed=True)
+        assert path_length(circles) > 0.0
+        assert _render_svg(circles).startswith("<svg")
+        assert "frame" not in vars(circles.batch)
+        with pytest.raises(AssertionError, match="frame computed"):
+            circles.batch.N
 
 
 class TestCurveSerialization:

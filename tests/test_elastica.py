@@ -561,6 +561,21 @@ class TestLieGroupReconstruction:
             if i < 37:
                 ref = Phi[:, i] @ ref
 
+    @pytest.mark.parametrize("m", [1, 13])
+    @pytest.mark.parametrize("steps", [5, 36, 95, 96, 255, 256])
+    def test_blocked_scan_matches_sequential(self, m, steps):
+        # full, ragged and padded last blocks, on steps of all three groups
+        rng = np.random.default_rng(100 * m + steps)
+        for K in (-1.0, 0.0, 1.0):
+            Phi = _expm(0.1 * algebra_elements(K, m * steps, rng).reshape(m, steps, 4, 4))
+            P = _prefix_products(Phi)
+            assert P.shape == (m, steps + 1, 4, 4)
+            ref = np.broadcast_to(np.eye(4), (m, 4, 4))
+            for i in range(steps + 1):
+                assert np.allclose(P[:, i], ref, rtol=1e-13, atol=1e-13), (K, i)
+                if i < steps:
+                    ref = Phi[:, i] @ ref
+
     def test_taylor_exp_matches_scipy(self):
         # random elements of the three isometry algebras, where the closed form holds
         from scipy.linalg import expm
@@ -686,6 +701,24 @@ class TestOptimizer:
         assert np.array_equal(spec1.control_points, spec2.control_points)
         energies = [e for _, e in trace1]
         assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize(
+        "bad", [dict(seed=-1), dict(max_iter=0), dict(max_restarts=-1)]
+    )
+    def test_options_reject_out_of_range_values(self, bad):
+        with pytest.raises(DomainError):
+            OptimizeOptions(**bad)
+
+    def test_too_few_path_samples_fail_before_the_search(self, monkeypatch):
+        import curvespace.elastica as el
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(el, "minimize", no_search)
+        start, end = circle_endpoints()
+        with pytest.raises(PreconditionError, match="m >= 3"):
+            optimize_elastica_path((start, end), q=1, m=2, n=64)
 
     def test_endpoints_never_modified(self):
         start, end = circle_endpoints()

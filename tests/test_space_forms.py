@@ -155,6 +155,23 @@ class TestExpPolar:
         pts = exp_polar(sp, fr, 0.3, t)
         assert pts.shape == (16, 3)
 
+    def test_array_of_radii_matches_per_radius_calls(self):
+        t = np.linspace(0, 2 * math.pi, 32, endpoint=False)
+        for space, radii in (
+            (plane(), np.linspace(0.4, 1.6, 7)),
+            (sphere(1.0), np.linspace(0.3, 1.2, 7)),
+            (hyperbolic(-1.0), np.linspace(0.5, 1.5, 7)),
+        ):
+            fr = standard_frame(space)
+            pts = exp_polar(space, fr, radii, t)
+            assert pts.shape == (7, 32, space.ambient_dim)
+            assert np.array_equal(pts, np.stack([exp_polar(space, fr, r, t) for r in radii]))
+
+    def test_array_of_radii_checks_every_radius(self):
+        sp = sphere(1.0)
+        with pytest.raises(DomainError):
+            exp_polar(sp, standard_frame(sp), np.array([0.5, math.pi]), 0.0)
+
     def test_output_stays_on_the_model(self):
         t = np.linspace(0, 2 * math.pi, 24, endpoint=False)
         for space, radii in (
