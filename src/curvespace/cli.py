@@ -28,6 +28,7 @@ from . import special_geodesics as sg
 from . import variations as va
 from .discrete_curves import d_theta
 from .errors import (
+    CapabilityError,
     CurveSpaceError,
     DomainError,
     InputFormatError,
@@ -106,7 +107,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("elastica", help="energy-minimizing path of elastica")
     p.add_argument("--spec", required=True)
     p.add_argument("--control-points", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0,
+                   help="accepted; has no effect (the simplex search is deterministic)")
     p.add_argument("--s-samples", type=_positive_int, default=17)
     p.add_argument("--t-samples", type=_positive_int, default=128)
     p.add_argument("--out", required=True)
@@ -343,7 +345,7 @@ def run(argv) -> int:
     except InputFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, PreconditionError, NormalityError) as exc:
+    except (DomainError, PreconditionError, NormalityError, CapabilityError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailure as exc:

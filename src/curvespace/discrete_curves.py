@@ -142,6 +142,10 @@ class DiscreteCurve:
 
     def row(self, j: int) -> "DiscreteCurve":
         """Curve j of a stack; its fields, frame included, are views of the stack's."""
+        if self.points.ndim != 3:
+            raise PreconditionError("row(j) takes a stack of curves, not one curve")
+        if not 0 <= j < self.points.shape[0]:
+            raise PreconditionError(f"stack index {j} out of range")
         views = {f: getattr(self, f)[j] for f in PER_SAMPLE_FIELDS}
         return replace(self, **views, _frame_source=lambda: self.frame.row(j))
 

@@ -32,8 +32,8 @@ the constant below).
 
 Paths of elastica interpolate (k, lambda, mu) through interior control
 points, share one initial-frame gauge, and are scored with the Sobolev
-path energy; a seeded simplex search minimizes it over the control
-coordinates.
+path energy; one deterministic simplex (Nelder-Mead) search minimizes it
+over the control coordinates.
 """
 
 from __future__ import annotations
@@ -559,18 +559,20 @@ def elastica_path_energy(spec: ElasticaPathSpec) -> tuple[float, CurvePath]:
 # energy minimization over control coordinates
 
 
+# control amplitudes k are kept within this factor of the endpoint range
+K_BOUNDS_FACTOR = 5.0
+
+
 @dataclass(frozen=True)
 class OptimizeOptions:
+    """``seed`` is validated but has no effect: the search is deterministic."""
+
     seed: int = 0
-    max_restarts: int = 3
     max_iter: int = 500
-    rel_tol: float = 1e-8
-    restart_scale: float = 0.08
-    k_bounds_factor: float = 5.0
 
     def __post_init__(self):
-        if self.seed < 0 or self.max_iter < 1 or self.max_restarts < 0:
-            raise DomainError("optimizer needs seed >= 0, max_iter >= 1 and max_restarts >= 0")
+        if self.seed < 0 or self.max_iter < 1:
+            raise DomainError("optimizer needs seed >= 0 and max_iter >= 1")
 
 
 def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.ndarray:
@@ -589,10 +591,11 @@ def optimize_elastica_path(
 ) -> tuple[ElasticaPathSpec, list[tuple[int, float]], CurvePath]:
     """Simplex search over the 3q control coordinates minimizing path energy.
 
-    Runs a deterministic Nelder-Mead descent from the linear-interpolation
-    seed plus ``opts.max_restarts`` seeded random restarts around the best
-    point.  Returns the best spec, the (evaluation, energy) trace of
-    accepted improvements, and the final path.
+    Runs one deterministic Nelder-Mead descent from the linear-interpolation
+    seed; control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint
+    range, and infeasible controls, score ``inf``.  Returns the best spec,
+    the (evaluation, energy) trace of accepted improvements, and the final
+    path.
     """
     start, end = endpoints
     if start.K != end.K:
@@ -614,8 +617,8 @@ def optimize_elastica_path(
     for p in (start, end):
         generate_curve(p, n)
 
-    k_lo = min(start.k, end.k) / opts.k_bounds_factor
-    k_hi = max(start.k, end.k) * opts.k_bounds_factor
+    k_lo = min(start.k, end.k) / K_BOUNDS_FACTOR
+    k_hi = max(start.k, end.k) * K_BOUNDS_FACTOR
     n_coords = 3 if flat else 2  # mu frozen at 0 on curved surfaces
 
     def unpack(x: np.ndarray) -> np.ndarray:
@@ -643,39 +646,21 @@ def optimize_elastica_path(
         return energy
 
     x0 = seed_spec.control_points[:, :n_coords].ravel()
-    objective(x0)  # seeds the trace and the restart base
-    rng = np.random.default_rng(opts.seed)
-    scale = opts.restart_scale * max(
-        abs(start.k - end.k), abs(start.lam - end.lam), abs(start.mu - end.mu), 0.1
+    seed_energy = objective(x0)  # trace entry 1 and the scale of the stopping tolerance
+    minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "maxiter": opts.max_iter,
+            "fatol": 1e-8 * (max(1.0, seed_energy) if math.isfinite(seed_energy) else 1.0),
+            "xatol": 1e-6,
+            "adaptive": True,
+        },
     )
 
-    x_init = x0
-    for attempt in range(opts.max_restarts + 1):
-        before = state["best"]
-        fatol = opts.rel_tol * max(1.0, before if math.isfinite(before) else 1.0)
-        minimize(
-            objective,
-            x_init,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iter,
-                "fatol": fatol,
-                "xatol": 1e-6,
-                "adaptive": True,
-            },
-        )
-        improved = math.isfinite(state["best"]) and (
-            not math.isfinite(before) or before - state["best"] > opts.rel_tol * max(1.0, before)
-        )
-        if attempt > 0 and not improved:
-            break  # restarts stopped helping; the budget is a cap, not a quota
-        base = state["best_x"] if state["best_x"] is not None else x0
-        x_init = base + rng.normal(scale=scale, size=base.shape)
-
-    if state["best_x"] is None or not math.isfinite(state["best"]):
-        raise OptimizationFailure(
-            f"no feasible interior point found after {opts.max_restarts} restarts"
-        )
+    if state["best_x"] is None:
+        raise OptimizationFailure("no feasible interior point found")
     best_spec = ElasticaPathSpec(
         start=start, end=end, control_points=unpack(state["best_x"]), m=m, n=n
     )

@@ -30,7 +30,7 @@ class NumericFailure(CurveSpaceError, RuntimeError):
 
 
 class OptimizationFailure(NumericFailure):
-    """The derivative-free search found no feasible point within its restart budget."""
+    """The deterministic simplex search found no feasible point."""
 
 
 class InputFormatError(CurveSpaceError, ValueError):

@@ -22,7 +22,6 @@ geodesic constant alpha = (omega')^2 (1 + kappa^2) / (omega kappa^2).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ from .sobolev_metric import (
     tangential_component,
 )
 from .space_forms import Model
-
-logger = logging.getLogger(__name__)
 
 VARIATION_QUANTITIES = ("omega", "kappa")
 
@@ -60,19 +57,12 @@ class VariationReport:
 def predicted_omega_variation(path: CurvePath, j: int) -> np.ndarray:
     """g(D_T c', T) omega per t-sample.
 
-    On normal paths the result is cross-checked against the reduced form
-    -rho kappa omega; the discrepancy is reported on the module logger.
+    On normal paths ``normal_omega_discrepancy`` compares it with the
+    reduced form -rho kappa omega.
     """
     curve = path.batch.row(j)
-    v = path_velocity(path, j)
-    dv = cov_d_T(curve, v)
-    result = np.asarray(curve.space.inner(dv, curve.T)) * curve.omega
-    tangential = np.asarray(curve.space.inner(v, curve.T))
-    if float(np.max(np.abs(tangential))) <= NORMALITY_TOL:
-        rho = np.asarray(curve.space.inner(v, curve.N))
-        disc = float(np.max(np.abs(result + rho * curve.kappa * curve.omega)))
-        logger.debug("normal path at j=%d: |omega' + rho kappa omega| sup = %.3e", j, disc)
-    return result
+    dv = cov_d_T(curve, path_velocity(path, j))
+    return np.asarray(curve.space.inner(dv, curve.T)) * curve.omega
 
 
 def normal_omega_discrepancy(path: CurvePath, j: int, *, normal_tol: float = NORMALITY_TOL) -> float:

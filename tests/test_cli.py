@@ -6,6 +6,7 @@ import pytest
 
 from curvespace import euclidean3d, make_path, path_from_dict, path_to_dict, rho_kappa_defect
 from curvespace.cli import run
+from curvespace.elastica import default_surface_frame
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
 
@@ -307,14 +308,16 @@ class TestElasticaCommand:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(CIRCLE_ENDPOINTS))
         outputs = []
-        for attempt in range(2):
+        # --seed is accepted but has no effect: the simplex search is deterministic
+        for attempt, seed in enumerate(["0", "0", "7"]):
             out, trace = tmp_path / f"path{attempt}.json", tmp_path / f"trace{attempt}.csv"
             code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
-                        "--seed", "0", "--s-samples", "7", "--t-samples", "64",
+                        "--seed", seed, "--s-samples", "7", "--t-samples", "64",
                         "--out", str(out), "--trace", str(trace)])
             assert code == 0
             outputs.append((out.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+        assert outputs[2] == outputs[0]
         rows = outputs[0][1].decode().strip().split("\n")[1:]
         energies = [float(r.split(",")[1]) for r in rows]
         assert len(energies) >= 2
@@ -348,6 +351,29 @@ class TestElasticaCommand:
         assert float(lines[1].split(",")[1]) <= 1e-10
         data = read_json(out)
         assert data["s_samples"] == 9
+
+    def test_torsion_on_a_surface_is_a_usage_error(self, tmp_path, capsys):
+        frame = default_surface_frame(1.0)
+        spec = {
+            "K": 1.0,
+            "L": 3.0,
+            "start": {"k": 2.0, "lambda": 6.0, "mu": 0.3},
+            "end": {"k": 1.5, "lambda": 4.25, "mu": 0.0},
+            "init_frame": {"origin": frame.origin.tolist(), "T": frame.T.tolist(),
+                           "N": frame.N.tolist()},
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
+                    "--s-samples", "5", "--t-samples", "32",
+                    "--out", str(out), "--trace", str(trace)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("usage error:")
+        assert not out.exists() and not trace.exists()
 
     def test_bad_spec_is_input_error(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -429,6 +429,16 @@ class TestLazyFrame:
         for name in FRAME_FIELDS:
             assert np.shares_memory(getattr(row, name), getattr(batch, name)), name
 
+    def test_row_needs_a_stack_and_an_index_in_range(self):
+        pts, _ = circle_points(64)
+        with pytest.raises(PreconditionError, match="stack"):
+            build_curve(plane(), pts, closed=True).row(3)
+        space, pts, kwargs = _batch_cases()["plane"]
+        batch = build_curve(space, pts, **kwargs)
+        for j in (-1, len(pts)):
+            with pytest.raises(PreconditionError, match="out of range"):
+                batch.row(j)
+
     def test_energy_length_and_render_never_compute_the_frame(self, monkeypatch):
         def no_frame(curve):
             raise AssertionError("frame computed")

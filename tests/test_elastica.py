@@ -694,7 +694,7 @@ class TestOptimizer:
 
     def test_trace_strictly_decreasing_and_deterministic(self):
         start, end = circle_endpoints()
-        opts = OptimizeOptions(seed=3, max_iter=40, max_restarts=1)
+        opts = OptimizeOptions(seed=3, max_iter=40)
         spec1, trace1, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         spec2, trace2, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         assert trace1 == trace2
@@ -702,12 +702,25 @@ class TestOptimizer:
         energies = [e for _, e in trace1]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
-    @pytest.mark.parametrize(
-        "bad", [dict(seed=-1), dict(max_iter=0), dict(max_restarts=-1)]
-    )
+    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(max_iter=0)])
     def test_options_reject_out_of_range_values(self, bad):
         with pytest.raises(DomainError):
             OptimizeOptions(**bad)
+
+    def test_one_simplex_descent_per_call(self, monkeypatch):
+        import curvespace.elastica as el
+
+        calls = []
+        original = el.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(el, "minimize", counting)
+        start, end = circle_endpoints()
+        optimize_elastica_path((start, end), q=1, m=7, n=64, opts=OptimizeOptions(max_iter=30))
+        assert calls == ["Nelder-Mead"]
 
     def test_too_few_path_samples_fail_before_the_search(self, monkeypatch):
         import curvespace.elastica as el
@@ -722,7 +735,7 @@ class TestOptimizer:
 
     def test_endpoints_never_modified(self):
         start, end = circle_endpoints()
-        opts = OptimizeOptions(seed=1, max_iter=30, max_restarts=0)
+        opts = OptimizeOptions(seed=1, max_iter=30)
         spec, _, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         assert spec.start is start and spec.end is end
         assert (start.k, start.lam, start.mu) == (1.0, 1.0, 0.0)
@@ -736,7 +749,7 @@ class TestOptimizer:
             frame=_end_frame(flat_params(1.0, 0.6, 0.1), 0.8),
         )
         assert circle_locus_residual(start) > 0 and circle_locus_residual(end) > 0
-        opts = OptimizeOptions(seed=0, max_iter=30, max_restarts=0)
+        opts = OptimizeOptions(seed=0, max_iter=30)
         spec, trace, path = optimize_elastica_path((start, end), q=1, m=7, n=64, opts=opts)
         energies = [e for _, e in trace]
         assert len(energies) >= 2
