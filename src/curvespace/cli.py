@@ -26,7 +26,6 @@ from . import elastica as el
 from . import sobolev_metric as sm
 from . import special_geodesics as sg
 from . import variations as va
-from .discrete_curves import d_theta
 from .errors import (
     CapabilityError,
     CurveSpaceError,
@@ -235,20 +234,12 @@ def _variation_block(path: sm.CurvePath, normal: bool) -> dict:
 def _cmd_check(opt) -> int:
     path = _load_path(opt["input"])
     diag = sm.diagnose_path(path)
-    rho_kappa_sup = None
-    if diag.is_normal:
-        # sm.rho_kappa_defect over the whole stack: sup_t |d_theta(rho^2 kappa)| per sample
-        batch = path.batch
-        if batch.frame_ok is not None and not np.all(batch.frame_ok):
-            raise DomainError("Frenet frame undefined somewhere; rho is not available")
-        defect = d_theta(batch, diag.rho * diag.rho * batch.kappa)
-        rho_kappa_sup = np.max(np.abs(defect), axis=-1).tolist()
     report = {
         "speed": diag.speed.tolist(),
         "speed_drift": diag.speed_drift,
         "normal": diag.is_normal,
         "horizontality_sup": diag.horizontality_defect.tolist(),
-        "rho_kappa_sup": rho_kappa_sup,
+        "rho_kappa_sup": None if diag.rho_kappa_sup is None else diag.rho_kappa_sup.tolist(),
         "variations": _variation_block(path, diag.is_normal),
     }
     _dump_json(report, opt["report"])

@@ -10,9 +10,10 @@ Length, the metric and path energy need only ``omega`` and ``T``.
 One ``DiscreteCurve`` may also hold a whole stack of ``m`` curves on one
 grid: points of shape (m, n, dim), fields of shape (m, n) or
 (m, n, dim).  The t axis is then ``points.ndim - 2``, every operation
-here works along it, and ``DiscreteCurve.row`` returns curve j as views.
-A path of curves (``sobolev_metric.CurvePath``) is such a stack; a
-row's frame is a view of the stack's, computed once for the whole stack.
+here works along it, and ``DiscreteCurve.row`` views curve j's points,
+``omega`` and ``T``.  A path of curves (``sobolev_metric.CurvePath``) is
+such a stack.  Every curve, row or stack, gets its frame from ``_fd_frame``
+on first read, the one place that knows how a curve gets its frame.
 
 Conventions
 -----------
@@ -32,9 +33,9 @@ the length of a 256-point circle accurate to 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .space_forms import Model, SpaceForm, space_from_dict, space_to_dict
 KAPPA_FLOOR = 1e-8
 TANGENCY_TOL = 1e-9
 MIN_SAMPLES = 8
-PER_SAMPLE_FIELDS = ("points", "omega", "T")
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,13 @@ class TangentField:
     values: np.ndarray
 
     @staticmethod
-    def along(curve: "DiscreteCurve", values, tol: float = TANGENCY_TOL) -> "TangentField":
+    def along(curve: "DiscreteCurve", values) -> "TangentField":
         values = np.asarray(values, dtype=float)
         if values.shape != curve.points.shape:
             raise DomainError("field shape does not match the curve grid")
         resid = values - curve.space.tangent_project(curve.points, values, check=False)
         scale = 1.0 + float(np.max(curve.space.norm(values)))
-        if float(np.max(curve.space.norm(resid))) > tol * scale:
+        if float(np.max(curve.space.norm(resid))) > TANGENCY_TOL * scale:
             raise DomainError("field is not tangent to the surface along the curve")
         return TangentField(values)
 
@@ -81,13 +81,6 @@ class CurveFrame(NamedTuple):
     tau: np.ndarray | None = None
     frame_ok: np.ndarray | None = None
 
-    def row(self, j: int) -> "CurveFrame":
-        return CurveFrame(*(None if v is None else v[j] for v in self))
-
-    @staticmethod
-    def stack(frames) -> "CurveFrame":
-        return CurveFrame(*(None if f[0] is None else np.stack(f) for f in zip(*frames)))
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteCurve:
@@ -100,8 +93,8 @@ class DiscreteCurve:
     defined (``kappa`` at or above ``kappa_floor``).  A stack of curves
     keeps its leading axis on every per-sample field (see the module
     docstring).  ``N``, ``kappa``, ``B``, ``tau`` and ``frame_ok`` read
-    ``frame``, computed on first read by ``_frame_source`` (a row or a
-    stack of curves that carry frames) or else by ``_fd_frame``.
+    ``frame``, computed by ``_fd_frame`` on first read; a row of a stack
+    computes its own, bitwise equal to row j of the stack's.
     """
 
     space: SpaceForm
@@ -112,7 +105,6 @@ class DiscreteCurve:
     T: np.ndarray
     screw_shift: np.ndarray | None = None
     kappa_floor: float = KAPPA_FLOOR
-    _frame_source: Callable[[], CurveFrame] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -132,7 +124,7 @@ class DiscreteCurve:
 
     @cached_property
     def frame(self) -> CurveFrame:
-        return _fd_frame(self) if self._frame_source is None else self._frame_source()
+        return _fd_frame(self)
 
     N = property(lambda self: self.frame.N)
     kappa = property(lambda self: self.frame.kappa)
@@ -141,13 +133,12 @@ class DiscreteCurve:
     frame_ok = property(lambda self: self.frame.frame_ok)
 
     def row(self, j: int) -> "DiscreteCurve":
-        """Curve j of a stack; its fields, frame included, are views of the stack's."""
+        """Curve j of a stack: views of the stack's points, ``omega`` and ``T``."""
         if self.points.ndim != 3:
             raise PreconditionError("row(j) takes a stack of curves, not one curve")
         if not 0 <= j < self.points.shape[0]:
             raise PreconditionError(f"stack index {j} out of range")
-        views = {f: getattr(self, f)[j] for f in PER_SAMPLE_FIELDS}
-        return replace(self, **views, _frame_source=lambda: self.frame.row(j))
+        return replace(self, points=self.points[j], omega=self.omega[j], T=self.T[j])
 
 
 def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -331,10 +322,16 @@ def curve_to_dict(curve: DiscreteCurve) -> dict:
     }
 
 
+def _closed_flag(data: dict) -> bool:
+    if not isinstance(data["closed"], bool):  # a JSON boolean, not any truthy value
+        raise TypeError(f"closed must be true or false, not {data['closed']!r}")
+    return data["closed"]
+
+
 def curve_from_dict(data: dict) -> DiscreteCurve:
     try:
         space = space_from_dict(data["space"])
-        closed = bool(data["closed"])
+        closed = _closed_flag(data)
         points = np.asarray(data["points"], dtype=float)
         n = int(data["t_samples"])
     except (KeyError, TypeError, ValueError) as exc:

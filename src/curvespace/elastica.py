@@ -102,8 +102,8 @@ def _ambient_space(K: float) -> SpaceForm:
 
 def _validate_frame(space: SpaceForm, frame: FrenetFrame) -> None:
     dim = space.ambient_dim
-    for v in (frame.origin, frame.T, frame.N):
-        if v.shape != (dim,):
+    for v in (frame.origin, frame.T, frame.N, frame.B):
+        if v is not None and v.shape != (dim,):
             raise DomainError(f"frame vectors must have dimension {dim}")
     space.check_on_surface(frame.origin)
     g11 = float(space.inner(frame.T, frame.T))

@@ -7,24 +7,23 @@ The metric on variations h, k of a curve c is
 with D_T the covariant arclength derivative.  A path of curves is stored
 as an s-indexed family on one shared grid: one (m, n, dim) point array
 and one stacked ``DiscreteCurve`` whose fields carry the s axis first.
-Its velocity field, Sobolev speed, energy, and the two horizontality
-diagnostics (the direct defect g(eta, T) with eta = c' - D_T^2 c', and
-the normal-path criterion d_theta(rho^2 kappa)) are whole-array
-expressions over that stack; the per-sample functions take row j of it.
+``CurvePath`` caches c', D_T c' and D_T^2 c' over the stack; Sobolev speed,
+energy, and the two horizontality diagnostics (the direct defect g(eta, T)
+with eta = c' - D_T^2 c', and the normal-path criterion d_theta(rho^2 kappa))
+are whole-array expressions over it; the per-sample functions read row j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._fd import diff1
 from .discrete_curves import (
-    PER_SAMPLE_FIELDS,
-    CurveFrame,
     DiscreteCurve,
+    _closed_flag,
     _field_values,
     _integrate_dtheta,
     build_curve,
@@ -40,7 +39,11 @@ MIN_PATH_SAMPLES = 3
 
 @dataclass(frozen=True, eq=False)
 class CurvePath:
-    """Family of curves c(s, .) on a uniform s-grid over [0, 1], stacked in ``batch``."""
+    """Family of curves c(s, .) on a uniform s-grid over [0, 1], stacked in ``batch``.
+
+    ``velocity``, ``dT_velocity`` and ``dT2_velocity`` hold c', D_T c' and
+    D_T^2 c' over the whole stack, each computed once on first read.
+    """
 
     s_grid: np.ndarray
     batch: DiscreteCurve
@@ -79,16 +82,26 @@ class CurvePath:
     def velocity(self) -> np.ndarray:
         """c' at every sample by second-order differences in s, projected tangent; read-only."""
         v = diff1(self.points, self.ds, False, order=2)
-        v = self.space.tangent_project(self.points, v, check=False)
-        v.flags.writeable = False
-        return v
+        return _read_only(self.space.tangent_project(self.points, v, check=False))
+
+    @cached_property
+    def dT_velocity(self) -> np.ndarray:
+        """D_T c' at every sample, over the whole stack; read-only."""
+        return _read_only(cov_d_T(self.batch, self.velocity))
+
+    @cached_property
+    def dT2_velocity(self) -> np.ndarray:
+        """D_T^2 c' at every sample, over the whole stack; read-only."""
+        return _read_only(cov_d_T(self.batch, self.dT_velocity))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def path_from_curves(curves) -> CurvePath:
-    """Stack single curves on one grid into a path; each keeps the fields it was built with.
-
-    The stack's frame is the curves' frames stacked, on first read.
-    """
+    """Stack curves sharing one grid, ``screw_shift`` and ``kappa_floor`` into a path."""
     curves = tuple(curves)
     if len(curves) < MIN_PATH_SAMPLES:
         raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
@@ -104,9 +117,9 @@ def path_from_curves(curves) -> CurvePath:
             raise DomainError("path curves must share one screw_shift")
         if c.kappa_floor != first.kappa_floor:
             raise DomainError("path curves must share one kappa_floor")
-    fields = {f: np.stack([getattr(c, f) for c in curves]) for f in PER_SAMPLE_FIELDS}
-    fields["points"].flags.writeable = False
-    batch = replace(first, **fields, _frame_source=lambda: CurveFrame.stack(c.frame for c in curves))
+    points = np.stack([c.points for c in curves])
+    batch = build_curve(first.space, points, first.closed, t_grid=first.t_grid,
+                        screw_shift=first.screw_shift, kappa_floor=first.kappa_floor)
     return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), batch=batch)
 
 
@@ -139,9 +152,13 @@ def sobolev_inner(curve: DiscreteCurve, h, k):
 
 def path_velocity(path: CurvePath, j: int) -> np.ndarray:
     """Velocity field c'(s_j): row j of ``path.velocity``."""
+    _check_index(path, j)
+    return path.velocity[j]
+
+
+def _check_index(path: CurvePath, j: int) -> None:
     if not 0 <= j < path.m:
         raise PreconditionError(f"path index {j} out of range")
-    return path.velocity[j]
 
 
 def path_speed(path: CurvePath) -> np.ndarray:
@@ -165,44 +182,48 @@ def path_length(path: CurvePath) -> float:
 # horizontality diagnostics
 
 
+def _is_normal(tangential) -> bool:
+    return float(np.max(np.abs(tangential))) <= NORMALITY_TOL
+
+
 def horizontality_defect(path: CurvePath, j: int) -> np.ndarray:
     """Per-sample defect g(eta, T) with eta = c' - D_T^2 c'.
 
     Vanishes (for all t) exactly when the path velocity is orthogonal to
     every reparametrization direction.
     """
-    curve = path.batch.row(j)
     v = path_velocity(path, j)
-    ddv = cov_d_T(curve, cov_d_T(curve, v))
-    return np.asarray(curve.space.inner(v - ddv, curve.T))
+    return np.asarray(path.space.inner(v - path.dT2_velocity[j], path.batch.T[j]))
 
 
 def tangential_component(path: CurvePath, j: int) -> np.ndarray:
-    curve = path.batch.row(j)
-    return np.asarray(curve.space.inner(path_velocity(path, j), curve.T))
+    return np.asarray(path.space.inner(path_velocity(path, j), path.batch.T[j]))
 
 
 def rho_normal_component(path: CurvePath, j: int) -> np.ndarray:
-    curve = path.batch.row(j)
-    return np.asarray(curve.space.inner(path_velocity(path, j), curve.N))
+    return np.asarray(path.space.inner(path_velocity(path, j), path.batch.N[j]))
 
 
-def rho_kappa_defect(path: CurvePath, j: int, *, normal_tol: float = NORMALITY_TOL) -> np.ndarray:
+def rho_kappa_defect(path: CurvePath, j: int) -> np.ndarray:
     """Normal-path horizontality criterion: d_theta(rho^2 kappa) per sample.
 
     Only meaningful for normal paths, so a tangential component above
-    ``normal_tol`` raises :class:`NormalityError`.
+    ``NORMALITY_TOL`` raises :class:`NormalityError`.
     """
-    curve = path.batch.row(j)
-    tangential = tangential_component(path, j)
-    if float(np.max(np.abs(tangential))) > normal_tol:
+    if not _is_normal(tangential_component(path, j)):
         raise NormalityError(
             "path is not normal at this sample; the rho^2 kappa criterion does not apply"
         )
-    if curve.frame_ok is not None and not bool(np.all(curve.frame_ok)):
+    return _rho_kappa(path, j)
+
+
+def _rho_kappa(path: CurvePath, j: int | None = None) -> np.ndarray:
+    """d_theta(rho^2 kappa) on row j, or over the stack when j is None; needs the frame."""
+    batch, rows = path.batch, slice(None) if j is None else j
+    if batch.frame_ok is not None and not bool(np.all(batch.frame_ok[rows])):
         raise DomainError("Frenet frame undefined somewhere; rho is not available")
-    rho = rho_normal_component(path, j)
-    return d_theta(curve, rho * rho * curve.kappa)
+    rho = batch.space.inner(path.velocity[rows], batch.N[rows])
+    return d_theta(batch if j is None else batch.row(j), rho * rho * batch.kappa[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +238,7 @@ class PathDiagnostics:
     horizontality_defect: np.ndarray
     rho: np.ndarray
     tangential: np.ndarray
+    rho_kappa_sup: np.ndarray | None  # sup_t |d_theta(rho^2 kappa)| if normal, else None
 
     @property
     def speed_drift(self) -> float:
@@ -227,19 +249,23 @@ class PathDiagnostics:
 
     @property
     def is_normal(self) -> bool:
-        return float(np.max(np.abs(self.tangential))) <= NORMALITY_TOL
+        return _is_normal(self.tangential)
 
 
 def diagnose_path(path: CurvePath) -> PathDiagnostics:
-    """Speed and both horizontality fields of every sample, over the whole stack."""
+    """Speed and both horizontality criteria of every sample, over the whole stack.
+
+    A normal path whose Frenet frame is undefined somewhere raises :class:`DomainError`.
+    """
     batch, v = path.batch, path.velocity
-    ddv = cov_d_T(batch, cov_d_T(batch, v))
     inner = batch.space.inner
+    tangential = inner(v, batch.T)
     return PathDiagnostics(
         speed=path_speed(path),
-        horizontality_defect=np.max(np.abs(inner(v - ddv, batch.T)), axis=-1),
+        horizontality_defect=np.max(np.abs(inner(v - path.dT2_velocity, batch.T)), axis=-1),
         rho=inner(v, batch.N),
-        tangential=inner(v, batch.T),
+        tangential=tangential,
+        rho_kappa_sup=np.max(np.abs(_rho_kappa(path)), axis=-1) if _is_normal(tangential) else None,
     )
 
 
@@ -265,18 +291,18 @@ def path_to_dict(path: CurvePath, *, pitch: float | None = None) -> dict:
 def path_from_dict(data: dict) -> CurvePath:
     try:
         space = space_from_dict(data["space"])
-        closed = bool(data["closed"])
+        closed = _closed_flag(data)
         points = np.asarray(data["points"], dtype=float)
         m = int(data["s_samples"])
         n = int(data["t_samples"])
+        pitch = None if data.get("pitch") is None else float(data["pitch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid path record: {exc}") from exc
     if points.shape[:2] != (m, n):
         raise DomainError("point array disagrees with s_samples/t_samples")
     t_grid = None
     screw_shift = None
-    if "pitch" in data and data["pitch"] is not None:
-        pitch = float(data["pitch"])
+    if pitch is not None:
         t_grid = 2.0 * np.pi * np.arange(n) / n
         screw_shift = np.array([0.0, 0.0, 2.0 * np.pi * pitch])
     return make_path(space, points, closed, t_grid=t_grid, screw_shift=screw_shift)

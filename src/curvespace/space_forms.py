@@ -116,9 +116,9 @@ class SpaceForm:
         dist = np.abs(root - R) * root / np.linalg.norm(p, axis=-1)
         return np.where(bad, np.inf, dist)
 
-    def check_on_surface(self, p, tol: float = SURFACE_TOL):
+    def check_on_surface(self, p):
         scale = 1.0 + (self.radius if self.curved else 1.0)
-        if np.any(self.surface_distance(p) > tol * scale):
+        if np.any(self.surface_distance(p) > SURFACE_TOL * scale):
             raise DomainError(f"point is not on the {self.model.value} surface")
 
     def project_to_surface(self, p):

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import diff1
-from .discrete_curves import DiscreteCurve, cov_d_T, d_theta
+from .discrete_curves import DiscreteCurve, d_theta
 from .errors import DomainError, NormalityError, PreconditionError
 from .sobolev_metric import (
-    NORMALITY_TOL,
     CurvePath,
+    _check_index,
+    _is_normal,
     path_velocity,
     rho_normal_component,
     tangential_component,
@@ -39,6 +40,9 @@ from .sobolev_metric import (
 from .space_forms import Model
 
 VARIATION_QUANTITIES = ("omega", "kappa")
+# relative tolerances of ``parallel_geodesic_alpha`` on kappa_theta and the t-spread of alpha
+KAPPA_THETA_TOL = 1e-6
+ALPHA_SPREAD_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,35 +64,31 @@ def predicted_omega_variation(path: CurvePath, j: int) -> np.ndarray:
     On normal paths ``normal_omega_discrepancy`` compares it with the
     reduced form -rho kappa omega.
     """
-    curve = path.batch.row(j)
-    dv = cov_d_T(curve, path_velocity(path, j))
-    return np.asarray(curve.space.inner(dv, curve.T)) * curve.omega
+    _check_index(path, j)
+    batch = path.batch
+    return np.asarray(batch.space.inner(path.dT_velocity[j], batch.T[j])) * batch.omega[j]
 
 
-def normal_omega_discrepancy(path: CurvePath, j: int, *, normal_tol: float = NORMALITY_TOL) -> float:
+def normal_omega_discrepancy(path: CurvePath, j: int) -> float:
     """Sup difference between the general formula and -rho kappa omega.
 
     Only defined on normal paths, where the two expressions agree.
     """
-    curve = path.batch.row(j)
-    if float(np.max(np.abs(tangential_component(path, j)))) > normal_tol:
+    if not _is_normal(tangential_component(path, j)):
         raise NormalityError("the -rho kappa omega form only applies to normal paths")
     rho = rho_normal_component(path, j)
     general = predicted_omega_variation(path, j)
-    return float(np.max(np.abs(general + rho * curve.kappa * curve.omega)))
+    return float(np.max(np.abs(general + rho * path.batch.kappa[j] * path.batch.omega[j])))
 
 
 def predicted_kappa_variation(path: CurvePath, j: int) -> np.ndarray:
     """g(D_T^2 c', N) - 2 kappa g(D_T c', T) + K g(c', N) per t-sample."""
-    curve = path.batch.row(j)
     v = path_velocity(path, j)
-    dv = cov_d_T(curve, v)
-    ddv = cov_d_T(curve, dv)
-    K = curve.space.curvature
+    batch, inner = path.batch, path.space.inner
     return np.asarray(
-        curve.space.inner(ddv, curve.N)
-        - 2.0 * curve.kappa * curve.space.inner(dv, curve.T)
-        + K * curve.space.inner(v, curve.N)
+        inner(path.dT2_velocity[j], batch.N[j])
+        - 2.0 * batch.kappa[j] * inner(path.dT_velocity[j], batch.T[j])
+        + path.space.curvature * inner(v, batch.N[j])
     )
 
 
@@ -135,37 +135,31 @@ def curvature_conservation_residual(curve: DiscreteCurve, K: float | None = None
     return 2.0 * kap * kap_tt - 3.0 * kap_t**2 - 4.0 * kap**2 * (kap**2 + K)
 
 
-def parallel_geodesic_alpha(
-    path: CurvePath,
-    *,
-    normal_tol: float = NORMALITY_TOL,
-    kappa_theta_tol: float = 1e-6,
-    spread_tol: float = 1e-6,
-) -> np.ndarray:
+def parallel_geodesic_alpha(path: CurvePath) -> np.ndarray:
     """alpha(s) = (omega')^2 (1 + kappa^2) / (omega kappa^2), one value per s.
 
     Requires a normal family of constant-curvature curves (kappa_theta = 0
     within tolerance); equal values across s characterize a geodesic.  The
     expression is evaluated at t = 0 after checking its relative spread
-    over t stays below ``spread_tol``.
+    over t stays below ``ALPHA_SPREAD_TOL``.
     """
     batch = path.batch
     omega_prime = diff1(batch.omega, path.ds, False, order=2)
     if float(np.max(np.abs(omega_prime))) < 1e-12:
         raise PreconditionError("constant path: alpha is degenerate (omega' = 0)")
-    if float(np.max(np.abs(batch.space.inner(path.velocity, batch.T)))) > normal_tol:
+    if not _is_normal(batch.space.inner(path.velocity, batch.T)):
         raise NormalityError("alpha requires a normal path")
     kap = batch.kappa
     kap_scale = np.max(np.abs(kap), axis=-1)
     if float(np.min(kap_scale)) < 1e-8:
         raise DomainError("alpha is undefined for geodesic (kappa = 0) curves")
     kap_t = d_theta(batch, kap)
-    if np.any(np.max(np.abs(kap_t), axis=-1) > kappa_theta_tol * np.maximum(1.0, kap_scale)):
+    if np.any(np.max(np.abs(kap_t), axis=-1) > KAPPA_THETA_TOL * np.maximum(1.0, kap_scale)):
         raise PreconditionError("alpha requires constant-curvature curves (kappa_theta = 0)")
     field = omega_prime**2 * (1.0 + kap**2) / (batch.omega * kap**2)
     mean = np.mean(field, axis=-1)
     spread = np.max(np.abs(field - mean[:, None]), axis=-1)
-    if np.any((mean != 0.0) & (spread > spread_tol * np.abs(mean))):
+    if np.any((mean != 0.0) & (spread > ALPHA_SPREAD_TOL * np.abs(mean))):
         raise PreconditionError("alpha expression is not t-independent on this family")
     return field[:, 0]
 

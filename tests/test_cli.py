@@ -126,6 +126,24 @@ class TestCheck:
         loop = [float(np.max(np.abs(rho_kappa_defect(path, j)))) for j in range(path.m)]
         assert read_json(report_file)["rho_kappa_sup"] == loop
 
+    def test_derivatives_computed_once_over_the_stack(self, tmp_path, monkeypatch):
+        # D_T c' and D_T^2 c' for the diagnostics, D_T c' for the speed; no per-row rerun
+        from curvespace import discrete_curves, sobolev_metric, variations
+
+        out, report_file = tmp_path / "p.json", tmp_path / "report.json"
+        assert run(["circles", "--curvature", "1", "--r0", "0.3", "--r1", "1.2",
+                    "--s-samples", "12", "--t-samples", "48", "--out", str(out)]) == 0
+        shapes = []
+
+        def counting(curve, field):
+            shapes.append(np.shape(field))
+            return discrete_curves.cov_d_T(curve, field)
+
+        for module in (sobolev_metric, variations):
+            monkeypatch.setattr(module, "cov_d_T", counting, raising=False)
+        assert run(["check", "--input", str(out), "--report", str(report_file)]) == 0
+        assert shapes == [(12, 48, 3)] * 3
+
     def test_undefined_frame_rejected(self, tmp_path, capsys):
         # a normal path of straight segments in R^3: kappa = 0, so rho is undefined
         t = np.linspace(0.0, 1.0, 32)
@@ -202,6 +220,33 @@ class TestNonFiniteInput:
         assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid input" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("pitch", "x"), ("pitch", [1]), ("closed", "no"), ("closed", 1)]
+    )
+    @pytest.mark.parametrize("subcommand", ["check", "distance", "render"])
+    def test_malformed_pitch_or_closed_flag(self, key, value, subcommand, tmp_path, capsys):
+        # a helix path for "pitch"; a circle path, where any truthy "closed" once loaded
+        good = tmp_path / "p.json"
+        argv = (["helices", "--pitch", "0.5"] if key == "pitch" else ["circles", "--curvature", "0"])
+        assert run(argv + ["--r0", "1", "--r1", "1.5", "--s-samples", "8", "--t-samples", "32",
+                           "--out", str(good)]) == 0
+        data = read_json(good)
+        data[key] = value
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = {
+            "check": ["check", "--input", str(bad_file), "--report", str(out)],
+            "distance": ["distance", "--input", str(bad_file)],
+            "render": ["render", "--input", str(bad_file), "--out", str(out)],
+        }[subcommand]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("invalid input:") and key in captured.err
         assert not out.exists()
 
     def test_elastica_spec_with_nan_length(self, tmp_path, capsys):
@@ -373,6 +418,31 @@ class TestElasticaCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("usage error:")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_binormal_of_the_wrong_shape_is_input_error(self, K, tmp_path, capsys):
+        # flat: a full search; K = 1: identical endpoints take the fast path
+        if K == 0.0:
+            spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
+        else:
+            frame = default_surface_frame(1.0)
+            triple = {"k": 2.0, "lambda": 6.0, "mu": 0.0}
+            spec = {"K": 1.0, "L": 3.0, "start": triple, "end": triple,
+                    "init_frame": {"origin": frame.origin.tolist(), "T": frame.T.tolist(),
+                                   "N": frame.N.tolist()}}
+        spec["init_frame"]["B"] = [[0.0, 0.0, 1.0]]
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
+                    "--s-samples", "5", "--t-samples", "32",
+                    "--out", str(out), "--trace", str(trace)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("invalid input:")
         assert not out.exists() and not trace.exists()
 
     def test_bad_spec_is_input_error(self, tmp_path):

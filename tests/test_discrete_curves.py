@@ -420,15 +420,6 @@ class TestLazyFrame:
         with pytest.raises(DomainError, match="kappa_floor"):
             path_from_curves([rows[0], loose, rows[1]])
 
-    def test_row_frame_shares_memory_with_the_batch(self):
-        space, pts, kwargs = _batch_cases()["helix"]
-        batch = build_curve(space, pts, **kwargs)
-        row = batch.row(2)
-        tau = row.tau  # a row read first computes the frame of the whole stack
-        assert np.shares_memory(tau, batch.tau)
-        for name in FRAME_FIELDS:
-            assert np.shares_memory(getattr(row, name), getattr(batch, name)), name
-
     def test_row_needs_a_stack_and_an_index_in_range(self):
         pts, _ = circle_points(64)
         with pytest.raises(PreconditionError, match="stack"):
@@ -473,6 +464,14 @@ class TestCurveSerialization:
     def test_bad_record(self):
         with pytest.raises(DomainError):
             curve_from_dict({"closed": True, "points": [[0, 0]]})
+
+    @pytest.mark.parametrize("closed", ["no", 1, None])
+    def test_closed_must_be_a_json_boolean(self, closed):
+        pts, _ = circle_points(64)
+        data = curve_to_dict(build_curve(plane(), pts, closed=True))
+        data["closed"] = closed
+        with pytest.raises(DomainError, match="closed"):
+            curve_from_dict(data)
 
     def test_stack_rejected(self):
         pts, _ = circle_points(64)

@@ -1,0 +1,182 @@
+"""Whole-stack path diagnostics against the per-row implementations they replaced.
+
+The oracles below rebuild row j with ``batch.row(j)`` and run ``cov_d_T``
+on that single curve, as the per-sample functions once did; the library
+reads row j of the derivatives it caches over the stack.  Every value
+must agree bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from curvespace import (
+    DomainError,
+    NormalityError,
+    euclidean3d,
+    hyperbolic,
+    make_path,
+    plane,
+    solve_concentric_geodesic,
+    solve_helix_geodesic,
+    sphere,
+)
+from curvespace import sobolev_metric as sm
+from curvespace import variations as va
+from curvespace.discrete_curves import cov_d_T, d_theta
+from curvespace.elastica import (
+    ElasticaParams,
+    ElasticaPathSpec,
+    _end_frame,
+    _interior_seed,
+    default_flat_frame,
+    materialize_path,
+)
+
+
+def _torsional_elastica_path():
+    start = ElasticaParams(k=1.0, lam=0.6, mu=0.1, K=0.0, L=2 * np.pi, frame=default_flat_frame(1.0))
+    end = ElasticaParams(k=0.8, lam=0.3, mu=0.05, K=0.0, L=2 * np.pi / 0.8, frame=_end_frame(start, 0.8))
+    spec = ElasticaPathSpec(
+        start=start, end=end, control_points=_interior_seed(start, end, 2), m=7, n=96
+    )
+    return materialize_path(spec)
+
+
+PATHS = {
+    "plane": lambda: solve_concentric_geodesic(plane(), 1.0, 2.0, m=9, n=64)[1],
+    "sphere": lambda: solve_concentric_geodesic(sphere(1.0), 0.3, 1.2, m=9, n=64)[1],
+    "hyperboloid": lambda: solve_concentric_geodesic(hyperbolic(-1.0), 0.5, 1.5, m=9, n=64)[1],
+    "helix": lambda: solve_helix_geodesic(1.0, 2.0, 0.5, m=9, n=64)[1],
+    "torsional_elastica": _torsional_elastica_path,
+}
+
+
+# ---------------------------------------------------------------------------
+# per-row oracles: row j as its own curve, derivatives recomputed on it
+
+
+def _row(path, j):
+    return path.batch.row(j), sm.path_velocity(path, j)
+
+
+def oracle_horizontality_defect(path, j):
+    curve, v = _row(path, j)
+    ddv = cov_d_T(curve, cov_d_T(curve, v))
+    return np.asarray(curve.space.inner(v - ddv, curve.T))
+
+
+def oracle_tangential_component(path, j):
+    curve, v = _row(path, j)
+    return np.asarray(curve.space.inner(v, curve.T))
+
+
+def oracle_rho_normal_component(path, j):
+    curve, v = _row(path, j)
+    return np.asarray(curve.space.inner(v, curve.N))
+
+
+def oracle_rho_kappa_defect(path, j):
+    curve, _ = _row(path, j)
+    if float(np.max(np.abs(oracle_tangential_component(path, j)))) > sm.NORMALITY_TOL:
+        raise NormalityError("not normal")
+    if curve.frame_ok is not None and not bool(np.all(curve.frame_ok)):
+        raise DomainError("frame undefined")
+    rho = oracle_rho_normal_component(path, j)
+    return d_theta(curve, rho * rho * curve.kappa)
+
+
+def oracle_predicted_omega_variation(path, j):
+    curve, v = _row(path, j)
+    return np.asarray(curve.space.inner(cov_d_T(curve, v), curve.T)) * curve.omega
+
+
+def oracle_predicted_kappa_variation(path, j):
+    curve, v = _row(path, j)
+    dv = cov_d_T(curve, v)
+    ddv = cov_d_T(curve, dv)
+    return np.asarray(
+        curve.space.inner(ddv, curve.N)
+        - 2.0 * curve.kappa * curve.space.inner(dv, curve.T)
+        + curve.space.curvature * curve.space.inner(v, curve.N)
+    )
+
+
+def oracle_normal_omega_discrepancy(path, j):
+    curve, _ = _row(path, j)
+    if float(np.max(np.abs(oracle_tangential_component(path, j)))) > sm.NORMALITY_TOL:
+        raise NormalityError("not normal")
+    rho = oracle_rho_normal_component(path, j)
+    general = oracle_predicted_omega_variation(path, j)
+    return float(np.max(np.abs(general + rho * curve.kappa * curve.omega)))
+
+
+PAIRS = [
+    (sm.horizontality_defect, oracle_horizontality_defect),
+    (sm.tangential_component, oracle_tangential_component),
+    (sm.rho_normal_component, oracle_rho_normal_component),
+    (sm.rho_kappa_defect, oracle_rho_kappa_defect),
+    (va.predicted_omega_variation, oracle_predicted_omega_variation),
+    (va.predicted_kappa_variation, oracle_predicted_kappa_variation),
+    (va.normal_omega_discrepancy, oracle_normal_omega_discrepancy),
+]
+
+
+def _outcome(fn, path, j):
+    try:
+        return fn(path, j)
+    except (NormalityError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", list(PATHS))
+class TestStackDiagnosticsMatchRowOracles:
+    def test_per_sample_functions(self, case):
+        path = PATHS[case]()
+        for fn, oracle in PAIRS:
+            for j in range(path.m):
+                got, want = _outcome(fn, path, j), _outcome(oracle, path, j)
+                if isinstance(want, type):
+                    assert got is want, (fn.__name__, j)
+                else:
+                    assert np.array_equal(got, want), (fn.__name__, j)
+
+    def test_diagnose_path_fields(self, case):
+        path = PATHS[case]()
+        diag = sm.diagnose_path(path)
+        assert np.array_equal(diag.speed, sm.path_speed(path))
+        normal = all(
+            float(np.max(np.abs(oracle_tangential_component(path, j)))) <= sm.NORMALITY_TOL
+            for j in range(path.m)
+        )
+        assert diag.is_normal == normal
+        if not normal:
+            assert diag.rho_kappa_sup is None
+        for j in range(path.m):
+            assert diag.horizontality_defect[j] == np.max(np.abs(oracle_horizontality_defect(path, j)))
+            assert np.array_equal(diag.rho[j], oracle_rho_normal_component(path, j))
+            assert np.array_equal(diag.tangential[j], oracle_tangential_component(path, j))
+            if normal:
+                assert diag.rho_kappa_sup[j] == np.max(np.abs(oracle_rho_kappa_defect(path, j)))
+
+    def test_cached_derivatives_are_read_only(self, case):
+        path = PATHS[case]()
+        for values in (path.dT_velocity, path.dT2_velocity):
+            assert values.shape == path.points.shape
+            with pytest.raises(ValueError):
+                values[0, 0, 0] = 1.0
+
+
+def test_cases_cover_normal_and_non_normal_paths():
+    assert sm.diagnose_path(PATHS["helix"]()).rho_kappa_sup is not None
+    assert sm.diagnose_path(PATHS["torsional_elastica"]()).rho_kappa_sup is None
+
+
+def test_undefined_frame_on_a_normal_path_is_a_domain_error():
+    # straight segments in R^3 moving sideways: normal, but kappa = 0
+    t = np.linspace(0.0, 1.0, 32)
+    pts = np.stack([np.stack([t, 0.0 * t + s, 0.0 * t], axis=1) for s in np.linspace(0, 1, 5)])
+    path = make_path(euclidean3d(), pts, closed=False)
+    with pytest.raises(DomainError, match="Frenet frame undefined"):
+        sm.diagnose_path(path)
+    with pytest.raises(DomainError, match="Frenet frame undefined"):
+        sm.rho_kappa_defect(path, 2)
