@@ -41,7 +41,15 @@ import numpy as np
 
 from ._fd import diff1
 from .errors import CapabilityError, DomainError, ImmersionError, PreconditionError
-from .space_forms import Model, SpaceForm, space_from_dict, space_to_dict
+from .space_forms import (
+    Model,
+    SpaceForm,
+    json_array,
+    json_count,
+    json_flag,
+    space_from_dict,
+    space_to_dict,
+)
 
 KAPPA_FLOOR = 1e-8
 TANGENCY_TOL = 1e-9
@@ -322,18 +330,12 @@ def curve_to_dict(curve: DiscreteCurve) -> dict:
     }
 
 
-def _closed_flag(data: dict) -> bool:
-    if not isinstance(data["closed"], bool):  # a JSON boolean, not any truthy value
-        raise TypeError(f"closed must be true or false, not {data['closed']!r}")
-    return data["closed"]
-
-
 def curve_from_dict(data: dict) -> DiscreteCurve:
     try:
         space = space_from_dict(data["space"])
-        closed = _closed_flag(data)
-        points = np.asarray(data["points"], dtype=float)
-        n = int(data["t_samples"])
+        closed = json_flag(data, "closed")
+        points = json_array(data, "points")
+        n = json_count(data, "t_samples")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid curve record: {exc}") from exc
     if points.shape[0] != n:

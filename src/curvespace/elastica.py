@@ -63,6 +63,8 @@ from .space_forms import (
     SpaceForm,
     euclidean3d,
     exp_polar,
+    json_array,
+    json_number,
     standard_frame,
     surface_of_curvature,
 )
@@ -696,10 +698,10 @@ def default_surface_frame(K: float) -> FrenetFrame:
 
 def _frame_from_dict(data: dict, K: float) -> FrenetFrame:
     frame = FrenetFrame(
-        origin=np.asarray(data["origin"], dtype=float),
-        T=np.asarray(data["T"], dtype=float),
-        N=np.asarray(data["N"], dtype=float),
-        B=np.asarray(data["B"], dtype=float) if "B" in data and data["B"] is not None else None,
+        origin=json_array(data, "origin"),
+        T=json_array(data, "T"),
+        N=json_array(data, "N"),
+        B=json_array(data, "B") if data.get("B") is not None else None,
     )
     _validate_frame(_ambient_space(K), frame)
     return frame
@@ -712,10 +714,10 @@ def endpoints_from_dict(data: dict) -> tuple[ElasticaParams, ElasticaParams]:
     length and gauge frame follow from the shared dimensionless length.
     """
     try:
-        K = float(data["K"])
-        L = float(data["L"])
+        K = json_number(data, "K")
+        L = json_number(data, "L")
         s, e = data["start"], data["end"]
-        triples = [(float(d["k"]), float(d["lambda"]), float(d["mu"])) for d in (s, e)]
+        triples = [tuple(json_number(d, key) for key in ("k", "lambda", "mu")) for d in (s, e)]
         frame = _frame_from_dict(data["init_frame"], K)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid elastica endpoint record: {exc}") from exc

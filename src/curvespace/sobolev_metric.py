@@ -23,7 +23,6 @@ import numpy as np
 from ._fd import diff1
 from .discrete_curves import (
     DiscreteCurve,
-    _closed_flag,
     _field_values,
     _integrate_dtheta,
     build_curve,
@@ -31,7 +30,15 @@ from .discrete_curves import (
     d_theta,
 )
 from .errors import DomainError, NormalityError, PreconditionError
-from .space_forms import SpaceForm, space_from_dict, space_to_dict
+from .space_forms import (
+    SpaceForm,
+    json_array,
+    json_count,
+    json_flag,
+    json_number,
+    space_from_dict,
+    space_to_dict,
+)
 
 NORMALITY_TOL = 1e-6
 MIN_PATH_SAMPLES = 3
@@ -291,11 +298,11 @@ def path_to_dict(path: CurvePath, *, pitch: float | None = None) -> dict:
 def path_from_dict(data: dict) -> CurvePath:
     try:
         space = space_from_dict(data["space"])
-        closed = _closed_flag(data)
-        points = np.asarray(data["points"], dtype=float)
-        m = int(data["s_samples"])
-        n = int(data["t_samples"])
-        pitch = None if data.get("pitch") is None else float(data["pitch"])
+        closed = json_flag(data, "closed")
+        points = json_array(data, "points")
+        m = json_count(data, "s_samples")
+        n = json_count(data, "t_samples")
+        pitch = None if data.get("pitch") is None else json_number(data, "pitch")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid path record: {exc}") from exc
     if points.shape[:2] != (m, n):

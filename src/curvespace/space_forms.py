@@ -337,9 +337,50 @@ def space_to_dict(space: SpaceForm) -> dict:
     return {"model": space.model.value, "curvature": space.curvature}
 
 
+def json_number(data: dict, key: str) -> float:
+    """``data[key]`` as a float; a JSON number, not a boolean or a string."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{key} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise DomainError(f"{key} is out of range") from exc
+
+
+def json_count(data: dict, key: str) -> int:
+    """``data[key]`` as an int; a JSON integer, not a boolean or a float."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def json_flag(data: dict, key: str) -> bool:
+    """``data[key]``; a JSON boolean, not any truthy value."""
+    value = data[key]
+    if not isinstance(value, bool):
+        raise DomainError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
+def json_array(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` as a float array; nested JSON arrays of numbers.
+
+    A string, a null or an integer beyond int64 anywhere, or booleans
+    alone, give a non-numeric dtype and are rejected; a ragged nesting
+    raises ValueError.  A boolean among numbers reads as 0 or 1: finding
+    it would take a Python pass over every element of a path's points.
+    """
+    values = np.asarray(data[key])
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{key} must be an array of numbers")
+    return values.astype(float)
+
+
 def space_from_dict(data: dict) -> SpaceForm:
     try:
-        return SpaceForm(Model(data["model"]), float(data["curvature"]))
+        return SpaceForm(Model(data["model"]), json_number(data, "curvature"))
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, DomainError):
             raise

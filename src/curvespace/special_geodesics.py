@@ -7,10 +7,10 @@ Both families collapse the geodesic equation to conservation of
 with profile f(r) = omega + omega_r^2 / omega for circles on a
 constant-curvature surface and f(r) = sqrt(r^2 + h^2) + 1/sqrt(r^2 + h^2)
 for pitch-h helices in R^3.  With boundary values r(0) = r0, r(1) = r1 the
-monotone solution is recovered by quadrature:
+monotone solution takes E by quadrature, r(s) by one ODE solve:
 
     sqrt(E) = | integral_{r0}^{r1} sqrt(f) dr |,
-    r(s) solves  integral_{r0}^{r(s)} sqrt(f) dr = s sqrt(E).
+    |r'(s)| = sqrt(E) / sqrt(f(r)).
 
 The Sobolev speed of the materialized path is nu = sqrt(2 pi E), constant
 in s, and the path distance is sqrt(2 pi E).
@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from ._fd import diff1
 from .errors import DomainError, NumericFailure, PreconditionError
@@ -39,7 +40,9 @@ from .space_forms import (
 
 R_MIN = 1e-4
 _QUAD_TOL = 1e-12
-_INVERT_TOL = 1e-12
+_ODE_RTOL = 1e-13
+# the solved r(1) must land on the far radius to this relative tolerance
+_LANDING_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -87,63 +90,50 @@ def helix_profile_f(r, h: float):
 
 
 # ---------------------------------------------------------------------------
-# conserved-quantity quadrature
+# the radius profile: E by quadrature, r(s) by one ODE solve
 
 
-def _solve_radius_profile(sqrt_f, r0: float, r1: float, m: int):
-    """Invert the arclength-like integral of sqrt(f) on a uniform s-grid.
+def _solve_radius_profile(f, r0: float, r1: float, m: int):
+    """Solve (r')^2 f(r) = E with r(0) = r0, r(1) = r1 on a uniform s-grid.
 
-    Returns (s_grid, r, sqrt_E).  The integral runs from min(r0, r1) to
-    max(r0, r1); targets are mirrored for decreasing trajectories so
-    forward and reverse solves produce exactly mirrored radii.
+    Returns (s_grid, r, E, distance).  sqrt(E) is the quadrature of sqrt(f)
+    over [min(r0, r1), max(r0, r1)]; the radii solve r' = sqrt(E) / sqrt(f(r))
+    upward from the smaller radius and are reversed for r1 < r0, so forward
+    and reverse solves produce exactly mirrored radii.
     """
-    if m < 3:
-        raise PreconditionError("need at least 3 path samples")
-    lo, hi = min(r0, r1), max(r0, r1)
-    with warnings.catch_warnings():
-        # a failed quadrature is reported through NumericFailure below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        total, err = quad(sqrt_f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    if not math.isfinite(total) or err > 1e-8 * max(1.0, abs(total)):
-        raise NumericFailure("quadrature of sqrt(f) did not converge")
-
-    s_grid = np.linspace(0.0, 1.0, m)
-    r_incr = np.empty(m)
-    r_incr[0], r_incr[-1] = lo, hi
-    r_prev, phi_prev = lo, 0.0
-    for idx in range(1, m - 1):
-        target = s_grid[idx] * total
-        lo_b, hi_b = r_prev, hi
-        r_cur, phi_cur = r_prev, phi_prev
-        for _ in range(100):
-            resid = phi_cur - target
-            if abs(resid) <= _INVERT_TOL * max(1.0, total):
-                break
-            if resid > 0.0:
-                hi_b = r_cur
-            else:
-                lo_b = r_cur
-            step = -resid / sqrt_f(r_cur)
-            r_next = r_cur + step
-            if not lo_b < r_next < hi_b:  # Newton left the bracket; bisect
-                r_next = 0.5 * (lo_b + hi_b)
-            seg, _ = quad(sqrt_f, r_cur, r_next, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-            phi_cur += seg
-            r_cur = r_next
-        else:
-            raise NumericFailure("radius inversion did not converge")
-        r_incr[idx] = r_cur
-        r_prev, phi_prev = r_cur, phi_cur
-
-    r = r_incr if r1 >= r0 else r_incr[::-1].copy()
-    return s_grid, r, total
-
-
-def _check_endpoints(r0: float, r1: float):
     if r0 == r1:
         raise PreconditionError("endpoint radii must differ (r0 != r1)")
     if min(r0, r1) < R_MIN:
         raise DomainError(f"radii must stay above {R_MIN}")
+    if m < 3:
+        raise PreconditionError("need at least 3 path samples")
+    lo, hi = float(min(r0, r1)), float(max(r0, r1))
+    with warnings.catch_warnings():
+        # a failed quadrature is reported through NumericFailure below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        sqrt_E, err = quad(
+            lambda r: math.sqrt(f(r)), lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200
+        )
+    if not math.isfinite(sqrt_E) or err > 1e-8 * max(1.0, abs(sqrt_E)):
+        raise NumericFailure("quadrature of sqrt(f) did not converge")
+    E = sqrt_E * sqrt_E
+    distance = math.sqrt(2.0 * math.pi * E)
+    if not math.isfinite(distance):
+        raise NumericFailure(f"conserved quantity E = {E} is not finite")
+
+    s_grid = np.linspace(0.0, 1.0, m)
+    # Runge-Kutta stages may step outside [lo, hi], where f can be undefined
+    sol = solve_ivp(
+        lambda s, r: sqrt_E / np.sqrt(f(np.clip(r, lo, hi))),
+        (0.0, 1.0), [lo], method="DOP853", t_eval=s_grid, rtol=_ODE_RTOL, atol=0.0,
+    )
+    if not sol.success or not abs(sol.y[0, -1] - hi) <= _LANDING_TOL * max(1.0, hi):
+        raise NumericFailure("radius inversion did not converge")
+    r = sol.y[0]
+    r[0], r[-1] = lo, hi
+    if r1 < r0:
+        r = r[::-1].copy()
+    return s_grid, r, E, distance
 
 
 def solve_concentric_geodesic(
@@ -161,18 +151,11 @@ def solve_concentric_geodesic(
     """
     if space.model is Model.EUCLIDEAN3D:
         raise DomainError("concentric circle families live on 2D space forms")
-    _check_endpoints(r0, r1)
     if space.model is Model.SPHERE2D:
         r_max = math.pi / math.sqrt(space.curvature)
         if max(r0, r1) >= r_max:
             raise DomainError("radius reaches the spherical cut locus")
-
-    def sqrt_f(r):
-        return math.sqrt(circle_profile_f(space, r))
-
-    s_grid, r, sqrt_E = _solve_radius_profile(sqrt_f, float(r0), float(r1), m)
-    E = sqrt_E * sqrt_E
-    distance = math.sqrt(2.0 * math.pi * E)
+    s_grid, r, E, distance = _solve_radius_profile(partial(circle_profile_f, space), r0, r1, m)
 
     if frame is None:
         frame = standard_frame(space)
@@ -195,15 +178,8 @@ def solve_helix_geodesic(
     are open over t in [0, 2 pi) but differentiated with screw-periodic
     stencils, the wrap translating by (0, 0, 2 pi h).
     """
-    _check_endpoints(r0, r1)
     h = float(h)
-
-    def sqrt_f(r):
-        return math.sqrt(helix_profile_f(r, h))
-
-    s_grid, r, sqrt_E = _solve_radius_profile(sqrt_f, float(r0), float(r1), m)
-    E = sqrt_E * sqrt_E
-    distance = math.sqrt(2.0 * math.pi * E)
+    s_grid, r, E, distance = _solve_radius_profile(partial(helix_profile_f, h=h), r0, r1, m)
 
     space = SpaceForm(Model.EUCLIDEAN3D, 0.0)
     t = 2.0 * np.pi * np.arange(n) / n

@@ -249,6 +249,67 @@ class TestNonFiniteInput:
         assert captured.err.startswith("invalid input:") and key in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys,value", [
+        (("pitch",), "0.5"),
+        (("pitch",), True),
+        (("s_samples",), 8.9),
+        (("t_samples",), 32.5),
+        (("space", "curvature"), "1"),
+        (("space", "curvature"), True),
+        (("points",), "strings"),
+    ])
+    @pytest.mark.parametrize("subcommand", ["check", "distance", "render"])
+    def test_path_fields_are_not_coerced(self, keys, value, subcommand, tmp_path, capsys):
+        # each value once loaded as float() or int() of itself
+        good = tmp_path / "p.json"
+        argv = ["helices", "--pitch", "0.5"] if keys == ("pitch",) else ["circles", "--curvature", "1"]
+        assert run(argv + ["--r0", "1", "--r1", "1.5", "--s-samples", "8", "--t-samples", "32",
+                           "--out", str(good)]) == 0
+        data = read_json(good)
+        if value == "strings":
+            value = [[[repr(x) for x in point] for point in row] for row in data["points"]]
+        record = data
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = {
+            "check": ["check", "--input", str(bad_file), "--report", str(out)],
+            "distance": ["distance", "--input", str(bad_file)],
+            "render": ["render", "--input", str(bad_file), "--out", str(out)],
+        }[subcommand]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("invalid input:") and keys[-1] in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys,value", [
+        (("start", "k"), "1.0"),
+        (("K",), False),
+        (("init_frame", "origin"), ["1.0", "0.0", "0.0"]),
+    ])
+    def test_endpoint_fields_are_not_coerced(self, keys, value, tmp_path, capsys):
+        spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
+        record = spec
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
+                    "--s-samples", "5", "--t-samples", "32", "--out", str(out), "--trace", str(trace)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("invalid input:") and keys[-1] in captured.err
+        assert not out.exists() and not trace.exists()
+
     def test_elastica_spec_with_nan_length(self, tmp_path, capsys):
         spec = {
             "K": 0.0,
@@ -506,3 +567,18 @@ class TestExitCodes:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("numeric failure:")
         assert not out.exists()
+
+    def test_overflowing_conserved_quantity(self, tmp_path, capfd):
+        # sqrt(E) = 6.7e299 is finite but E = inf; once written to every CSV row
+        out, traj = tmp_path / "x.json", tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["circles", "--curvature", "0", "--r0", "1", "--r1", "1e200",
+                        "--out", str(out), "--traj", str(traj)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("numeric failure:")
+        assert not out.exists() and not traj.exists()

@@ -272,3 +272,9 @@ class TestSerialization:
             space_from_dict({"model": "klein", "curvature": 1.0})
         with pytest.raises(DomainError):
             space_from_dict({"curvature": 1.0})
+
+    @pytest.mark.parametrize("curvature", ["1", True, 10**400])
+    def test_curvature_must_be_a_json_number(self, curvature):
+        # once loaded as float() of itself, or escaped as an OverflowError
+        with pytest.raises(DomainError, match="curvature"):
+            space_from_dict({"model": "sphere2d", "curvature": curvature})

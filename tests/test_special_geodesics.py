@@ -1,9 +1,15 @@
+import math
+import warnings
+from functools import partial
+
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from curvespace import (
     DomainError,
+    NumericFailure,
     PreconditionError,
     circle_profile_f,
     helix_profile_f,
@@ -16,9 +22,11 @@ from curvespace import (
     sphere,
 )
 from curvespace.sobolev_metric import tangential_component
+from curvespace import special_geodesics
 from curvespace.special_geodesics import (
     ConcentricCircles,
     RadiusTrajectory,
+    _solve_radius_profile,
     conserved_drift,
     trajectory_to_csv,
 )
@@ -190,3 +198,133 @@ class TestTrajectoryCSV:
         assert len(lines) == 9
         s, r, E = (float(x) for x in lines[1].split(","))
         assert s == 0.0 and r == 1.0 and E == traj.conserved
+
+
+# ---------------------------------------------------------------------------
+# the radius solver against the Newton-bisection inversion it replaced
+
+_QUAD_TOL = 1e-12
+_INVERT_TOL = 1e-12
+
+
+def _newton_bisection_radii(sqrt_f, r0: float, r1: float, m: int):
+    """Invert the arclength-like integral of sqrt(f) on a uniform s-grid.
+
+    Returns (s_grid, r, sqrt_E).  The integral runs from min(r0, r1) to
+    max(r0, r1); targets are mirrored for decreasing trajectories so
+    forward and reverse solves produce exactly mirrored radii.
+    """
+    if m < 3:
+        raise PreconditionError("need at least 3 path samples")
+    lo, hi = min(r0, r1), max(r0, r1)
+    with warnings.catch_warnings():
+        # a failed quadrature is reported through NumericFailure below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total, err = quad(sqrt_f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    if not math.isfinite(total) or err > 1e-8 * max(1.0, abs(total)):
+        raise NumericFailure("quadrature of sqrt(f) did not converge")
+
+    s_grid = np.linspace(0.0, 1.0, m)
+    r_incr = np.empty(m)
+    r_incr[0], r_incr[-1] = lo, hi
+    r_prev, phi_prev = lo, 0.0
+    for idx in range(1, m - 1):
+        target = s_grid[idx] * total
+        lo_b, hi_b = r_prev, hi
+        r_cur, phi_cur = r_prev, phi_prev
+        for _ in range(100):
+            resid = phi_cur - target
+            if abs(resid) <= _INVERT_TOL * max(1.0, total):
+                break
+            if resid > 0.0:
+                hi_b = r_cur
+            else:
+                lo_b = r_cur
+            step = -resid / sqrt_f(r_cur)
+            r_next = r_cur + step
+            if not lo_b < r_next < hi_b:  # Newton left the bracket; bisect
+                r_next = 0.5 * (lo_b + hi_b)
+            seg, _ = quad(sqrt_f, r_cur, r_next, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
+            phi_cur += seg
+            r_cur = r_next
+        else:
+            raise NumericFailure("radius inversion did not converge")
+        r_incr[idx] = r_cur
+        r_prev, phi_prev = r_cur, phi_cur
+
+    r = r_incr if r1 >= r0 else r_incr[::-1].copy()
+    return s_grid, r, total
+
+
+def _sphere(K, lo, gap):
+    """Curvature-K sphere case from lo to ``gap`` short of the cut locus."""
+    return sphere(K), lo, math.pi / math.sqrt(K) - gap
+
+
+RADIUS_CASES = [
+    (plane(), 1e-4, 1.0), (plane(), 1.0, 2.0), (plane(), 1e-4, 1e4),
+    _sphere(1.0, 1e-4, 0.5 * math.pi), _sphere(1.0, 1e-4, 1e-9), _sphere(4.0, 1e-4, 1e-4),
+    _sphere(100.0, 0.09, 1e-4), _sphere(100.0, 1e-4, 1e-9),
+    (hyperbolic(-0.25), 1e-4, 5.0), (hyperbolic(-1.0), 0.5, 3.0), (hyperbolic(-4.0), 1e-4, 5.0),
+] + [(h, lo, hi) for h in (0.0, 1.0, 1e3, 1e150) for lo, hi in [(1e-4, 1.0), (0.5, 100.0)]]
+
+
+def _profile(family):
+    """(f, scalar sqrt f) of a space form's circles or of pitch-h helices."""
+    if isinstance(family, float):
+        return partial(helix_profile_f, h=family), lambda r: math.sqrt(helix_profile_f(r, family))
+    return partial(circle_profile_f, family), lambda r: math.sqrt(circle_profile_f(family, r))
+
+
+class TestRadiusSolver:
+    @pytest.mark.parametrize("family,lo,hi", RADIUS_CASES)
+    def test_matches_newton_bisection(self, family, lo, hi):
+        f, sqrt_f = _profile(family)
+        _, oracle, sqrt_E = _newton_bisection_radii(sqrt_f, lo, hi, 9)
+        for r0, r1, ref in ((lo, hi, oracle), (hi, lo, oracle[::-1])):
+            s, r, E, distance = _solve_radius_profile(f, r0, r1, 9)
+            assert E == sqrt_E * sqrt_E and distance == math.sqrt(2.0 * math.pi * E)
+            assert r[0] == r0 and r[-1] == r1
+            assert np.max(np.abs(r - ref)) <= 1e-11 * max(1.0, hi)
+
+    @pytest.mark.parametrize("family,lo,hi,phi", [
+        (plane(), 1e-4, 1.0, lambda r: mp.sqrt(r + 1 / r)),
+        (sphere(1.0), 1e-4, math.pi - 1e-4, lambda r: 1 / mp.sqrt(mp.sin(r))),
+        (hyperbolic(-1.0), 1e-4, 5.0, lambda r: mp.sqrt(mp.sinh(r) + mp.cosh(r) ** 2 / mp.sinh(r))),
+    ])
+    def test_first_integral_against_mpmath(self, family, lo, hi, phi):
+        # Phi(r_i) = integral_{lo}^{r_i} sqrt(f) dr must equal s_i sqrt(E)
+        s, r, E, _ = _solve_radius_profile(partial(circle_profile_f, family), lo, hi, 9)
+        sqrt_E = math.sqrt(E)
+        with mp.workdps(30):
+            Phi = [mp.quad(phi, [lo, 0.5 * (lo + ri), ri]) for ri in r[1:]]
+            errors = [abs(float(P - mp.mpf(si) * mp.sqrt(E))) for P, si in zip(Phi, s[1:])]
+        assert max(errors) <= 1e-12 * max(1.0, sqrt_E)
+
+    def test_one_quadrature_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(special_geodesics, "quad", counting_quad)
+        solve_concentric_geodesic(sphere(1.0), 0.3, 1.2, m=64, n=16)
+        assert len(calls) == 1
+        solve_helix_geodesic(1.6, 1.0, 0.5, m=64, n=16)
+        assert len(calls) == 2
+
+    def test_inconsistent_quadrature_is_refused(self):
+        # QUADPACK's sqrt(E) for [0.3 pi, pi - 1e-9] on the unit sphere is 2e-5
+        # too large while its error estimate passes; the radii then overshoot
+        # the far endpoint by 2e-9 and the landing check refuses them
+        with pytest.raises(NumericFailure, match="radius inversion"):
+            solve_concentric_geodesic(sphere(1.0), 0.3 * math.pi, math.pi - 1e-9, m=9, n=16)
+
+    def test_overflowing_conserved_quantity_raises(self):
+        # sqrt(E) = 6.7e299 is finite but E overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericFailure, match="not finite"):
+                solve_concentric_geodesic(plane(), 1.0, 1e200, m=9, n=16)
+        assert [str(w.message) for w in caught] == []
