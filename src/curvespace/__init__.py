@@ -46,13 +46,13 @@ from .sobolev_metric import (
     diagnose_path,
     horizontality_defect,
     make_path,
+    normal_rows,
     path_energy,
     path_from_curves,
     path_from_dict,
     path_length,
     path_speed,
     path_to_dict,
-    path_velocity,
     rho_kappa_defect,
     sobolev_inner,
 )

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 invalid input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,6 +82,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvespace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -147,11 +149,12 @@ def _dump_json(data, out_path: str) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or UTF-8, an integer past the digit limit, too deep a nesting
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
@@ -215,18 +218,19 @@ def _cmd_elastica(opt) -> int:
 
 
 def _variation_block(path: sm.CurvePath, normal: bool) -> dict:
+    # the middle row j; a report with eps_steps = k holds rows k .. m-1-k
     j = path.m // 2
     block = {}
     for quantity in va.VARIATION_QUANTITIES:
-        rep = va.variation_report(path, quantity, j)
-        entry = {"sup_error": rep.abs_error}
+        sup_error = float(va.variation_report(path, quantity).abs_error[j - 1])
+        entry = {"sup_error": sup_error}
         # factor between the 2*ds and ds oracles; ~4 for second-order
         # agreement, omitted once the error sits at the roundoff floor
-        if 2 <= j <= path.m - 3 and rep.abs_error > 1e-12:
-            coarse = va.variation_report(path, quantity, j, eps_steps=2)
-            entry["convergence_factor"] = coarse.abs_error / rep.abs_error
+        if 2 <= j <= path.m - 3 and sup_error > 1e-12:
+            coarse = float(va.variation_report(path, quantity, eps_steps=2).abs_error[j - 2])
+            entry["convergence_factor"] = coarse / sup_error
         if quantity == "omega" and normal:
-            entry["normal_form_discrepancy"] = va.normal_omega_discrepancy(path, j)
+            entry["normal_form_discrepancy"] = float(va.normal_omega_discrepancy(path)[j])
         block[quantity] = entry
     return block
 
@@ -292,8 +296,9 @@ def _render_svg(path: sm.CurvePath) -> str:
         f'height="{_VIEW:.0f}" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for j, (x, y) in enumerate(zip(xs, ys)):
-        coord = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
+    template = " ".join(["%.2f,%.2f"] * xs.shape[1])
+    for j, xy in enumerate(np.stack([xs, ys], axis=-1).reshape(len(xs), -1).tolist()):
+        coord = template % tuple(xy)
         if j == 0:
             style = 'stroke="#1a9641" stroke-width="2.2"'
         elif j == path.m - 1:

@@ -10,7 +10,7 @@ and one stacked ``DiscreteCurve`` whose fields carry the s axis first.
 ``CurvePath`` caches c', D_T c' and D_T^2 c' over the stack; Sobolev speed,
 energy, and the two horizontality diagnostics (the direct defect g(eta, T)
 with eta = c' - D_T^2 c', and the normal-path criterion d_theta(rho^2 kappa))
-are whole-array expressions over it; the per-sample functions read row j.
+are whole-array expressions over it, one value per sample or per row.
 """
 
 from __future__ import annotations
@@ -157,17 +157,6 @@ def sobolev_inner(curve: DiscreteCurve, h, k):
     return _integrate_dtheta(curve, np.asarray(integrand))
 
 
-def path_velocity(path: CurvePath, j: int) -> np.ndarray:
-    """Velocity field c'(s_j): row j of ``path.velocity``."""
-    _check_index(path, j)
-    return path.velocity[j]
-
-
-def _check_index(path: CurvePath, j: int) -> None:
-    if not 0 <= j < path.m:
-        raise PreconditionError(f"path index {j} out of range")
-
-
 def path_speed(path: CurvePath) -> np.ndarray:
     """Sobolev speed nu(s_j) = sqrt(G(c', c')) at every path sample."""
     v = path.velocity
@@ -186,51 +175,46 @@ def path_length(path: CurvePath) -> float:
 
 
 # ---------------------------------------------------------------------------
-# horizontality diagnostics
+# horizontality diagnostics, each an (m, n) array over the whole stack
 
 
-def _is_normal(tangential) -> bool:
-    return float(np.max(np.abs(tangential))) <= NORMALITY_TOL
+def tangential_component(path: CurvePath) -> np.ndarray:
+    """g(c', T) at every sample."""
+    return np.asarray(path.space.inner(path.velocity, path.batch.T))
 
 
-def horizontality_defect(path: CurvePath, j: int) -> np.ndarray:
-    """Per-sample defect g(eta, T) with eta = c' - D_T^2 c'.
+def rho_normal_component(path: CurvePath) -> np.ndarray:
+    """rho = g(c', N) at every sample."""
+    return np.asarray(path.space.inner(path.velocity, path.batch.N))
 
-    Vanishes (for all t) exactly when the path velocity is orthogonal to
+
+def normal_rows(path: CurvePath) -> np.ndarray:
+    """(m,) flags: the rows whose tangential component stays within ``NORMALITY_TOL``."""
+    return np.max(np.abs(tangential_component(path)), axis=-1) <= NORMALITY_TOL
+
+
+def horizontality_defect(path: CurvePath) -> np.ndarray:
+    """Defect g(eta, T) with eta = c' - D_T^2 c' at every sample.
+
+    Vanishes (for all t) on row j exactly when c'(s_j) is orthogonal to
     every reparametrization direction.
     """
-    v = path_velocity(path, j)
-    return np.asarray(path.space.inner(v - path.dT2_velocity[j], path.batch.T[j]))
+    return np.asarray(path.space.inner(path.velocity - path.dT2_velocity, path.batch.T))
 
 
-def tangential_component(path: CurvePath, j: int) -> np.ndarray:
-    return np.asarray(path.space.inner(path_velocity(path, j), path.batch.T[j]))
+def rho_kappa_defect(path: CurvePath) -> np.ndarray:
+    """Normal-path horizontality criterion d_theta(rho^2 kappa) at every sample.
 
-
-def rho_normal_component(path: CurvePath, j: int) -> np.ndarray:
-    return np.asarray(path.space.inner(path_velocity(path, j), path.batch.N[j]))
-
-
-def rho_kappa_defect(path: CurvePath, j: int) -> np.ndarray:
-    """Normal-path horizontality criterion: d_theta(rho^2 kappa) per sample.
-
-    Only meaningful for normal paths, so a tangential component above
-    ``NORMALITY_TOL`` raises :class:`NormalityError`.
+    NaN on the rows ``normal_rows`` rejects; :class:`NormalityError` if it
+    rejects all, :class:`DomainError` if a normal row has no Frenet frame.
     """
-    if not _is_normal(tangential_component(path, j)):
-        raise NormalityError(
-            "path is not normal at this sample; the rho^2 kappa criterion does not apply"
-        )
-    return _rho_kappa(path, j)
-
-
-def _rho_kappa(path: CurvePath, j: int | None = None) -> np.ndarray:
-    """d_theta(rho^2 kappa) on row j, or over the stack when j is None; needs the frame."""
-    batch, rows = path.batch, slice(None) if j is None else j
-    if batch.frame_ok is not None and not bool(np.all(batch.frame_ok[rows])):
+    normal, batch = normal_rows(path), path.batch
+    if not normal.any():
+        raise NormalityError("path is nowhere normal; the rho^2 kappa criterion does not apply")
+    if batch.frame_ok is not None and not bool(np.all(batch.frame_ok[normal])):
         raise DomainError("Frenet frame undefined somewhere; rho is not available")
-    rho = batch.space.inner(path.velocity[rows], batch.N[rows])
-    return d_theta(batch if j is None else batch.row(j), rho * rho * batch.kappa[rows])
+    rho = rho_normal_component(path)
+    return np.where(normal[:, None], d_theta(batch, rho * rho * batch.kappa), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +229,7 @@ class PathDiagnostics:
     horizontality_defect: np.ndarray
     rho: np.ndarray
     tangential: np.ndarray
+    normal: np.ndarray  # ``normal_rows``
     rho_kappa_sup: np.ndarray | None  # sup_t |d_theta(rho^2 kappa)| if normal, else None
 
     @property
@@ -256,23 +241,23 @@ class PathDiagnostics:
 
     @property
     def is_normal(self) -> bool:
-        return _is_normal(self.tangential)
+        return bool(np.all(self.normal))
 
 
 def diagnose_path(path: CurvePath) -> PathDiagnostics:
     """Speed and both horizontality criteria of every sample, over the whole stack.
 
-    A normal path whose Frenet frame is undefined somewhere raises :class:`DomainError`.
+    The rho^2 kappa criterion is reported only when every row is normal; a
+    normal path whose Frenet frame is undefined somewhere raises :class:`DomainError`.
     """
-    batch, v = path.batch, path.velocity
-    inner = batch.space.inner
-    tangential = inner(v, batch.T)
+    normal = normal_rows(path)
     return PathDiagnostics(
         speed=path_speed(path),
-        horizontality_defect=np.max(np.abs(inner(v - path.dT2_velocity, batch.T)), axis=-1),
-        rho=inner(v, batch.N),
-        tangential=tangential,
-        rho_kappa_sup=np.max(np.abs(_rho_kappa(path)), axis=-1) if _is_normal(tangential) else None,
+        horizontality_defect=np.max(np.abs(horizontality_defect(path)), axis=-1),
+        rho=rho_normal_component(path),
+        tangential=tangential_component(path),
+        normal=normal,
+        rho_kappa_sup=np.max(np.abs(rho_kappa_defect(path)), axis=-1) if normal.all() else None,
     )
 
 

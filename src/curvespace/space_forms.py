@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -367,13 +368,16 @@ def json_flag(data: dict, key: str) -> bool:
 def json_array(data: dict, key: str) -> np.ndarray:
     """``data[key]`` as a float array; nested JSON arrays of numbers.
 
-    A string, a null or an integer beyond int64 anywhere, or booleans
-    alone, give a non-numeric dtype and are rejected; a ragged nesting
-    raises ValueError.  A boolean among numbers reads as 0 or 1: finding
-    it would take a Python pass over every element of a path's points.
+    A string, a null, a boolean or an integer beyond int64 anywhere is
+    rejected; a ragged nesting raises ValueError.  numpy reads a boolean
+    among numbers as 0 or 1, so the elements' types are also checked, in
+    one C-level pass over the innermost lists.
     """
     values = np.asarray(data[key])
-    if values.dtype.kind not in "iuf":
+    flat = data[key] if values.ndim else [data[key]]
+    for _ in range(values.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if values.dtype.kind not in "iuf" or bool in set(map(type, flat)):
         raise DomainError(f"{key} must be an array of numbers")
     return values.astype(float)
 

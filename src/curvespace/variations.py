@@ -29,14 +29,7 @@ import numpy as np
 from ._fd import diff1
 from .discrete_curves import DiscreteCurve, d_theta
 from .errors import DomainError, NormalityError, PreconditionError
-from .sobolev_metric import (
-    CurvePath,
-    _check_index,
-    _is_normal,
-    path_velocity,
-    rho_normal_component,
-    tangential_component,
-)
+from .sobolev_metric import CurvePath, normal_rows, rho_normal_component
 from .space_forms import Model
 
 VARIATION_QUANTITIES = ("omega", "kappa")
@@ -47,72 +40,70 @@ ALPHA_SPREAD_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class VariationReport:
-    """Analytic prediction vs. finite-difference observation on one sample."""
+    """Analytic prediction vs. finite-difference observation on rows k .. m-1-k."""
 
     quantity: str
     predicted: np.ndarray
     observed: np.ndarray
 
     @property
-    def abs_error(self) -> float:
-        return float(np.max(np.abs(self.predicted - self.observed)))
+    def abs_error(self) -> np.ndarray:
+        """Sup over t of |predicted - observed|, one value per row."""
+        return np.max(np.abs(self.predicted - self.observed), axis=-1)
 
 
-def predicted_omega_variation(path: CurvePath, j: int) -> np.ndarray:
-    """g(D_T c', T) omega per t-sample.
+def predicted_omega_variation(path: CurvePath) -> np.ndarray:
+    """g(D_T c', T) omega at every sample.
 
     On normal paths ``normal_omega_discrepancy`` compares it with the
     reduced form -rho kappa omega.
     """
-    _check_index(path, j)
     batch = path.batch
-    return np.asarray(batch.space.inner(path.dT_velocity[j], batch.T[j])) * batch.omega[j]
+    return np.asarray(batch.space.inner(path.dT_velocity, batch.T)) * batch.omega
 
 
-def normal_omega_discrepancy(path: CurvePath, j: int) -> float:
-    """Sup difference between the general formula and -rho kappa omega.
+def normal_omega_discrepancy(path: CurvePath) -> np.ndarray:
+    """Sup over t of the difference between the general formula and -rho kappa omega.
 
-    Only defined on normal paths, where the two expressions agree.
+    The two agree on normal rows; the others are NaN, and a path with no
+    normal row raises :class:`NormalityError`.
     """
-    if not _is_normal(tangential_component(path, j)):
+    normal, batch = normal_rows(path), path.batch
+    if not normal.any():
         raise NormalityError("the -rho kappa omega form only applies to normal paths")
-    rho = rho_normal_component(path, j)
-    general = predicted_omega_variation(path, j)
-    return float(np.max(np.abs(general + rho * path.batch.kappa[j] * path.batch.omega[j])))
+    gap = predicted_omega_variation(path) + rho_normal_component(path) * batch.kappa * batch.omega
+    return np.where(normal, np.max(np.abs(gap), axis=-1), np.nan)
 
 
-def predicted_kappa_variation(path: CurvePath, j: int) -> np.ndarray:
-    """g(D_T^2 c', N) - 2 kappa g(D_T c', T) + K g(c', N) per t-sample."""
-    v = path_velocity(path, j)
+def predicted_kappa_variation(path: CurvePath) -> np.ndarray:
+    """g(D_T^2 c', N) - 2 kappa g(D_T c', T) + K g(c', N) at every sample."""
     batch, inner = path.batch, path.space.inner
     return np.asarray(
-        inner(path.dT2_velocity[j], batch.N[j])
-        - 2.0 * batch.kappa[j] * inner(path.dT_velocity[j], batch.T[j])
-        + path.space.curvature * inner(v, batch.N[j])
+        inner(path.dT2_velocity, batch.N)
+        - 2.0 * batch.kappa * inner(path.dT_velocity, batch.T)
+        + path.space.curvature * inner(path.velocity, batch.N)
     )
 
 
-def fd_variation(path: CurvePath, quantity: str, j: int, eps_steps: int = 1) -> np.ndarray:
-    """Centered FD oracle (q(s_{j+k}) - q(s_{j-k})) / (2 k ds), q in {omega, kappa}."""
+def fd_variation(path: CurvePath, quantity: str, eps_steps: int = 1) -> np.ndarray:
+    """Rows j = k .. m-1-k of the centered FD oracle (q(s_{j+k}) - q(s_{j-k})) / (2 k ds)."""
     if quantity not in VARIATION_QUANTITIES:
         raise DomainError(f"unknown variation quantity {quantity!r}")
     k = int(eps_steps)
     if k < 1:
         raise PreconditionError("eps_steps must be a positive integer")
-    if not k <= j <= path.m - 1 - k:
-        raise PreconditionError("index too close to the path boundary for the FD oracle")
+    if 2 * k >= path.m:
+        raise PreconditionError("eps_steps too large for the path: the FD oracle needs 2 k < m")
     q = getattr(path.batch, quantity)
-    return (q[j + k] - q[j - k]) / (2.0 * k * path.ds)
+    return (q[2 * k:] - q[:-2 * k]) / (2.0 * k * path.ds)
 
 
-def variation_report(path: CurvePath, quantity: str, j: int, eps_steps: int = 1) -> VariationReport:
-    if quantity == "omega":
-        predicted = predicted_omega_variation(path, j)
-    elif quantity == "kappa":
-        predicted = predicted_kappa_variation(path, j)
-    else:
-        raise DomainError(f"unknown variation quantity {quantity!r}")
-    observed = fd_variation(path, quantity, j, eps_steps)
+def variation_report(path: CurvePath, quantity: str, eps_steps: int = 1) -> VariationReport:
+    """The analytic variation of omega or kappa against ``fd_variation``, row for row."""
+    observed = fd_variation(path, quantity, eps_steps)
+    predict = predicted_omega_variation if quantity == "omega" else predicted_kappa_variation
+    k = int(eps_steps)
+    predicted = predict(path)[k:path.m - k]
     return VariationReport(quantity=quantity, predicted=predicted, observed=observed)
 
 
@@ -147,7 +138,7 @@ def parallel_geodesic_alpha(path: CurvePath) -> np.ndarray:
     omega_prime = diff1(batch.omega, path.ds, False, order=2)
     if float(np.max(np.abs(omega_prime))) < 1e-12:
         raise PreconditionError("constant path: alpha is degenerate (omega' = 0)")
-    if not _is_normal(batch.space.inner(path.velocity, batch.T)):
+    if not np.all(normal_rows(path)):
         raise NormalityError("alpha requires a normal path")
     kap = batch.kappa
     kap_scale = np.max(np.abs(kap), axis=-1)

@@ -130,10 +130,10 @@ def test_criterion_2_lemma1_convergence_ladder():
             path = family(m)
             j = m // 2
             errs["omega"].append(
-                float(np.max(np.abs(predicted_omega_variation(path, j) - fd_variation(path, "omega", j))))
+                float(np.max(np.abs(predicted_omega_variation(path)[j] - fd_variation(path, "omega")[j - 1])))
             )
             errs["kappa"].append(
-                float(np.max(np.abs(predicted_kappa_variation(path, j) - fd_variation(path, "kappa", j))))
+                float(np.max(np.abs(predicted_kappa_variation(path)[j] - fd_variation(path, "kappa")[j - 1])))
             )
         for quantity, seq in errs.items():
             for coarse, fine in zip(seq, seq[1:]):
@@ -150,13 +150,13 @@ def test_criterion_3_horizontality_equivalence():
     # horizontal normal families: both diagnostics vanish
     for family in (concentric_family, latitude_family):
         path = family(17)
-        h_sup = max(np.max(np.abs(horizontality_defect(path, j))) for j in range(path.m))
-        rk_sup = max(np.max(np.abs(rho_kappa_defect(path, j))) for j in range(path.m))
+        h_sup = np.max(np.abs(horizontality_defect(path)))
+        rk_sup = np.max(np.abs(rho_kappa_defect(path)))
         assert h_sup <= 1e-6 and rk_sup <= 1e-5
     # deliberately non-horizontal normal family: both diagnostics fire
     path = radial_velocity_family()
-    h_bad = float(np.max(np.abs(horizontality_defect(path, 0))))
-    rk_bad = float(np.max(np.abs(rho_kappa_defect(path, 0))))
+    h_bad = float(np.max(np.abs(horizontality_defect(path)[0])))
+    rk_bad = float(np.max(np.abs(rho_kappa_defect(path)[0])))
     assert h_bad > 1e-2 and rk_bad > 1e-2
     _report(
         3,
@@ -208,7 +208,7 @@ def test_criterion_6_helix_reduction_and_horizontality():
     assert gap <= 1e-10
     assert abs(flat.distance - zero_pitch.distance) <= 1e-10
     _, path = solve_helix_geodesic(1.0, 2.0, 1.0, m=32, n=512)
-    h_sup = max(float(np.max(np.abs(horizontality_defect(path, j)))) for j in range(path.m))
+    h_sup = float(np.max(np.abs(horizontality_defect(path))))
     assert h_sup <= 1e-4
     _report(6, f"h=0 reduction gap {gap:.1e} <= 1e-10; h=1 horizontality {h_sup:.1e} <= 1e-4", time.perf_counter() - t0, 10.0)
 
@@ -306,13 +306,13 @@ def test_criterion_9_conservation_identities():
     ]
     path = path_from_curves(offsets)
     j = m // 2
-    assert float(np.max(np.abs(tangential_component(path, j)))) <= 1e-6  # normal family
-    fd_zero = float(np.max(np.abs(fd_variation(path, "kappa", j))))
+    assert float(np.max(np.abs(tangential_component(path)[j]))) <= 1e-6  # normal family
+    fd_zero = float(np.max(np.abs(fd_variation(path, "kappa")[j - 1])))
     res_zero = float(np.max(np.abs(curvature_conservation_residual(path.curves[j]))))
     assert fd_zero <= 1e-6 and res_zero <= 1e-4  # conserved curvature <-> zero residual
 
     conc = concentric_family(17)
-    fd_nz = float(np.max(np.abs(fd_variation(conc, "kappa", 8))))
+    fd_nz = float(np.max(np.abs(fd_variation(conc, "kappa")[7])))
     res_nz = float(np.max(np.abs(curvature_conservation_residual(conc.curves[8]))))
     assert fd_nz > 0.1 and res_nz > 0.1  # varying curvature <-> nonzero residual
 

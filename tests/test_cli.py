@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curvespace import euclidean3d, make_path, path_from_dict, path_to_dict, rho_kappa_defect
+from curvespace import euclidean3d, make_path, path_from_dict, path_to_dict, plane, rho_kappa_defect
 from curvespace.cli import run
 from curvespace.elastica import default_surface_frame
 
@@ -111,20 +111,80 @@ class TestDistance:
         bad.write_text(json.dumps({"points": [[0, 0]]}))
         assert run(["distance", "--input", str(bad)]) == 3
 
+    @pytest.mark.parametrize("probe", ["non_utf8_byte", "deep_nesting", "huge_integer"])
+    def test_undecodable_file_is_input_error(self, probe, flat_path_file, tmp_path, capsys):
+        # UnicodeDecodeError, RecursionError and the digit-limit ValueError of the decoder
+        text = flat_path_file.read_bytes()
+        bad = tmp_path / "bad.json"
+        if probe == "non_utf8_byte":
+            bad.write_bytes(text.replace(b'"closed"', b'"clo\xffsed"'))
+        elif probe == "deep_nesting":
+            bad.write_text("[" * 100_000)
+        else:
+            assert b'"t_samples":64' in text
+            bad.write_bytes(text.replace(b'"t_samples":64', b'"t_samples":' + b"9" * 5000))
+        assert run(["distance", "--input", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("invalid input:")
+
+    def test_boolean_among_points_is_input_error(self, flat_path_file, tmp_path, capsys):
+        data = read_json(flat_path_file)
+        data["points"][3][5][1] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run(["distance", "--input", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input:") and "points" in captured.err
+
 
 class TestCheck:
     @pytest.mark.parametrize(
         "curvature,r0,r1", [("0", "1", "2"), ("1", "0.3", "1.2"), ("-1", "1", "2")]
     )
     def test_rho_kappa_sup_matches_per_sample_loop(self, curvature, r0, r1, tmp_path):
-        # the whole-stack sup against the per-sample rho_kappa_defect it replaced
+        # the report's sup against rho_kappa_defect, row by row
         out, report_file = tmp_path / "p.json", tmp_path / "report.json"
         assert run(["circles", "--curvature", curvature, "--r0", r0, "--r1", r1,
                     "--s-samples", "16", "--t-samples", "64", "--out", str(out)]) == 0
         assert run(["check", "--input", str(out), "--report", str(report_file)]) == 0
         path = path_from_dict(read_json(out))
-        loop = [float(np.max(np.abs(rho_kappa_defect(path, j)))) for j in range(path.m)]
+        loop = [float(np.max(np.abs(row))) for row in rho_kappa_defect(path)]
         assert read_json(report_file)["rho_kappa_sup"] == loop
+
+    @pytest.mark.parametrize("family", ["circles", "helices", "non_normal"])
+    def test_variation_block_matches_row_oracles(self, family, tmp_path):
+        from test_stack_diagnostics import oracle_normal_omega_discrepancy, oracle_variation_report
+
+        out, report_file = tmp_path / "p.json", tmp_path / "report.json"
+        if family == "non_normal":
+            # reparametrization drift on a fixed circle: tangential everywhere
+            n, m = 64, 9
+            t = 2 * np.pi * np.arange(n) / n
+            a = 1.0 + 0.5 * np.sin(t)
+            pts = np.stack([np.stack([np.cos(t + (sj - 0.5) * a), np.sin(t + (sj - 0.5) * a)], axis=1)
+                            for sj in np.linspace(0, 1, m)])
+            out.write_text(json.dumps(path_to_dict(make_path(plane(), pts, closed=True))))
+        else:
+            argv = ["circles", "--curvature", "1"] if family == "circles" else ["helices", "--pitch", "0.5"]
+            assert run(argv + ["--r0", "0.3", "--r1", "1.2", "--s-samples", "16", "--t-samples", "64",
+                               "--out", str(out)]) == 0
+        assert run(["check", "--input", str(out), "--report", str(report_file)]) == 0
+        report = read_json(report_file)
+        path = path_from_dict(read_json(out))
+        j = path.m // 2
+        for quantity, block in report["variations"].items():
+            _, _, sup_error = oracle_variation_report(path, quantity, j, 1)
+            _, _, coarse = oracle_variation_report(path, quantity, j, 2)
+            assert block["sup_error"] == sup_error
+            assert block["convergence_factor"] == coarse / sup_error
+            if quantity == "omega" and report["normal"]:
+                assert block["normal_form_discrepancy"] == oracle_normal_omega_discrepancy(path, j)
+            else:
+                assert "normal_form_discrepancy" not in block
+        assert report["normal"] == (family != "non_normal")
 
     def test_derivatives_computed_once_over_the_stack(self, tmp_path, monkeypatch):
         # D_T c' and D_T^2 c' for the diagnostics, D_T c' for the speed; no per-row rerun

@@ -15,7 +15,6 @@ from curvespace import (
     path_from_dict,
     path_speed,
     path_to_dict,
-    path_velocity,
     plane,
     rho_kappa_defect,
     sobolev_inner,
@@ -110,13 +109,13 @@ class TestPathVelocity:
         c, _ = circle_curve(64)
         path = path_from_curves([c, c, c])
         for j in range(3):
-            assert np.max(np.abs(path_velocity(path, j))) <= 1e-12
+            assert np.max(np.abs(path.velocity[j])) <= 1e-12
 
     def test_concentric_velocity_is_radial(self):
         m = 9
         s = np.linspace(0, 1, m)
         path = concentric_path(1.0 + s)
-        v = path_velocity(path, m // 2)
+        v = path.velocity[m // 2]
         t = path.curves[0].t_grid
         expected = np.stack([np.cos(t), np.sin(t)], axis=1)
         assert np.max(np.abs(v - expected)) <= 1e-10
@@ -124,7 +123,7 @@ class TestPathVelocity:
     def test_latitude_speed_magnitude(self):
         delta = 0.1
         path = latitude_path(lambda s: 0.6 + delta * s, m=33)
-        v = path_velocity(path, 16)
+        v = path.velocity[16]
         norms = np.linalg.norm(v, axis=1)
         assert np.max(np.abs(norms - delta)) <= 1e-6
 
@@ -165,7 +164,7 @@ class TestBatchedPathSpeed:
         nu = path_speed(path)
         for j in range(path.m):
             v = row_velocity(path, j)
-            assert np.array_equal(path_velocity(path, j), v)
+            assert np.array_equal(path.velocity[j], v)
             row = path.curves[j]
             curve = build_curve(
                 path.space, row.points, path.closed,
@@ -177,7 +176,7 @@ class TestBatchedPathSpeed:
     def test_velocity_is_read_only(self):
         path = concentric_path(np.linspace(1.0, 2.0, 5))
         with pytest.raises(ValueError):
-            path_velocity(path, 2)[0, 0] = 1.0
+            path.velocity[2][0, 0] = 1.0
 
 
 class TestPathSpeedAndEnergy:
@@ -248,7 +247,7 @@ class TestPathFromCurves:
 class TestHorizontality:
     def test_concentric_circles_horizontal(self):
         path = concentric_path(np.linspace(1.0, 2.0, 9))
-        sup = max(np.max(np.abs(horizontality_defect(path, j))) for j in range(9))
+        sup = np.max(np.abs(horizontality_defect(path)))
         assert sup <= 1e-6
 
     def test_vertical_path_detected(self):
@@ -258,7 +257,7 @@ class TestHorizontality:
         a = 1.0 + 0.5 * np.sin(t)
         pts = np.stack([np.stack([np.cos(t + (sj - 0.5) * a), np.sin(t + (sj - 0.5) * a)], axis=1) for sj in s])
         path = make_path(plane(), pts, closed=True)
-        assert np.max(np.abs(horizontality_defect(path, m // 2))) > 0.01
+        assert np.max(np.abs(horizontality_defect(path)[m // 2])) > 0.01
 
     def test_shortening_flow_on_circle_horizontal(self):
         # linear path with velocity kappa N on a circle
@@ -270,13 +269,13 @@ class TestHorizontality:
         s = np.linspace(0, 1, m)
         pts = np.stack([ring + (sj - 0.5) * 0.1 * flow for sj in s])
         path = make_path(plane(), pts, closed=True)
-        assert np.max(np.abs(horizontality_defect(path, m // 2))) <= 1e-6
+        assert np.max(np.abs(horizontality_defect(path)[m // 2])) <= 1e-6
 
 
 class TestRhoKappaDefect:
     def test_concentric_circles(self):
         path = concentric_path(np.linspace(1.0, 2.0, 9))
-        assert np.max(np.abs(rho_kappa_defect(path, 4))) <= 1e-8
+        assert np.max(np.abs(rho_kappa_defect(path)[4])) <= 1e-8
 
     def test_radial_perturbation_matches_analytic(self):
         # velocity rho(t) = 1 + 0.3 cos t normal to the unit circle at s-start
@@ -288,7 +287,7 @@ class TestRhoKappaDefect:
         # radial expansion: at j=0 the curve is the unit circle, velocity -rho*N
         pts = np.stack([(1.0 + sj * 0.5 * rho)[:, None] * ring for sj in s])
         path = make_path(plane(), pts, closed=True)
-        defect = rho_kappa_defect(path, 0)
+        defect = rho_kappa_defect(path)[0]
         # d_theta(rho^2 kappa) with rho = -0.5(1 + 0.3 cos t), kappa = 1, omega = 1
         analytic = 2.0 * (0.5 * rho) * (-0.15 * np.sin(t))
         assert np.max(np.abs(defect - analytic)) <= 1e-3
@@ -302,14 +301,14 @@ class TestRhoKappaDefect:
         )
         path = make_path(plane(), pts, closed=True)
         with pytest.raises(NormalityError):
-            rho_kappa_defect(path, 2)
+            rho_kappa_defect(path)
 
     def test_helix_path_satisfies_criterion_in_3d(self):
         # coaxial helices are a normal horizontal family: rho^2 kappa constant
         from curvespace import solve_helix_geodesic
 
         _, path = solve_helix_geodesic(1.0, 2.0, 1.0, m=16, n=128)
-        sup = max(np.max(np.abs(rho_kappa_defect(path, j))) for j in range(path.m))
+        sup = np.max(np.abs(rho_kappa_defect(path)))
         assert sup <= 1e-10
 
 

@@ -107,7 +107,7 @@ class TestConcentricSolver:
         drift = (nu.max() - nu.min()) / nu.mean()
         assert drift <= 5e-3
         assert nu.mean() == pytest.approx(traj.distance, rel=1e-3)
-        tang = max(np.max(np.abs(tangential_component(path, j))) for j in range(path.m))
+        tang = np.max(np.abs(tangential_component(path)))
         assert tang <= 1e-6
 
     def test_conserved_quantity_fd_drift(self):

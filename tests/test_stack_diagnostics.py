@@ -2,8 +2,10 @@
 
 The oracles below rebuild row j with ``batch.row(j)`` and run ``cov_d_T``
 on that single curve, as the per-sample functions once did; the library
-reads row j of the derivatives it caches over the stack.  Every value
-must agree bitwise.
+computes every row at once from the derivatives it caches over the stack.
+Row j of each whole-stack result must agree bitwise with the oracle's
+value for row j, and be NaN exactly where the oracle finds the row not
+normal.
 """
 
 import numpy as np
@@ -42,12 +44,23 @@ def _torsional_elastica_path():
     return materialize_path(spec)
 
 
+def _radial_path():
+    # normal only at s = 0: the unit circle moving with velocity rho(t) N
+    n, m = 128, 7
+    t = 2 * np.pi * np.arange(n) / n
+    rho = 1.0 + 0.3 * np.cos(t)
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+    pts = np.stack([(1.0 + sj * 0.5 * rho)[:, None] * ring for sj in np.linspace(0, 1, m)])
+    return make_path(plane(), pts, closed=True)
+
+
 PATHS = {
     "plane": lambda: solve_concentric_geodesic(plane(), 1.0, 2.0, m=9, n=64)[1],
     "sphere": lambda: solve_concentric_geodesic(sphere(1.0), 0.3, 1.2, m=9, n=64)[1],
     "hyperboloid": lambda: solve_concentric_geodesic(hyperbolic(-1.0), 0.5, 1.5, m=9, n=64)[1],
     "helix": lambda: solve_helix_geodesic(1.0, 2.0, 0.5, m=9, n=64)[1],
     "torsional_elastica": _torsional_elastica_path,
+    "radial": _radial_path,
 }
 
 
@@ -56,7 +69,7 @@ PATHS = {
 
 
 def _row(path, j):
-    return path.batch.row(j), sm.path_velocity(path, j)
+    return path.batch.row(j), path.velocity[j]
 
 
 def oracle_horizontality_defect(path, j):
@@ -110,6 +123,18 @@ def oracle_normal_omega_discrepancy(path, j):
     return float(np.max(np.abs(general + rho * curve.kappa * curve.omega)))
 
 
+def oracle_fd_variation(path, quantity, j, k):
+    ahead, behind = path.batch.row(j + k), path.batch.row(j - k)
+    return (getattr(ahead, quantity) - getattr(behind, quantity)) / (2.0 * k * path.ds)
+
+
+def oracle_variation_report(path, quantity, j, k):
+    predict = {"omega": oracle_predicted_omega_variation, "kappa": oracle_predicted_kappa_variation}
+    predicted = predict[quantity](path, j)
+    observed = oracle_fd_variation(path, quantity, j, k)
+    return predicted, observed, float(np.max(np.abs(predicted - observed)))
+
+
 PAIRS = [
     (sm.horizontality_defect, oracle_horizontality_defect),
     (sm.tangential_component, oracle_tangential_component),
@@ -121,11 +146,25 @@ PAIRS = [
 ]
 
 
-def _outcome(fn, path, j):
+def _outcome(fn, *args):
     try:
-        return fn(path, j)
+        return fn(*args)
     except (NormalityError, DomainError) as exc:
         return type(exc)
+
+
+def _assert_rows_match(got, wants, label):
+    """Row i of a whole-stack result against the i-th per-row oracle outcome."""
+    assert (got is NormalityError) == all(w is NormalityError for w in wants), label
+    if isinstance(got, type):
+        assert got in wants, label
+        return
+    assert len(got) == len(wants), label
+    for i, want in enumerate(wants):
+        if want is NormalityError:
+            assert np.all(np.isnan(got[i])), (label, i)
+        else:
+            assert np.array_equal(got[i], want), (label, i)
 
 
 @pytest.mark.parametrize("case", list(PATHS))
@@ -133,12 +172,21 @@ class TestStackDiagnosticsMatchRowOracles:
     def test_per_sample_functions(self, case):
         path = PATHS[case]()
         for fn, oracle in PAIRS:
-            for j in range(path.m):
-                got, want = _outcome(fn, path, j), _outcome(oracle, path, j)
-                if isinstance(want, type):
-                    assert got is want, (fn.__name__, j)
-                else:
-                    assert np.array_equal(got, want), (fn.__name__, j)
+            wants = [_outcome(oracle, path, j) for j in range(path.m)]
+            _assert_rows_match(_outcome(fn, path), wants, fn.__name__)
+
+    @pytest.mark.parametrize("quantity", ["omega", "kappa"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fd_variation_and_report(self, case, quantity, k):
+        path = PATHS[case]()
+        rows = range(k, path.m - k)
+        wants = [oracle_variation_report(path, quantity, j, k) for j in rows]
+        rep = va.variation_report(path, quantity, eps_steps=k)
+        assert rep.quantity == quantity
+        for field, got in enumerate((rep.predicted, rep.observed, rep.abs_error)):
+            _assert_rows_match(got, [want[field] for want in wants], (quantity, k, field))
+        _assert_rows_match(va.fd_variation(path, quantity, eps_steps=k),
+                           [want[1] for want in wants], ("fd_variation", quantity, k))
 
     def test_diagnose_path_fields(self, case):
         path = PATHS[case]()
@@ -149,6 +197,9 @@ class TestStackDiagnosticsMatchRowOracles:
             for j in range(path.m)
         )
         assert diag.is_normal == normal
+        for j in range(path.m):
+            tangential_sup = float(np.max(np.abs(oracle_tangential_component(path, j))))
+            assert diag.normal[j] == (tangential_sup <= sm.NORMALITY_TOL)
         if not normal:
             assert diag.rho_kappa_sup is None
         for j in range(path.m):
@@ -169,6 +220,8 @@ class TestStackDiagnosticsMatchRowOracles:
 def test_cases_cover_normal_and_non_normal_paths():
     assert sm.diagnose_path(PATHS["helix"]()).rho_kappa_sup is not None
     assert sm.diagnose_path(PATHS["torsional_elastica"]()).rho_kappa_sup is None
+    normal = sm.normal_rows(PATHS["radial"]())
+    assert normal[0] and not normal[1:].any()
 
 
 def test_undefined_frame_on_a_normal_path_is_a_domain_error():
@@ -179,4 +232,4 @@ def test_undefined_frame_on_a_normal_path_is_a_domain_error():
     with pytest.raises(DomainError, match="Frenet frame undefined"):
         sm.diagnose_path(path)
     with pytest.raises(DomainError, match="Frenet frame undefined"):
-        sm.rho_kappa_defect(path, 2)
+        sm.rho_kappa_defect(path)

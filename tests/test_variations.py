@@ -53,16 +53,16 @@ class TestOmegaVariation:
     def test_concentric_unit_rate(self):
         # r(s) = 1 + s at r = 1: omega' = 1 per sample
         path = concentric_path(lambda s: 1.0 + s, m=9)
-        pred = predicted_omega_variation(path, 0)
+        pred = predicted_omega_variation(path)[0]
         assert np.max(np.abs(pred - 1.0)) <= 1e-3
 
     def test_constant_path(self):
         path = constant_path()
-        assert np.max(np.abs(predicted_omega_variation(path, 2))) <= 1e-12
+        assert np.max(np.abs(predicted_omega_variation(path)[2])) <= 1e-12
 
     def test_normal_form_agrees(self):
         path = concentric_path(lambda s: 1.0 + 0.5 * s, m=9)
-        assert normal_omega_discrepancy(path, 4) <= 1e-6
+        assert normal_omega_discrepancy(path)[4] <= 1e-6
 
     def test_tangential_reparametrization_flow(self):
         # velocity a(t) c_dot on a fixed circle: omega' = a_t omega
@@ -75,8 +75,8 @@ class TestOmegaVariation:
         )
         path = make_path(plane(), pts, closed=True)
         j = m // 2
-        pred = predicted_omega_variation(path, j)
-        obs = fd_variation(path, "omega", j)
+        pred = predicted_omega_variation(path)[j]
+        obs = fd_variation(path, "omega")[j - 1]
         assert np.max(np.abs(pred - obs)) <= 1e-4
         assert np.max(np.abs(pred - 0.05 * np.cos(t))) <= 1e-3
 
@@ -85,19 +85,19 @@ class TestKappaVariation:
     def test_concentric_rate(self):
         # kappa(s) = 1/r: kappa' = -r'/r^2 = -1 at r = 1
         path = concentric_path(lambda s: 1.0 + s, m=9)
-        pred = predicted_kappa_variation(path, 0)
+        pred = predicted_kappa_variation(path)[0]
         assert np.max(np.abs(pred + 1.0)) <= 1e-3
 
     def test_constant_path(self):
         path = constant_path()
-        assert np.max(np.abs(predicted_kappa_variation(path, 2))) <= 1e-12
+        assert np.max(np.abs(predicted_kappa_variation(path)[2])) <= 1e-12
 
     def test_sphere_latitude_rate(self):
         # kappa = cot r: kappa' = -(1 + cot^2 r) for r' = 1
         path = concentric_path(lambda s: 0.5 + s * 0.7, m=65, space=sphere(1.0))
         j = 32
         r_mid = 0.5 + 0.5 * 0.7
-        pred = predicted_kappa_variation(path, j)
+        pred = predicted_kappa_variation(path)[j]
         expected = -0.7 * (1.0 + 1.0 / np.tan(r_mid) ** 2)
         assert np.max(np.abs(pred - expected)) <= 1e-3
 
@@ -105,30 +105,33 @@ class TestKappaVariation:
 class TestFDOracle:
     def test_constant_path(self):
         path = constant_path()
-        assert np.max(np.abs(fd_variation(path, "omega", 2))) <= 1e-12
+        assert np.max(np.abs(fd_variation(path, "omega")[1])) <= 1e-12
 
     def test_concentric_rates(self):
         path = concentric_path(lambda s: 1.0 + s, m=17)
-        assert np.max(np.abs(fd_variation(path, "omega", 8) - 1.0)) <= 1e-3
-        assert np.max(np.abs(fd_variation(path, "kappa", 8) + 1.0 / 1.5**2)) <= 1e-2
+        assert np.max(np.abs(fd_variation(path, "omega")[7] - 1.0)) <= 1e-3
+        assert np.max(np.abs(fd_variation(path, "kappa")[7] + 1.0 / 1.5**2)) <= 1e-2
 
     def test_boundary_rejected(self):
+        # rows k .. m-1-k: none is left once 2k >= m
         path = constant_path(m=5)
+        assert fd_variation(path, "omega", eps_steps=2).shape == (1, path.n)
+        for k in (0, 3):
+            with pytest.raises(PreconditionError):
+                fd_variation(path, "omega", eps_steps=k)
         with pytest.raises(PreconditionError):
-            fd_variation(path, "omega", 0)
-        with pytest.raises(PreconditionError):
-            fd_variation(path, "omega", 3, eps_steps=2)
+            variation_report(path, "kappa", eps_steps=3)
 
     def test_unknown_quantity(self):
         path = constant_path(m=5)
         with pytest.raises(DomainError):
-            fd_variation(path, "torsion", 2)
+            fd_variation(path, "torsion")
 
     def test_report_bundles_both_sides(self):
         path = concentric_path(lambda s: 1.0 + s + 0.1 * np.sin(np.pi * s), m=17)
-        rep = variation_report(path, "kappa", 8)
+        rep = variation_report(path, "kappa")
         assert rep.predicted.shape == rep.observed.shape
-        assert rep.abs_error == np.max(np.abs(rep.predicted - rep.observed))
+        assert np.array_equal(rep.abs_error, np.max(np.abs(rep.predicted - rep.observed), axis=-1))
 
 
 class TestCurvatureConservation:
@@ -252,7 +255,7 @@ class TestShorteningFlow:
             flow = shortening_flow_field(base)
             pts = np.stack([pts_base + (sj - 0.5) * 0.05 * flow for sj in s])
             path = make_path(plane(), pts, closed=True)
-            defect = np.max(np.abs(horizontality_defect(path, m // 2)))
+            defect = np.max(np.abs(horizontality_defect(path)[m // 2]))
             kappa_theta = np.max(np.abs(d_theta(base, base.kappa)))
             if horizontal:
                 assert defect <= 1e-6 and kappa_theta <= 1e-6
