@@ -72,7 +72,6 @@ from .space_forms import (
     sphere,
     standard_frame,
     surface_of_curvature,
-    tangent_project,
 )
 from .special_geodesics import (
     ConcentricCircles,

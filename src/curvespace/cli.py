@@ -43,6 +43,12 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_INPUT = 3
 
+# Bound on the arrays one invocation may ask for, checked before any array
+# exists: the s x t points of a path (--s-samples times --t-samples), and
+# --control-points squared (the spline through q + 2 nodes and the 3q-coordinate
+# simplex are quadratic in q).  A larger request is a usage error, exit 1.
+MAX_SAMPLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Command:
@@ -131,7 +137,18 @@ def _build_parser() -> _Parser:
 def parse_command(argv) -> Command:
     ns = _build_parser().parse_args(argv)
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
+    _check_sample_counts(options)
     return Command(subcommand=ns.subcommand, options=options)
+
+
+def _check_sample_counts(options: dict) -> None:
+    """Refuse sample counts past ``MAX_SAMPLES`` before anything is allocated."""
+    s, t = options.get("s_samples", 1), options.get("t_samples", 1)
+    if s * t > MAX_SAMPLES:
+        raise _UsageError(f"--s-samples x --t-samples = {s * t} exceeds {MAX_SAMPLES}")
+    q = options.get("control_points", 1)
+    if q * q > MAX_SAMPLES:
+        raise _UsageError(f"--control-points squared = {q * q} exceeds {MAX_SAMPLES}")
 
 
 # ---------------------------------------------------------------------------

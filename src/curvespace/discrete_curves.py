@@ -17,8 +17,12 @@ on first read, the one place that knows how a curve gets its frame.
 
 Conventions
 -----------
-* closed curves live on the grid ``t_i = 2 pi i / n``; open curves on
-  ``t_i = i / (n - 1)`` over [0, 1],
+* periodic curves (closed, or open with a ``screw_shift``) live on the
+  grid ``t_i = 2 pi i / n``; other open curves on ``t_i = i / (n - 1)``
+  over [0, 1].  Every quantity integrates against d theta = omega dt, so
+  the grid is derived from ``n`` and periodicity, never stored,
+* the 3D Frenet frame is defined where ``kappa >= KAPPA_FLOOR``, a
+  constant,
 * the 2D normal is the tangent rotated by +pi/2 in the oriented tangent
   plane, so a counterclockwise plane circle has ``kappa > 0`` and the
   normal points to its center,
@@ -40,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._fd import diff1
-from .errors import CapabilityError, DomainError, ImmersionError, PreconditionError
+from .errors import DomainError, ImmersionError, PreconditionError
 from .space_forms import (
     Model,
     SpaceForm,
@@ -98,7 +102,7 @@ class DiscreteCurve:
     with ``t`` for screw-symmetric open curves (helix families); stencils
     then wrap periodically with that shift instead of using one-sided
     rows.  ``frame_ok`` flags the 3D samples where the Frenet frame is
-    defined (``kappa`` at or above ``kappa_floor``).  A stack of curves
+    defined (``kappa`` at or above ``KAPPA_FLOOR``).  A stack of curves
     keeps its leading axis on every per-sample field (see the module
     docstring).  ``N``, ``kappa``, ``B``, ``tau`` and ``frame_ok`` read
     ``frame``, computed by ``_fd_frame`` on first read; a row of a stack
@@ -107,12 +111,10 @@ class DiscreteCurve:
 
     space: SpaceForm
     closed: bool
-    t_grid: np.ndarray
     points: np.ndarray
     omega: np.ndarray
     T: np.ndarray
     screw_shift: np.ndarray | None = None
-    kappa_floor: float = KAPPA_FLOOR
 
     @property
     def n(self) -> int:
@@ -124,11 +126,16 @@ class DiscreteCurve:
 
     @property
     def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
+        return _grid_step(self.n, self.periodic)
 
     @property
     def periodic(self) -> bool:
         return self.closed or self.screw_shift is not None
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        n = self.n
+        return 2.0 * np.pi * np.arange(n) / n if self.periodic else np.linspace(0.0, 1.0, n)
 
     @cached_property
     def frame(self) -> CurveFrame:
@@ -149,6 +156,11 @@ class DiscreteCurve:
         return replace(self, points=self.points[j], omega=self.omega[j], T=self.T[j])
 
 
+def _grid_step(n: int, periodic: bool) -> float:
+    """Step of the parameter grid: 2 pi / n when periodic, else 1 / (n - 1)."""
+    return 2.0 * np.pi / n if periodic else 1.0 / (n - 1)
+
+
 def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Rotate T by +pi/2 in the oriented tangent plane of the model."""
     if space.model is Model.PLANE2D:
@@ -163,16 +175,7 @@ def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarra
     return w
 
 
-def build_curve(
-    space: SpaceForm,
-    points,
-    closed: bool,
-    *,
-    t_grid=None,
-    screw_shift=None,
-    resample_arclength: bool = False,
-    kappa_floor: float = KAPPA_FLOOR,
-) -> DiscreteCurve:
+def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> DiscreteCurve:
     """Build a :class:`DiscreteCurve` from sampled points.
 
     ``points`` is one (n, dim) curve or an (m, n, dim) stack of curves on
@@ -180,9 +183,11 @@ def build_curve(
     check and computes ``omega`` and ``T`` from a fourth-order derivative
     of the points; the frame and curvature, from arclength derivatives of
     the same order, are computed on first read (``DiscreteCurve.frame``).
-    Raises :class:`ImmersionError` when the discrete derivative vanishes;
-    the frame flags (without failing) the 3D samples where the curvature
-    is below ``kappa_floor``.  The curve keeps a read-only copy of
+    The parameter grid follows from ``n`` and periodicity (see the module
+    docstring); ``screw_shift`` makes an open curve periodic.  Raises
+    :class:`ImmersionError` when the discrete derivative vanishes; the
+    frame flags (without failing) the 3D samples where the curvature is
+    below ``KAPPA_FLOOR``.  The curve keeps a read-only copy of
     ``points``, so its cached fields cannot go stale.
     """
     points = np.array(points, dtype=float, order="C")
@@ -201,36 +206,22 @@ def build_curve(
     if np.any(chords == 0.0):
         raise ImmersionError("consecutive samples coincide")
 
-    if t_grid is None:
-        t_grid = 2.0 * np.pi * np.arange(n) / n if closed else np.linspace(0.0, 1.0, n)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.shape != (n,):
-            raise DomainError("t_grid length does not match the points")
     if screw_shift is not None:
         if closed:
             raise DomainError("screw_shift only applies to open curves")
         screw_shift = np.asarray(screw_shift, dtype=float)
         if not np.all(np.isfinite(screw_shift)):
             raise DomainError("screw_shift must be finite")
-    dt = float(t_grid[1] - t_grid[0])
     periodic = closed or screw_shift is not None
+    dt = _grid_step(n, periodic)
 
     dc = diff1(points, dt, periodic, order=4, wrap_shift=screw_shift, axis=axis)
     omega = np.asarray(space.norm(dc))
     if np.any(omega < 1e-12):
         raise ImmersionError("curve derivative vanishes; not an immersion")
     T = dc / omega[..., None]
-
-    if resample_arclength:
-        if screw_shift is not None or points.ndim == 3:
-            raise CapabilityError("arclength resampling needs one curve without screw_shift")
-        points = _resample_by_arclength(space, points, t_grid, omega, closed)
-        return build_curve(space, points, closed, t_grid=t_grid, kappa_floor=kappa_floor)
-
     return DiscreteCurve(
-        space=space, closed=closed, t_grid=t_grid, points=points, omega=omega, T=T,
-        screw_shift=screw_shift, kappa_floor=kappa_floor,
+        space=space, closed=closed, points=points, omega=omega, T=T, screw_shift=screw_shift
     )
 
 
@@ -241,7 +232,7 @@ def _fd_frame(curve: DiscreteCurve) -> CurveFrame:
         curv = d_theta(curve, T)
         curv -= np.sum(curv * T, axis=-1)[..., None] * T  # drop tangential FD noise
         kappa = np.linalg.norm(curv, axis=-1)
-        frame_ok = kappa >= curve.kappa_floor
+        frame_ok = kappa >= KAPPA_FLOOR
         N = np.zeros_like(T)
         N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
         B = np.cross(T, N)
@@ -249,28 +240,6 @@ def _fd_frame(curve: DiscreteCurve) -> CurveFrame:
         return CurveFrame(N, kappa, B, tau, frame_ok)
     N = _normal_2d(curve.space, curve.points, T)
     return CurveFrame(N, np.asarray(curve.space.inner(d_theta(curve, T), N)))
-
-
-def _resample_by_arclength(space, points, t_grid, omega, closed):
-    from scipy.interpolate import CubicSpline
-
-    dt = float(t_grid[1] - t_grid[0])
-    if closed:
-        t_ext = np.append(t_grid, t_grid[-1] + dt)
-        om_ext = np.append(omega, omega[0])
-        pts_ext = np.vstack([points, points[:1]])
-        arc = np.concatenate([[0.0], np.cumsum(0.5 * (om_ext[1:] + om_ext[:-1]) * dt)])
-        targets = np.linspace(0.0, arc[-1], len(t_grid), endpoint=False)
-        interp = CubicSpline(t_ext, pts_ext, axis=0, bc_type="periodic")
-    else:
-        arc = np.concatenate([[0.0], np.cumsum(0.5 * (omega[1:] + omega[:-1]) * dt)])
-        targets = np.linspace(0.0, arc[-1], len(t_grid))
-        interp = CubicSpline(t_grid, points, axis=0)
-    t_of_arc = CubicSpline(arc, t_grid if not closed else t_ext[: len(arc)])
-    new_points = interp(t_of_arc(targets))
-    if space.curved:
-        new_points = space.project_to_surface(new_points)
-    return new_points
 
 
 def d_theta(curve: DiscreteCurve, field):

@@ -65,6 +65,7 @@ from .space_forms import (
     exp_polar,
     json_array,
     json_number,
+    polar_frame,
     standard_frame,
     surface_of_curvature,
 )
@@ -73,8 +74,6 @@ from .space_forms import (
 # the mu^2/kappa^3 term of the profile ODE).  Fixed once by the
 # first-variation oracle; see the module docstring.
 MU_LOCUS_SIGN = -1.0
-
-FRAME_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +102,14 @@ def _ambient_space(K: float) -> SpaceForm:
 
 
 def _validate_frame(space: SpaceForm, frame: FrenetFrame) -> None:
+    """Dimensions; on the surface, tangent and orthonormal (``polar_frame``);
+    orientation on a surface; the binormal in 3D."""
     dim = space.ambient_dim
     for v in (frame.origin, frame.T, frame.N, frame.B):
         if v is not None and v.shape != (dim,):
             raise DomainError(f"frame vectors must have dimension {dim}")
-    space.check_on_surface(frame.origin)
-    g11 = float(space.inner(frame.T, frame.T))
-    g22 = float(space.inner(frame.N, frame.N))
-    g12 = float(space.inner(frame.T, frame.N))
-    if abs(g11 - 1.0) > FRAME_TOL or abs(g22 - 1.0) > FRAME_TOL or abs(g12) > FRAME_TOL:
-        raise DomainError("initial frame is not orthonormal to 1e-12")
+    polar_frame(space, frame.origin, frame.T, frame.N)
     if space.curved:
-        for v in (frame.T, frame.N):
-            resid = v - space.tangent_project(frame.origin, v, check=False)
-            if float(space.norm(resid)) > 1e-9:
-                raise DomainError("initial frame is not tangent to the surface")
         oriented = _normal_2d(space, frame.origin[None, :], frame.T[None, :])[0]
         if float(space.inner(frame.N, oriented)) < 0.0:
             raise DomainError("initial frame must be positively oriented (N = T rotated by +pi/2)")
@@ -526,10 +518,7 @@ def parameter_trajectory(spec: ElasticaPathSpec) -> np.ndarray:
 
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
     """Generate the m curves of the path in one batched integration and one ``build_curve``."""
-    s_grid = np.linspace(0.0, 1.0, spec.m)
     ks, lams, mus = parameter_trajectory(spec).T
-    if spec.K != 0.0:
-        mus = np.zeros_like(mus)
     if np.any(ks <= 0.0):
         bad = int(np.argmax(ks <= 0.0))
         raise NumericFailure(
@@ -546,7 +535,7 @@ def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
         with np.errstate(divide="ignore", invalid="ignore"):
             taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
         points = _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
-        return CurvePath(s_grid=s_grid, batch=build_curve(space, points, closed=False))
+        return CurvePath(build_curve(space, points, closed=False))
     except CurveSpaceError as exc:
         raise NumericFailure(f"curve generation failed along the path: {exc}") from exc
 
@@ -696,15 +685,14 @@ def default_surface_frame(K: float) -> FrenetFrame:
     return FrenetFrame(origin=origin, T=T, N=N)
 
 
-def _frame_from_dict(data: dict, K: float) -> FrenetFrame:
-    frame = FrenetFrame(
+def _frame_from_dict(data: dict) -> FrenetFrame:
+    """The frame as stated; ``ElasticaParams`` validates it against K."""
+    return FrenetFrame(
         origin=json_array(data, "origin"),
         T=json_array(data, "T"),
         N=json_array(data, "N"),
         B=json_array(data, "B") if data.get("B") is not None else None,
     )
-    _validate_frame(_ambient_space(K), frame)
-    return frame
 
 
 def endpoints_from_dict(data: dict) -> tuple[ElasticaParams, ElasticaParams]:
@@ -718,7 +706,7 @@ def endpoints_from_dict(data: dict) -> tuple[ElasticaParams, ElasticaParams]:
         L = json_number(data, "L")
         s, e = data["start"], data["end"]
         triples = [tuple(json_number(d, key) for key in ("k", "lambda", "mu")) for d in (s, e)]
-        frame = _frame_from_dict(data["init_frame"], K)
+        frame = _frame_from_dict(data["init_frame"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid elastica endpoint record: {exc}") from exc
     (k0, lam0, mu0), (k1, lam1, mu1) = triples

@@ -46,13 +46,14 @@ MIN_PATH_SAMPLES = 3
 
 @dataclass(frozen=True, eq=False)
 class CurvePath:
-    """Family of curves c(s, .) on a uniform s-grid over [0, 1], stacked in ``batch``.
+    """Family of curves c(s, .) on the uniform s-grid over [0, 1], stacked in ``batch``.
 
-    ``velocity``, ``dT_velocity`` and ``dT2_velocity`` hold c', D_T c' and
-    D_T^2 c' over the whole stack, each computed once on first read.
+    The s-grid is ``linspace(0, 1, m)``, derived from the stack, never
+    stored.  ``velocity``, ``dT_velocity`` and ``dT2_velocity`` hold c',
+    D_T c' and D_T^2 c' over the whole stack, each computed once on first
+    read.
     """
 
-    s_grid: np.ndarray
     batch: DiscreteCurve
 
     @property
@@ -73,7 +74,7 @@ class CurvePath:
 
     @property
     def ds(self) -> float:
-        return float(self.s_grid[1] - self.s_grid[0])
+        return 1.0 / (self.m - 1)
 
     @property
     def points(self) -> np.ndarray:
@@ -108,7 +109,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def path_from_curves(curves) -> CurvePath:
-    """Stack curves sharing one grid, ``screw_shift`` and ``kappa_floor`` into a path."""
+    """Stack curves sharing one space, closedness, grid size and ``screw_shift`` into a path."""
     curves = tuple(curves)
     if len(curves) < MIN_PATH_SAMPLES:
         raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
@@ -118,27 +119,20 @@ def path_from_curves(curves) -> CurvePath:
     for c in curves[1:]:
         if c.space != first.space or c.closed != first.closed or c.n != first.n:
             raise DomainError("path curves must share space, closedness, and grid size")
-        if not np.array_equal(c.t_grid, first.t_grid):
-            raise DomainError("path curves must share one t-grid")
         if not np.array_equal(c.screw_shift, first.screw_shift):
             raise DomainError("path curves must share one screw_shift")
-        if c.kappa_floor != first.kappa_floor:
-            raise DomainError("path curves must share one kappa_floor")
     points = np.stack([c.points for c in curves])
-    batch = build_curve(first.space, points, first.closed, t_grid=first.t_grid,
-                        screw_shift=first.screw_shift, kappa_floor=first.kappa_floor)
-    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(curves)), batch=batch)
+    return CurvePath(build_curve(first.space, points, first.closed, screw_shift=first.screw_shift))
 
 
-def make_path(space, points, closed, *, t_grid=None, screw_shift=None) -> CurvePath:
-    """Build a path from an (m, n, dim) point array."""
+def make_path(space, points, closed, *, screw_shift=None) -> CurvePath:
+    """Build a path from an (m, n, dim) point array, on the grids ``build_curve`` derives."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 3:
         raise DomainError("expected an (m, n, dim) array of path points")
     if points.shape[0] < MIN_PATH_SAMPLES:
         raise PreconditionError(f"a path needs at least {MIN_PATH_SAMPLES} curves")
-    batch = build_curve(space, points, closed, t_grid=t_grid, screw_shift=screw_shift)
-    return CurvePath(s_grid=np.linspace(0.0, 1.0, len(points)), batch=batch)
+    return CurvePath(build_curve(space, points, closed, screw_shift=screw_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +286,5 @@ def path_from_dict(data: dict) -> CurvePath:
         raise DomainError(f"invalid path record: {exc}") from exc
     if points.shape[:2] != (m, n):
         raise DomainError("point array disagrees with s_samples/t_samples")
-    t_grid = None
-    screw_shift = None
-    if pitch is not None:
-        t_grid = 2.0 * np.pi * np.arange(n) / n
-        screw_shift = np.array([0.0, 0.0, 2.0 * np.pi * pitch])
-    return make_path(space, points, closed, t_grid=t_grid, screw_shift=screw_shift)
+    screw_shift = None if pitch is None else np.array([0.0, 0.0, 2.0 * np.pi * pitch])
+    return make_path(space, points, closed, screw_shift=screw_shift)

@@ -325,11 +325,6 @@ def exp_polar(space: SpaceForm, frame: PolarFrame, r, t):
     return a * frame.center + b * direction
 
 
-def tangent_project(space: SpaceForm, point, v):
-    """Module-level alias of :meth:`SpaceForm.tangent_project` (with surface check)."""
-    return space.tangent_project(point, v, check=True)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

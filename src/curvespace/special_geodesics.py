@@ -142,12 +142,11 @@ def solve_concentric_geodesic(
     r1: float,
     m: int = 64,
     n: int = 256,
-    frame: PolarFrame | None = None,
 ) -> tuple[RadiusTrajectory, CurvePath]:
     """Geodesic of concentric circles from radius r0 to r1 on a surface.
 
     Returns the solved trajectory and the materialized closed-curve path
-    around ``frame`` (the model's standard frame by default).
+    around the model's standard frame.
     """
     if space.model is Model.EUCLIDEAN3D:
         raise DomainError("concentric circle families live on 2D space forms")
@@ -157,8 +156,7 @@ def solve_concentric_geodesic(
             raise DomainError("radius reaches the spherical cut locus")
     s_grid, r, E, distance = _solve_radius_profile(partial(circle_profile_f, space), r0, r1, m)
 
-    if frame is None:
-        frame = standard_frame(space)
+    frame = standard_frame(space)
     t = 2.0 * np.pi * np.arange(n) / n
     points = exp_polar(space, frame, r, t)
     path = make_path(space, points, closed=True)
@@ -188,7 +186,7 @@ def solve_helix_geodesic(
     points[:, :, 1] = r[:, None] * np.sin(t)
     points[:, :, 2] = h * t
     shift = np.array([0.0, 0.0, 2.0 * np.pi * h])
-    path = make_path(space, points, closed=False, t_grid=t, screw_shift=shift)
+    path = make_path(space, points, closed=False, screw_shift=shift)
     traj = RadiusTrajectory(
         family=Helices(pitch=h), s_grid=s_grid, r=r, conserved=E, distance=distance,
     )

@@ -452,6 +452,48 @@ class TestIntegerFlags:
         assert capsys.readouterr().err.startswith("usage error: argument --")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+             "--t-samples", "1000000000000"],
+            ["helices", "--pitch", "1", "--r0", "1", "--r1", "2", "--s-samples", str(1 << 21)],
+            # each count under the bound, their product past it
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+             "--s-samples", "1024", "--t-samples", "1025"],
+            ["elastica", "--spec", "s.json", "--control-points", "1025"],
+        ],
+    )
+    def test_sample_counts_past_the_bound_are_usage_errors(self, argv, tmp_path, monkeypatch,
+                                                          capsys):
+        import curvespace.cli as cli
+
+        def no_handler(opt):
+            raise AssertionError("handler ran")
+
+        # the bound is checked at parse time; nothing may reach an allocation
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, no_handler))
+        out = tmp_path / "o.json"
+        argv = argv + ["--out", str(out)] + (["--trace", "t.csv"] if argv[0] == "elastica" else [])
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert f"exceeds {cli.MAX_SAMPLES}" in err
+        assert not out.exists()
+
+    def test_sample_counts_at_the_bound_parse(self):
+        from curvespace.cli import MAX_SAMPLES, parse_command
+
+        side = int(MAX_SAMPLES**0.5)
+        assert side * side == MAX_SAMPLES
+        command = parse_command(["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+                                 "--s-samples", str(side), "--t-samples", str(side),
+                                 "--out", "o.json"])
+        assert command.options["s_samples"] * command.options["t_samples"] == MAX_SAMPLES
+        command = parse_command(["elastica", "--spec", "s.json", "--control-points", str(side),
+                                 "--out", "o.json", "--trace", "t.csv"])
+        assert command.options["control_points"] == side
+
     def test_too_few_path_samples_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         import curvespace.elastica as el
 
@@ -564,6 +606,22 @@ class TestElasticaCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("invalid input:")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("T", [0.0, 2.0, 0.0]), ("N", [1.0, 0.0, 0.0]), ("B", [0.0, 0.0, -1.0])],
+    )
+    def test_invalid_frame_is_input_error(self, field, value, tmp_path, capsys):
+        spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
+        spec["init_frame"][field] = value
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--out", str(out), "--trace", str(trace)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and err.count("\n") == 1
         assert not out.exists() and not trace.exists()
 
     def test_bad_spec_is_input_error(self, tmp_path):

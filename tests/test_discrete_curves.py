@@ -26,7 +26,7 @@ from curvespace import (
 )
 from curvespace._fd import diff1
 from curvespace.cli import _render_svg
-from curvespace.discrete_curves import KAPPA_FLOOR, _normal_2d
+from curvespace.discrete_curves import KAPPA_FLOOR, MIN_SAMPLES, DiscreteCurve, _normal_2d
 from curvespace.elastica import (
     _end_frame,
     _interior_seed,
@@ -34,6 +34,7 @@ from curvespace.elastica import (
     elastica_path_energy,
     materialize_path,
 )
+from curvespace.sobolev_metric import MIN_PATH_SAMPLES, CurvePath
 
 
 def circle_points(n, radius=1.0):
@@ -110,14 +111,6 @@ class TestBuildCurve:
         assert not np.any(c.frame_ok)
         assert np.all(c.tau == 0.0)
 
-    def test_kappa_floor_override(self):
-        t = np.linspace(0.0, 1.0, 128)
-        pts = np.stack([np.cos(t), np.sin(t), t], axis=1)  # kappa = 1/2
-        strict = build_curve(euclidean3d(), pts, closed=False, kappa_floor=1.0)
-        assert not np.any(strict.frame_ok)
-        default = build_curve(euclidean3d(), pts, closed=False)
-        assert np.all(default.frame_ok)
-
     def test_keeps_a_read_only_copy_of_the_points(self):
         pts, _ = circle_points(64)
         c = build_curve(plane(), pts, closed=True)
@@ -159,15 +152,28 @@ class TestBuildCurve:
             errs_tau.append(np.max(np.abs(c.tau - 0.5 / 1.25)))
         assert errs_tau[0] / errs_tau[1] >= 3.5
 
-    def test_arclength_resampling(self):
-        n = 256
-        u = 2 * np.pi * np.arange(n) / n
-        warped = u + 0.4 * np.sin(u)
-        pts = np.stack([np.cos(warped), np.sin(warped)], axis=1)
-        raw = build_curve(plane(), pts, closed=True)
-        assert np.max(raw.omega) / np.min(raw.omega) > 1.5
-        res = build_curve(plane(), pts, closed=True, resample_arclength=True)
-        assert np.max(res.omega) / np.min(res.omega) <= 1.0 + 1e-3
+
+class TestDerivedGrids:
+    def test_dt_t_grid_and_ds_match_the_stored_grids_bitwise(self):
+        # the grids build_curve and make_path used to store, as the oracle
+        def curve(points, closed, screw_shift=None):
+            space = plane() if points.shape[-1] == 2 else euclidean3d()
+            return DiscreteCurve(space, closed, points, None, None, screw_shift=screw_shift)
+
+        for n in range(MIN_SAMPLES, 4097):
+            points = np.broadcast_to(0.0, (n, 2))
+            periodic = 2.0 * np.pi * np.arange(n) / n
+            cases = [
+                (curve(points, True), periodic),
+                (curve(np.broadcast_to(0.0, (n, 3)), False, np.zeros(3)), periodic),
+                (curve(points, False), np.linspace(0.0, 1.0, n)),
+            ]
+            for c, stored in cases:
+                assert np.array_equal(c.t_grid, stored) and c.dt == stored[1] - stored[0]
+        for m in range(MIN_PATH_SAMPLES, 4097):
+            stored = np.linspace(0.0, 1.0, m)
+            path = CurvePath(curve(np.broadcast_to(0.0, (m, 8, 2)), True))
+            assert path.ds == stored[1] - stored[0]
 
 
 class TestDTheta:
@@ -299,17 +305,25 @@ def _torsional_elastica_stack():
     return materialize_path(_torsional_elastica_spec()).points
 
 
+def _straight_and_helix_stack(n=96, h=0.5):
+    """Open rows r (cos t, sin t) + h t e_z; the r = 0 rows are straight, so have no frame."""
+    t = np.linspace(0.0, 2.0, n)
+    r = np.array([0.0, 0.8, 0.0, 1.2, 0.0])[:, None]
+    return np.stack([r * np.cos(t), r * np.sin(t), np.broadcast_to(h * t, (len(r), n))], axis=2)
+
+
 def _batch_cases():
-    helix, t = _helix_stack()
+    helix, _ = _helix_stack()
     return {
         "plane": (plane(), _plane_stack(), dict(closed=True)),
         "sphere": (sphere(1.0), _sphere_stack(), dict(closed=True)),
         "hyperboloid": (hyperbolic(-1.0), _hyperboloid_stack(), dict(closed=False)),
         "helix": (
             euclidean3d(), helix,
-            dict(closed=False, t_grid=t, screw_shift=np.array([0.0, 0.0, 2 * np.pi * 0.4])),
+            dict(closed=False, screw_shift=np.array([0.0, 0.0, 2 * np.pi * 0.4])),
         ),
         "torsional_elastica": (euclidean3d(), _torsional_elastica_stack(), dict(closed=False)),
+        "straight_and_helix": (euclidean3d(), _straight_and_helix_stack(), dict(closed=False)),
     }
 
 
@@ -368,7 +382,7 @@ def _eager_frame(curve):
     curv = dtheta(T)
     curv -= np.sum(curv * T, axis=-1)[..., None] * T
     kappa = np.linalg.norm(curv, axis=-1)
-    frame_ok = kappa >= curve.kappa_floor
+    frame_ok = kappa >= KAPPA_FLOOR
     N = np.zeros_like(T)
     N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
     B = np.cross(T, N)
@@ -387,38 +401,25 @@ class TestLazyFrame:
     """The frame is computed on first read, bitwise as the eager build computed it."""
 
     @pytest.mark.parametrize(
-        "case", ["plane", "sphere", "hyperboloid", "helix", "torsional_elastica"]
+        "case",
+        ["plane", "sphere", "hyperboloid", "helix", "torsional_elastica", "straight_and_helix"],
     )
     def test_lazy_fields_match_the_eager_build(self, case):
         space, pts, kwargs = _batch_cases()[case]
-        kappa = build_curve(space, pts, **kwargs).kappa
-        # the default floor, and one that flags about half of the 3D samples
-        for floor in (KAPPA_FLOOR, float(np.median(kappa))):
-            batch = build_curve(space, pts, kappa_floor=floor, **kwargs)
-            want = _eager_frame(batch)
-            if want["frame_ok"] is not None and floor != KAPPA_FLOOR:
-                assert 0 < np.count_nonzero(want["frame_ok"]) < want["frame_ok"].size
-            rows = [batch.row(j) for j in range(len(pts))]
-            for name in FRAME_FIELDS:
-                _assert_same(getattr(batch, name), want[name], (case, floor, name))
-                for j, row in enumerate(rows):
-                    got = getattr(row, name)
-                    _assert_same(got, None if want[name] is None else want[name][j], (case, j, name))
-            if len(pts) >= 3:
-                stacked = path_from_curves(rows).batch
-                for name in FRAME_FIELDS:
-                    _assert_same(getattr(stacked, name), want[name], (case, "stacked", name))
-
-    def test_kappa_floor_is_kept_by_rows_and_stacks(self):
-        space, pts, kwargs = _batch_cases()["helix"]
-        batch = build_curve(space, pts, kappa_floor=10.0, **kwargs)
+        batch = build_curve(space, pts, **kwargs)
+        want = _eager_frame(batch)
+        if case == "straight_and_helix":  # the straight rows are flagged, the helices not
+            assert 0 < np.count_nonzero(want["frame_ok"]) < want["frame_ok"].size
         rows = [batch.row(j) for j in range(len(pts))]
-        assert all(row.kappa_floor == 10.0 for row in rows)
-        assert path_from_curves(rows).batch.kappa_floor == 10.0
-        assert not np.any(rows[0].frame_ok) and np.all(rows[0].tau == 0.0)
-        loose = build_curve(space, pts[0], **kwargs)
-        with pytest.raises(DomainError, match="kappa_floor"):
-            path_from_curves([rows[0], loose, rows[1]])
+        for name in FRAME_FIELDS:
+            _assert_same(getattr(batch, name), want[name], (case, name))
+            for j, row in enumerate(rows):
+                got = getattr(row, name)
+                _assert_same(got, None if want[name] is None else want[name][j], (case, j, name))
+        if len(pts) >= 3:
+            stacked = path_from_curves(rows).batch
+            for name in FRAME_FIELDS:
+                _assert_same(getattr(stacked, name), want[name], (case, "stacked", name))
 
     def test_row_needs_a_stack_and_an_index_in_range(self):
         pts, _ = circle_points(64)

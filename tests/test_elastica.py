@@ -333,6 +333,29 @@ class TestReconstruction:
             ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=0.0, L=1.0,
                            frame=FrenetFrame(origin=[0, 0, 0], T=[0, 2, 0], N=[-1, 0, 0], B=[0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "K, field, change, match",
+        [
+            (0.0, "origin", lambda f: f.origin[:2], "dimension 3"),
+            (0.0, "T", lambda f: (1.0 + 1e-9) * f.T, "orthonormal"),
+            (0.0, "N", lambda f: f.N + 1e-9 * f.T, "orthonormal"),
+            (0.0, "B", lambda f: None, "binormal"),
+            (0.0, "B", lambda f: -f.B, "right-handed"),
+            (1.0, "origin", lambda f: 1.01 * f.origin, "not on the sphere2d surface"),
+            (1.0, "T", lambda f: f.T + 1e-6 * f.origin, "not tangent"),
+            (1.0, "T", lambda f: (1.0 + 1e-9) * f.T, "orthonormal"),
+            (1.0, "N", lambda f: -f.N, "positively oriented"),
+            (-1.0, "origin", lambda f: 1.01 * f.origin, "not on the hyperbolic2d surface"),
+            (-1.0, "N", lambda f: f.N + 1e-9 * f.T, "orthonormal"),
+            (-1.0, "N", lambda f: -f.N, "positively oriented"),
+        ],
+    )
+    def test_each_frame_check_rejects(self, K, field, change, match):
+        base = default_flat_frame(1.0) if K == 0.0 else default_surface_frame(K)
+        frame = FrenetFrame(**(vars(base) | {field: change(base)}))
+        with pytest.raises(DomainError, match=match):
+            ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=K, L=1.0, frame=frame)
+
 
 def rk4_reconstruct(Ks, frames, kappa, tau, Ls, substeps):
     """Reference integrator: RK4 of the Frenet and surface systems.

@@ -78,10 +78,9 @@ class TestRigidMotions:
     def test_space_screw_helices(self, a, b, c, shift, pitch):
         _, path = solve_helix_geodesic(1.0, 1.6, pitch, m=7, n=96)
         rot = rotation(a, b, c)
-        row = path.curves[0]
         moved = make_path(
             euclidean3d(), path.points @ rot.T + np.array(shift), closed=False,
-            t_grid=row.t_grid, screw_shift=rot @ row.screw_shift,
+            screw_shift=rot @ path.batch.screw_shift,
         )
         assert_same_speed(moved, path)
 

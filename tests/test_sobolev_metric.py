@@ -166,10 +166,7 @@ class TestBatchedPathSpeed:
             v = row_velocity(path, j)
             assert np.array_equal(path.velocity[j], v)
             row = path.curves[j]
-            curve = build_curve(
-                path.space, row.points, path.closed,
-                t_grid=row.t_grid, screw_shift=row.screw_shift,
-            )
+            curve = build_curve(path.space, row.points, path.closed, screw_shift=row.screw_shift)
             ref = np.sqrt(max(sobolev_inner(curve, v, v), 0.0))
             assert nu[j] == pytest.approx(ref, rel=1e-12)
 
@@ -212,7 +209,7 @@ class TestPathSpeedAndEnergy:
 class TestPathFromCurves:
     def test_mixed_screw_shift_rejected(self):
         helix = helix_path(m=3, n=64).curves[1]
-        plain = build_curve(helix.space, helix.points, closed=False, t_grid=helix.t_grid)
+        plain = build_curve(helix.space, helix.points, closed=False)
         with pytest.raises(DomainError, match="screw_shift"):
             path_from_curves([helix, plain, helix])
 
@@ -225,10 +222,12 @@ class TestPathFromCurves:
 
     def test_keeps_the_fields_each_curve_was_built_with(self):
         t = np.linspace(0.0, 1.0, 64)
-        rows = [np.stack([r * np.cos(t), r * np.sin(t), t], axis=1) for r in (1.0, 1.1, 1.2)]
-        curves = [build_curve(euclidean3d(), p, closed=False, kappa_floor=1.0) for p in rows]
+        # the straight r = 0 row has no Frenet frame, the helices have one
+        rows = [np.stack([r * np.cos(t), r * np.sin(t), t], axis=1) for r in (1.0, 0.0, 1.2)]
+        curves = [build_curve(euclidean3d(), p, closed=False) for p in rows]
         path = path_from_curves(curves)
-        assert not np.any(path.batch.frame_ok)
+        ok = path.batch.frame_ok
+        assert np.all(ok[[0, 2]]) and not np.any(ok[1])
         for j, c in enumerate(curves):
             for f in ("points", "omega", "T", "N", "kappa", "B", "tau", "frame_ok"):
                 assert np.array_equal(getattr(path.curves[j], f), getattr(c, f)), f
