@@ -10,6 +10,7 @@ distance   print the Sobolev path length of a path file
 render     draw the path as an SVG (one polyline per s-sample)
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 invalid input file.
+A failed command writes no output file; ``--help`` returns 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -155,13 +157,25 @@ def _check_sample_counts(options: dict) -> None:
 # shared IO helpers
 
 
-def _dump_json(data, out_path: str) -> None:
-    try:  # strict JSON has no NaN or infinity; fail before the file exists
-        text = json.dumps(data, separators=(",", ":"), allow_nan=False)
+def _json_text(data, out_path: str) -> str:
+    try:  # strict JSON has no NaN or infinity; fail before any file exists
+        return json.dumps(data, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericFailure(f"{out_path}: result is not finite") from exc
-    with open(out_path, "w") as fh:
-        fh.write(text + "\n")
+
+
+def _write_outputs(outputs: dict) -> None:
+    """Write every output file or none: a failed write removes the ones before it."""
+    written = []
+    try:
+        for out_path, text in outputs.items():
+            with open(out_path, "w") as fh:
+                written.append(out_path)
+                fh.write(text)
+    except OSError:
+        for out_path in written:
+            os.remove(out_path)
+        raise
 
 
 def _load_json(path: str) -> dict:
@@ -195,21 +209,21 @@ def _cmd_circles(opt) -> int:
     traj, path = sg.solve_concentric_geodesic(
         space, opt["r0"], opt["r1"], m=opt["s_samples"], n=opt["t_samples"]
     )
-    _dump_json(sm.path_to_dict(path), opt["out"])
-    if opt["traj"]:
-        with open(opt["traj"], "w") as fh:
-            fh.write(sg.trajectory_to_csv(traj))
-    return EXIT_OK
+    return _write_path_and_traj(opt, sm.path_to_dict(path), traj)
 
 
 def _cmd_helices(opt) -> int:
     traj, path = sg.solve_helix_geodesic(
         opt["r0"], opt["r1"], opt["pitch"], m=opt["s_samples"], n=opt["t_samples"]
     )
-    _dump_json(sm.path_to_dict(path, pitch=opt["pitch"]), opt["out"])
+    return _write_path_and_traj(opt, sm.path_to_dict(path, pitch=opt["pitch"]), traj)
+
+
+def _write_path_and_traj(opt, path_data: dict, traj: sg.RadiusTrajectory) -> int:
+    outputs = {opt["out"]: _json_text(path_data, opt["out"])}
     if opt["traj"]:
-        with open(opt["traj"], "w") as fh:
-            fh.write(sg.trajectory_to_csv(traj))
+        outputs[opt["traj"]] = sg.trajectory_to_csv(traj)
+    _write_outputs(outputs)
     return EXIT_OK
 
 
@@ -226,11 +240,10 @@ def _cmd_elastica(opt) -> int:
         n=opt["t_samples"],
         opts=el.OptimizeOptions(seed=opt["seed"]),
     )
-    _dump_json(sm.path_to_dict(path), opt["out"])
-    with open(opt["trace"], "w") as fh:
-        fh.write("iter,energy\n")
-        for it, energy in trace:
-            fh.write(f"{it},{energy!r}\n")
+    _write_outputs({
+        opt["out"]: _json_text(sm.path_to_dict(path), opt["out"]),
+        opt["trace"]: "iter,energy\n" + "".join(f"{it},{energy!r}\n" for it, energy in trace),
+    })
     return EXIT_OK
 
 
@@ -263,7 +276,7 @@ def _cmd_check(opt) -> int:
         "rho_kappa_sup": None if diag.rho_kappa_sup is None else diag.rho_kappa_sup.tolist(),
         "variations": _variation_block(path, diag.is_normal),
     }
-    _dump_json(report, opt["report"])
+    _write_outputs({opt["report"]: _json_text(report, opt["report"])})
     return EXIT_OK
 
 
@@ -329,8 +342,7 @@ def _render_svg(path: sm.CurvePath) -> str:
 
 def _cmd_render(opt) -> int:
     path = _load_path(opt["input"])
-    with open(opt["out"], "w") as fh:
-        fh.write(_render_svg(path))
+    _write_outputs({opt["out"]: _render_svg(path)})
     return EXIT_OK
 
 
@@ -351,6 +363,8 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # argparse exits only after printing --help
+        return EXIT_OK
     try:
         # non-finite results surface through the checks, not as warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -13,7 +13,9 @@ grid: points of shape (m, n, dim), fields of shape (m, n) or
 here works along it, and ``DiscreteCurve.row`` views curve j's points,
 ``omega`` and ``T``.  A path of curves (``sobolev_metric.CurvePath``) is
 such a stack.  Every curve, row or stack, gets its frame from ``_fd_frame``
-on first read, the one place that knows how a curve gets its frame.
+on first read, the one place that knows how a curve gets its frame.  The
+surface geometry it needs (inner product, 2D normal, tangent projection,
+tangency measure) comes from ``SpaceForm``; none is repeated here.
 
 Conventions
 -----------
@@ -24,8 +26,8 @@ Conventions
 * the 3D Frenet frame is defined where ``kappa >= KAPPA_FLOOR``, a
   constant,
 * the 2D normal is the tangent rotated by +pi/2 in the oriented tangent
-  plane, so a counterclockwise plane circle has ``kappa > 0`` and the
-  normal points to its center,
+  plane (``SpaceForm.normal_2d``), so a counterclockwise plane circle has
+  ``kappa > 0`` and the normal points to its center,
 * arclength derivative is ``d_theta = (1/omega) d/dt``.
 
 All parameter derivatives (of the points and of fields along the curve)
@@ -71,9 +73,8 @@ class TangentField:
         values = np.asarray(values, dtype=float)
         if values.shape != curve.points.shape:
             raise DomainError("field shape does not match the curve grid")
-        resid = values - curve.space.tangent_project(curve.points, values, check=False)
-        scale = 1.0 + float(np.max(curve.space.norm(values)))
-        if float(np.max(curve.space.norm(resid))) > TANGENCY_TOL * scale:
+        off = float(np.max(curve.space.tangent_distance(curve.points, values)))
+        if off > TANGENCY_TOL * (1.0 + float(np.max(np.linalg.norm(values, axis=-1)))):
             raise DomainError("field is not tangent to the surface along the curve")
         return TangentField(values)
 
@@ -161,20 +162,6 @@ def _grid_step(n: int, periodic: bool) -> float:
     return 2.0 * np.pi / n if periodic else 1.0 / (n - 1)
 
 
-def _normal_2d(space: SpaceForm, points: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Rotate T by +pi/2 in the oriented tangent plane of the model."""
-    if space.model is Model.PLANE2D:
-        return np.stack([-T[..., 1], T[..., 0]], axis=-1)
-    if space.model is Model.SPHERE2D:
-        nu = points / np.linalg.norm(points, axis=-1, keepdims=True)
-        return np.cross(nu, T)
-    # hyperboloid: J (p_hat x T) is unit, tangent, and consistently oriented
-    p_hat = points / space.radius
-    w = np.cross(p_hat, T)
-    w[..., 2] = -w[..., 2]
-    return w
-
-
 def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> DiscreteCurve:
     """Build a :class:`DiscreteCurve` from sampled points.
 
@@ -227,19 +214,19 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
 
 def _fd_frame(curve: DiscreteCurve) -> CurveFrame:
     """The frame from fourth-order arclength derivatives of T (and of B in 3D)."""
-    T = curve.T
+    T, inner = curve.T, curve.space.inner
     if curve.space.model is Model.EUCLIDEAN3D:
         curv = d_theta(curve, T)
-        curv -= np.sum(curv * T, axis=-1)[..., None] * T  # drop tangential FD noise
+        curv -= inner(curv, T)[..., None] * T  # drop tangential FD noise
         kappa = np.linalg.norm(curv, axis=-1)
         frame_ok = kappa >= KAPPA_FLOOR
         N = np.zeros_like(T)
         N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]
         B = np.cross(T, N)
-        tau = np.where(frame_ok, -np.sum(d_theta(curve, B) * N, axis=-1), 0.0)
+        tau = np.where(frame_ok, -inner(d_theta(curve, B), N), 0.0)
         return CurveFrame(N, kappa, B, tau, frame_ok)
-    N = _normal_2d(curve.space, curve.points, T)
-    return CurveFrame(N, np.asarray(curve.space.inner(d_theta(curve, T), N)))
+    N = curve.space.normal_2d(curve.points, T)
+    return CurveFrame(N, np.asarray(inner(d_theta(curve, T), N)))
 
 
 def d_theta(curve: DiscreteCurve, field):
@@ -291,6 +278,8 @@ def length(curve: DiscreteCurve):
 def curve_to_dict(curve: DiscreteCurve) -> dict:
     if curve.points.ndim != 2:
         raise PreconditionError("curve_to_dict takes one curve, not a stack")
+    if curve.screw_shift is not None:  # the record has no field for it
+        raise PreconditionError("curve_to_dict cannot record a screw_shift")
     return {
         "space": space_to_dict(curve.space),
         "closed": curve.closed,

@@ -48,7 +48,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 from scipy.special import ellipj, ellipk
 
-from .discrete_curves import DiscreteCurve, _normal_2d, build_curve
+from .discrete_curves import DiscreteCurve, build_curve
 from .errors import (
     CapabilityError,
     CurveSpaceError,
@@ -102,16 +102,13 @@ def _ambient_space(K: float) -> SpaceForm:
 
 
 def _validate_frame(space: SpaceForm, frame: FrenetFrame) -> None:
-    """Dimensions; on the surface, tangent and orthonormal (``polar_frame``);
+    """Dimensions, tangency and orthonormality (``polar_frame``); the
     orientation on a surface; the binormal in 3D."""
-    dim = space.ambient_dim
-    for v in (frame.origin, frame.T, frame.N, frame.B):
-        if v is not None and v.shape != (dim,):
-            raise DomainError(f"frame vectors must have dimension {dim}")
     polar_frame(space, frame.origin, frame.T, frame.N)
+    if frame.B is not None and frame.B.shape != (space.ambient_dim,):
+        raise DomainError(f"frame vectors must have dimension {space.ambient_dim}")
     if space.curved:
-        oriented = _normal_2d(space, frame.origin[None, :], frame.T[None, :])[0]
-        if float(space.inner(frame.N, oriented)) < 0.0:
+        if float(space.inner(frame.N, space.normal_2d(frame.origin, frame.T))) < 0.0:
             raise DomainError("initial frame must be positively oriented (N = T rotated by +pi/2)")
     if space.model is Model.EUCLIDEAN3D:
         if frame.B is None:
@@ -681,7 +678,7 @@ def default_surface_frame(K: float) -> FrenetFrame:
     pole = standard_frame(space)
     origin = exp_polar(space, pole, 0.7 * space.radius, 0.0)
     T = np.array([0.0, 1.0, 0.0])
-    N = _normal_2d(space, origin[None, :], T[None, :])[0]
+    N = space.normal_2d(origin, T)
     return FrenetFrame(origin=origin, T=T, N=N)
 
 

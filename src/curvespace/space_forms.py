@@ -10,9 +10,12 @@ projection:
                        with signature (+, +, -), K < 0
 * ``euclidean3d``   -- R^3, curvature 0
 
-The polar length element ``omega(r)`` of geodesic circles around a point,
-its radial derivative, and the closed-form exponential map of each model
-live here as well.
+``SpaceForm`` is the one place that knows each model's surface geometry:
+the ambient inner product, the distance of a point from the surface and
+of a vector from the tangent plane, the tangent projection and the 2D
+normal.  The polar length element ``omega(r)`` of geodesic circles
+around a point and its r-derivatives (one case table), and the
+closed-form exponential map of each model live here as well.
 """
 
 from __future__ import annotations
@@ -85,16 +88,19 @@ class SpaceForm:
     # -- ambient metric ------------------------------------------------
 
     def inner(self, u, v):
-        """Ambient inner product, Minkowski on the hyperboloid model."""
+        """Ambient inner product, Minkowski on the hyperboloid model.
+
+        One component sum in index order: the rounding of
+        ``np.sum(u * v, axis=-1)`` without its (..., dim) product array
+        (only a sum of negative zeros keeps its sign here).
+        """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.lorentzian:
-            return (
-                u[..., 0] * v[..., 0]
-                + u[..., 1] * v[..., 1]
-                - u[..., 2] * v[..., 2]
-            )
-        return np.sum(u * v, axis=-1)
+        out = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+        if self.ambient_dim == 2:
+            return out
+        last = u[..., 2] * v[..., 2]
+        return out - last if self.lorentzian else out + last
 
     def norm(self, u):
         # tangent vectors of the hyperboloid are spacelike; clip roundoff
@@ -122,20 +128,20 @@ class SpaceForm:
         if np.any(self.surface_distance(p) > SURFACE_TOL * scale):
             raise DomainError(f"point is not on the {self.model.value} surface")
 
-    def project_to_surface(self, p):
-        """Radially rescale ``p`` back onto the model surface."""
-        p = np.asarray(p, dtype=float)
-        if not self.curved:
-            return p
-        R = self.radius
-        if self.model is Model.SPHERE2D:
-            return p * (R / np.linalg.norm(p, axis=-1))[..., None]
-        q = -self.inner(p, p)
-        if np.any(q <= 0.0) or np.any(p[..., 2] <= 0.0):
-            raise DomainError("point cannot be projected onto the upper hyperboloid")
-        return p * (R / np.sqrt(q))[..., None]
+    # -- tangent plane -------------------------------------------------
 
-    # -- tangent projection --------------------------------------------
+    def tangent_distance(self, point, v):
+        """Euclidean distance of ``v`` from the tangent plane at ``point``.
+
+        ``|<v, p>| / |p|``, model inner product over Euclidean length: the
+        plane's Euclidean normal is p on the sphere, (p0, p1, -p2) on the
+        hyperboloid.  Rounding stays near eps |v| at any |p|; 0 when flat.
+        """
+        v = np.asarray(v, dtype=float)
+        if not self.curved:
+            return np.zeros(v.shape[:-1])
+        point = np.asarray(point, dtype=float)
+        return np.abs(self.inner(v, point)) / np.linalg.norm(point, axis=-1)
 
     def tangent_project(self, point, v, *, check: bool = True):
         """Component of ``v`` tangent to the surface at ``point``.
@@ -152,6 +158,18 @@ class SpaceForm:
             self.check_on_surface(point)
         coeff = self.inner(v, point) / self.inner(point, point)
         return v - coeff[..., None] * point
+
+    def normal_2d(self, points, T):
+        """``T`` rotated by +pi/2 in the oriented tangent plane of a 2D model."""
+        if self.model is Model.PLANE2D:
+            return np.stack([-T[..., 1], T[..., 0]], axis=-1)
+        if self.model is Model.SPHERE2D:
+            nu = points / np.linalg.norm(points, axis=-1, keepdims=True)
+            return np.cross(nu, T)
+        # hyperboloid: J (p_hat x T) is unit, tangent, and consistently oriented
+        w = np.cross(points / self.radius, T)
+        w[..., 2] = -w[..., 2]
+        return w
 
 
 def plane() -> SpaceForm:
@@ -183,49 +201,48 @@ def surface_of_curvature(K: float) -> SpaceForm:
 # polar length element
 
 
-def _omega_series(K: float, r):
-    om = r * (1.0 - K * r * r / 6.0 + (K * r * r) ** 2 / 120.0)
-    om_r = 1.0 - K * r * r / 2.0 + (K * r * r) ** 2 / 24.0
-    return om, om_r
+def polar_table(K: float, r):
+    """``omega``, ``omega_r`` and ``omega_rr`` at radii ``r``; callers check ``r``.
+
+    omega = sin(sqrt(K) r)/sqrt(K) for K > 0, r for K = 0, and
+    sinh(sqrt(-K) r)/sqrt(-K) for K < 0; a Taylor series near K r^2 = 0
+    avoids cancellation, so the table is continuous in K.  omega_rr has its
+    own closed form, not -K omega.
+    """
+    r = np.asarray(r, dtype=float)
+    if K == 0.0:
+        return r.copy(), np.ones_like(r), np.zeros_like(r)
+    s = math.sqrt(abs(K))
+    if K > 0.0:
+        sin = np.sin(s * r)
+        om, om_r, om_rr = sin / s, np.cos(s * r), -s * sin
+    else:
+        sinh = np.sinh(s * r)
+        om, om_r, om_rr = sinh / s, np.cosh(s * r), s * sinh
+    series = abs(K) * r * r < _SERIES_THRESHOLD
+    if np.any(series):
+        x = K * r * r
+        poly = 1.0 - x / 6.0 + x**2 / 120.0
+        om = np.where(series, r * poly, om)
+        om_r = np.where(series, 1.0 - x / 2.0 + x**2 / 24.0, om_r)
+        om_rr = np.where(series, -K * r * poly, om_rr)
+    return om, om_r, om_rr
 
 
-def _check_radius(space: SpaceForm, r) -> np.ndarray:
+def check_radius(space: SpaceForm, r) -> np.ndarray:
+    """``r`` as a float array; DomainError unless inside the polar domain."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("polar radius must be positive")
-    K = space.curvature
-    if space.model is Model.SPHERE2D and np.any(r >= math.pi / math.sqrt(K)):
+    if space.model is Model.SPHERE2D and np.any(r >= math.pi / math.sqrt(space.curvature)):
         raise DomainError("polar radius reaches the spherical cut locus")
     return r
 
 
 def omega_profile(space: SpaceForm, r):
-    """Length element ``omega(r)`` of the polar circle and its r-derivative.
-
-    Case table: sin(sqrt(K) r)/sqrt(K) for K > 0, r for K = 0, and
-    sinh(sqrt(-K) r)/sqrt(-K) for K < 0.  Near K = 0 a Taylor series is
-    used to avoid cancellation, so the profile is continuous in K.
-    """
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    r = _check_radius(space, r)
-    K = space.curvature
-    if K == 0.0:
-        om, om_r = r.copy(), np.ones_like(r)
-    else:
-        series = np.abs(K) * r * r < _SERIES_THRESHOLD
-        if K > 0.0:
-            s = math.sqrt(K)
-            om, om_r = np.sin(s * r) / s, np.cos(s * r)
-        else:
-            s = math.sqrt(-K)
-            om, om_r = np.sinh(s * r) / s, np.cosh(s * r)
-        if np.any(series):
-            om_s, om_r_s = _omega_series(K, r)
-            om = np.where(series, om_s, om)
-            om_r = np.where(series, om_r_s, om_r)
-    if scalar:
-        return float(om), float(om_r)
-    return om, om_r
+    """Length element ``omega(r)`` of the polar circle and its r-derivative."""
+    om, om_r, _ = polar_table(space.curvature, check_radius(space, r))
+    return (float(om), float(om_r)) if np.ndim(r) == 0 else (om, om_r)
 
 
 def jacobi_residual(space: SpaceForm, r):
@@ -235,25 +252,9 @@ def jacobi_residual(space: SpaceForm, r):
     result measures genuine floating-point consistency rather than being
     zero by construction.
     """
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    r = _check_radius(space, r)
-    K = space.curvature
-    om, _ = omega_profile(space, r)
-    if K == 0.0:
-        om_rr = np.zeros_like(r)
-    else:
-        series = np.abs(K) * r * r < _SERIES_THRESHOLD
-        if K > 0.0:
-            s = math.sqrt(K)
-            om_rr = -s * np.sin(s * r)
-        else:
-            s = math.sqrt(-K)
-            om_rr = s * np.sinh(s * r)
-        if np.any(series):
-            om_rr_s = -K * r * (1.0 - K * r * r / 6.0 + (K * r * r) ** 2 / 120.0)
-            om_rr = np.where(series, om_rr_s, om_rr)
-    res = om_rr + K * om
-    return float(res) if scalar else res
+    om, _, om_rr = polar_table(space.curvature, check_radius(space, r))
+    res = om_rr + space.curvature * om
+    return float(res) if np.ndim(r) == 0 else res
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +272,12 @@ class PolarFrame:
 
 def polar_frame(space: SpaceForm, center, e1, e2) -> PolarFrame:
     """Validated polar frame; orthonormality is required, never repaired."""
-    center = np.asarray(center, dtype=float)
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if center.shape != (space.ambient_dim,):
-        raise DomainError("frame center has the wrong ambient dimension")
+    center, e1, e2 = (np.asarray(v, dtype=float) for v in (center, e1, e2))
+    if any(v.shape != (space.ambient_dim,) for v in (center, e1, e2)):
+        raise DomainError(f"frame vectors must have dimension {space.ambient_dim}")
     space.check_on_surface(center)
     for e in (e1, e2):
-        resid = e - space.tangent_project(center, e, check=False)
-        if float(space.norm(resid)) > SURFACE_TOL:
+        if float(space.tangent_distance(center, e)) > SURFACE_TOL:
             raise DomainError("frame vector is not tangent at the center")
     if (
         abs(float(space.inner(e1, e1)) - 1.0) > FRAME_ORTHO_TOL
@@ -309,7 +307,7 @@ def exp_polar(space: SpaceForm, frame: PolarFrame, r, t):
     ``math`` functions of each radius, the same arithmetic for one radius
     or many.
     """
-    radii = _check_radius(space, r)
+    radii = check_radius(space, r)
     t = np.asarray(t, dtype=float)
     direction = (
         np.cos(t)[..., None] * frame.e1 + np.sin(t)[..., None] * frame.e2

@@ -33,8 +33,9 @@ from .space_forms import (
     Model,
     PolarFrame,
     SpaceForm,
+    check_radius,
     exp_polar,
-    omega_profile,
+    polar_table,
     standard_frame,
 )
 
@@ -75,8 +76,8 @@ def circle_profile_f(space: SpaceForm, r):
     """Conserved-quantity profile f(r) = omega + omega_r^2 / omega."""
     if np.any(np.asarray(r, dtype=float) < R_MIN):
         raise DomainError(f"profile blows up near r = 0; keep r >= {R_MIN}")
-    om, om_r = omega_profile(space, r)
-    return om + om_r * om_r / om
+    out = _circle_f(space.curvature, check_radius(space, r))
+    return float(out) if out.ndim == 0 else out
 
 
 def helix_profile_f(r, h: float):
@@ -84,9 +85,18 @@ def helix_profile_f(r, h: float):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("helix radius must be positive")
-    rho = np.sqrt(r * r + h * h)
-    out = rho + 1.0 / rho
+    out = _helix_f(h, r)
     return float(out) if out.ndim == 0 else out
+
+
+def _circle_f(K: float, r):
+    om, om_r, _ = polar_table(K, r)
+    return om + om_r * om_r / om
+
+
+def _helix_f(h: float, r):
+    rho = np.sqrt(r * r + h * h)
+    return rho + 1.0 / rho
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +109,9 @@ def _solve_radius_profile(f, r0: float, r1: float, m: int):
     Returns (s_grid, r, E, distance).  sqrt(E) is the quadrature of sqrt(f)
     over [min(r0, r1), max(r0, r1)]; the radii solve r' = sqrt(E) / sqrt(f(r))
     upward from the smaller radius and are reversed for r1 < r0, so forward
-    and reverse solves produce exactly mirrored radii.
+    and reverse solves produce exactly mirrored radii.  ``f`` is evaluated
+    only on that interval, which the callers have checked, so it skips the
+    domain checks (``_circle_f``, ``_helix_f``).
     """
     if r0 == r1:
         raise PreconditionError("endpoint radii must differ (r0 != r1)")
@@ -150,11 +162,8 @@ def solve_concentric_geodesic(
     """
     if space.model is Model.EUCLIDEAN3D:
         raise DomainError("concentric circle families live on 2D space forms")
-    if space.model is Model.SPHERE2D:
-        r_max = math.pi / math.sqrt(space.curvature)
-        if max(r0, r1) >= r_max:
-            raise DomainError("radius reaches the spherical cut locus")
-    s_grid, r, E, distance = _solve_radius_profile(partial(circle_profile_f, space), r0, r1, m)
+    check_radius(space, [r0, r1])
+    s_grid, r, E, distance = _solve_radius_profile(partial(_circle_f, space.curvature), r0, r1, m)
 
     frame = standard_frame(space)
     t = 2.0 * np.pi * np.arange(n) / n
@@ -177,7 +186,7 @@ def solve_helix_geodesic(
     stencils, the wrap translating by (0, 0, 2 pi h).
     """
     h = float(h)
-    s_grid, r, E, distance = _solve_radius_profile(partial(helix_profile_f, h=h), r0, r1, m)
+    s_grid, r, E, distance = _solve_radius_profile(partial(_helix_f, h), r0, r1, m)
 
     space = SpaceForm(Model.EUCLIDEAN3D, 0.0)
     t = 2.0 * np.pi * np.arange(n) / n

@@ -432,6 +432,14 @@ CIRCLE_ENDPOINTS = {
     },
 }
 
+HYPERBOLIC_ENDPOINTS = {
+    "K": -1.0,
+    "L": 3.0,
+    "start": {"k": 1.5, "lambda": 1.0, "mu": 0.0},
+    "end": {"k": 1.5, "lambda": 1.5, "mu": 0.0},
+    "init_frame": {"origin": [0.0, 0.0, 1.0], "T": [1.0, 0.0, 0.0], "N": [0.0, 1.0, 0.0]},
+}
+
 
 class TestIntegerFlags:
     @pytest.mark.parametrize(
@@ -609,11 +617,17 @@ class TestElasticaCommand:
         assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("T", [0.0, 2.0, 0.0]), ("N", [1.0, 0.0, 0.0]), ("B", [0.0, 0.0, -1.0])],
+        "endpoints, field, value",
+        [
+            pytest.param(CIRCLE_ENDPOINTS, "T", [0.0, 2.0, 0.0], id="T-value0"),
+            pytest.param(CIRCLE_ENDPOINTS, "N", [1.0, 0.0, 0.0], id="N-value1"),
+            pytest.param(CIRCLE_ENDPOINTS, "B", [0.0, 0.0, -1.0], id="B-value2"),
+            # the hyperboloid's normal is timelike: a 1e-8 normal part must still show
+            pytest.param(HYPERBOLIC_ENDPOINTS, "T", [1.0, 0.0, 1e-8], id="hyperbolic-T"),
+        ],
     )
-    def test_invalid_frame_is_input_error(self, field, value, tmp_path, capsys):
-        spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
+    def test_invalid_frame_is_input_error(self, endpoints, field, value, tmp_path, capsys):
+        spec = json.loads(json.dumps(endpoints))
         spec["init_frame"][field] = value
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))

@@ -26,7 +26,7 @@ from curvespace import (
 )
 from curvespace._fd import diff1
 from curvespace.cli import _render_svg
-from curvespace.discrete_curves import KAPPA_FLOOR, MIN_SAMPLES, DiscreteCurve, _normal_2d
+from curvespace.discrete_curves import KAPPA_FLOOR, MIN_SAMPLES, DiscreteCurve
 from curvespace.elastica import (
     _end_frame,
     _interior_seed,
@@ -261,6 +261,18 @@ class TestTangentFieldType:
         with pytest.raises(DomainError):
             TangentField.along(c, pts)  # radial field is not tangent
 
+    @pytest.mark.parametrize("rho", [1.5, 9.0])
+    def test_validates_tangency_on_the_hyperboloid(self, rho):
+        # a polar circle, |p| up to 1.1e4; the hyperboloid's normal is timelike
+        t = 2 * np.pi * np.arange(64) / 64
+        pts = np.stack(
+            [np.sinh(rho) * np.cos(t), np.sinh(rho) * np.sin(t), np.full(64, np.cosh(rho))], axis=1
+        )
+        c = build_curve(hyperbolic(-1.0), pts, closed=True)
+        TangentField.along(c, c.T)
+        with pytest.raises(DomainError, match="not tangent"):
+            TangentField.along(c, c.T + 1e-3 * pts)
+
     def test_accepted_by_operations(self):
         pts, _ = circle_points(64)
         c = build_curve(plane(), pts, closed=True)
@@ -376,7 +388,7 @@ def _eager_frame(curve):
         return diff1(values, curve.dt, curve.periodic, order=4, axis=axis) / omega[..., None]
 
     if space.model is not Model.EUCLIDEAN3D:
-        N = _normal_2d(space, curve.points, T)
+        N = space.normal_2d(curve.points, T)
         return {"N": N, "kappa": np.asarray(space.inner(dtheta(T), N)),
                 "B": None, "tau": None, "frame_ok": None}
     curv = dtheta(T)
@@ -479,3 +491,10 @@ class TestCurveSerialization:
         stack = build_curve(plane(), np.stack([pts, 2.0 * pts]), closed=True)
         with pytest.raises(PreconditionError):
             curve_to_dict(stack)
+
+    def test_screw_shift_rejected(self):
+        # the record has no screw_shift: it would load as a different open curve
+        pts, _ = _helix_stack(m=1)
+        helix = build_curve(euclidean3d(), pts[0], closed=False, screw_shift=[0.0, 0.0, 0.8 * np.pi])
+        with pytest.raises(PreconditionError, match="screw_shift"):
+            curve_to_dict(helix)

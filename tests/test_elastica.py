@@ -346,6 +346,7 @@ class TestReconstruction:
             (1.0, "T", lambda f: (1.0 + 1e-9) * f.T, "orthonormal"),
             (1.0, "N", lambda f: -f.N, "positively oriented"),
             (-1.0, "origin", lambda f: 1.01 * f.origin, "not on the hyperbolic2d surface"),
+            (-1.0, "T", lambda f: f.T + 1e-6 * f.origin, "not tangent"),
             (-1.0, "N", lambda f: f.N + 1e-9 * f.T, "orthonormal"),
             (-1.0, "N", lambda f: -f.N, "positively oriented"),
         ],

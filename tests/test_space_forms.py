@@ -199,6 +199,37 @@ class TestSurfaceMembership:
             space.check_on_surface(moved)
 
 
+class TestInner:
+    @pytest.mark.parametrize("shape", [(3,), (256, 3), (13, 96, 3), (64, 256, 3), (64, 256, 2)])
+    def test_component_sum_rounds_like_np_sum(self, shape):
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=shape), rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, shape)
+        space = plane() if shape[-1] == 2 else euclidean3d()
+        assert np.array_equal(space.inner(u, v), np.sum(u * v, axis=-1))
+
+
+class TestTangentDistance:
+    @pytest.mark.parametrize("space", [sphere(1.0), hyperbolic(-1.0)], ids=["sphere", "hyperboloid"])
+    def test_euclidean_distance_from_the_tangent_plane(self, space):
+        p = exp_polar(space, standard_frame(space), 1.1, 0.4)
+        normal = p * np.array([1.0, 1.0, -1.0]) if space.lorentzian else p.copy()
+        normal /= np.linalg.norm(normal)
+        tangent = space.tangent_project(p, np.array([0.3, -0.2, 0.5]))
+        for d in (0.0, 1e-6, 0.25):
+            assert space.tangent_distance(p, tangent + d * normal) == pytest.approx(d, abs=1e-15)
+
+    def test_rounding_stays_near_eps_far_out(self):
+        # radial unit vector at r = 10 (|p| ~ 1.6e4, |v| ~ 1.6e4): exactly tangent
+        space, r, t = hyperbolic(-1.0), 10.0, 0.3
+        p = exp_polar(space, standard_frame(space), r, t)
+        v = np.array([math.cosh(r) * math.cos(t), math.cosh(r) * math.sin(t), math.sinh(r)])
+        assert float(space.tangent_distance(p, v)) <= 8 * np.finfo(float).eps * np.linalg.norm(v)
+
+    def test_zero_on_flat_models(self):
+        assert np.array_equal(plane().tangent_distance(np.zeros((4, 2)), np.ones((4, 2))), np.zeros(4))
+        assert euclidean3d().tangent_distance(np.zeros(3), np.ones(3)) == 0.0
+
+
 class TestTangentProject:
     def test_flat_identity(self):
         sp = plane()
@@ -256,6 +287,15 @@ class TestPolarFrame:
         sp = sphere(1.0)
         with pytest.raises(DomainError):
             polar_frame(sp, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        # the hyperboloid's normal is timelike: a 1e-6 normal part must still show
+        c = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(DomainError, match="not tangent"):
+            polar_frame(hyperbolic(-1.0), c, np.array([1.0, 0.0, 0.0]) + 1e-6 * c, [0.0, 1.0, 0.0])
+
+    def test_exact_far_hyperboloid_frame_accepted(self):
+        # at r = 8, |p| ~ 2.1e3: the rounding of <e1, p> is no normal part
+        ch, sh = math.cosh(8.0), math.sinh(8.0)
+        polar_frame(hyperbolic(-1.0), [sh, 0.0, ch], [ch, 0.0, sh], [0.0, 1.0, 0.0])
 
 
 class TestSerialization:
