@@ -51,6 +51,7 @@ from .sobolev_metric import (
     path_from_curves,
     path_from_dict,
     path_length,
+    path_residuals,
     path_speed,
     path_to_dict,
     rho_kappa_defect,
@@ -90,6 +91,7 @@ from .variations import (
     parallel_geodesic_alpha,
     predicted_kappa_variation,
     predicted_omega_variation,
+    predicted_variation,
     shortening_flow_field,
     variation_report,
 )

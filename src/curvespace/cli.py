@@ -47,8 +47,9 @@ EXIT_INPUT = 3
 
 # Bound on the arrays one invocation may ask for, checked before any array
 # exists: the s x t points of a path (--s-samples times --t-samples), and
-# --control-points squared (the spline through q + 2 nodes and the 3q-coordinate
-# simplex are quadratic in q).  A larger request is a usage error, exit 1.
+# --control-points squared (the spline through q + 2 nodes and the Gauss-Newton
+# Hessian of the 3q coordinates are quadratic in q).  A larger request is a
+# usage error, exit 1.
 MAX_SAMPLES = 1 << 20
 
 
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
     p.add_argument("--control-points", type=_positive_int, default=3)
     p.add_argument("--seed", type=_nonneg_int, default=0,
-                   help="accepted; has no effect (the simplex search is deterministic)")
+                   help="accepted; has no effect (the trust-region search is deterministic)")
     p.add_argument("--s-samples", type=_positive_int, default=17)
     p.add_argument("--t-samples", type=_positive_int, default=128)
     p.add_argument("--out", required=True)
@@ -221,7 +222,7 @@ def _cmd_helices(opt) -> int:
 
 def _write_path_and_traj(opt, path_data: dict, traj: sg.RadiusTrajectory) -> int:
     outputs = {opt["out"]: _json_text(path_data, opt["out"])}
-    if opt["traj"]:
+    if opt["traj"] is not None:
         outputs[opt["traj"]] = sg.trajectory_to_csv(traj)
     _write_outputs(outputs)
     return EXIT_OK
@@ -248,19 +249,22 @@ def _cmd_elastica(opt) -> int:
 
 
 def _variation_block(path: sm.CurvePath, normal: bool) -> dict:
-    # the middle row j; a report with eps_steps = k holds rows k .. m-1-k
+    # the middle row j; a report with eps_steps = k holds rows k .. m-1-k;
+    # each prediction is computed once and shared by the reports
     j = path.m // 2
     block = {}
     for quantity in va.VARIATION_QUANTITIES:
-        sup_error = float(va.variation_report(path, quantity).abs_error[j - 1])
+        predicted = va.predicted_variation(path, quantity)
+        report = va.variation_report(path, quantity, predicted=predicted)
+        sup_error = float(report.abs_error[j - 1])
         entry = {"sup_error": sup_error}
         # factor between the 2*ds and ds oracles; ~4 for second-order
         # agreement, omitted once the error sits at the roundoff floor
         if 2 <= j <= path.m - 3 and sup_error > 1e-12:
-            coarse = float(va.variation_report(path, quantity, eps_steps=2).abs_error[j - 2])
-            entry["convergence_factor"] = coarse / sup_error
+            coarse = va.variation_report(path, quantity, eps_steps=2, predicted=predicted)
+            entry["convergence_factor"] = float(coarse.abs_error[j - 2]) / sup_error
         if quantity == "omega" and normal:
-            entry["normal_form_discrepancy"] = float(va.normal_omega_discrepancy(path)[j])
+            entry["normal_form_discrepancy"] = float(va.normal_omega_discrepancy(path, predicted)[j])
         block[quantity] = entry
     return block
 

@@ -266,6 +266,19 @@ def _integrate_dtheta(curve: DiscreteCurve, values):
     return np.trapezoid(weighted, dx=curve.dt, axis=-1)
 
 
+def trapezoid_weights(n: int, dx: float, periodic: bool = False) -> np.ndarray:
+    """(n,) weights of the rectangle (periodic) or trapezoid rule with step ``dx``."""
+    w = np.full(n, dx)
+    if not periodic:
+        w[[0, -1]] *= 0.5
+    return w
+
+
+def dtheta_weights(curve: DiscreteCurve) -> np.ndarray:
+    """Weights of ``_integrate_dtheta``: its value is the sum of weights times samples."""
+    return trapezoid_weights(curve.n, curve.dt, curve.periodic) * curve.omega
+
+
 def length(curve: DiscreteCurve):
     """Curve length: the quadrature of omega over the parameter grid."""
     return _integrate_dtheta(curve, 1.0)

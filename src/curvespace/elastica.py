@@ -32,8 +32,9 @@ the constant below).
 
 Paths of elastica interpolate (k, lambda, mu) through interior control
 points, share one initial-frame gauge, and are scored with the Sobolev
-path energy; one deterministic simplex (Nelder-Mead) search minimizes it
-over the control coordinates.
+path energy.  That energy is a sum of squares of path residuals, so one
+deterministic Gauss-Newton trust-region search minimizes it over the
+control coordinates.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     OptimizationFailure,
     PreconditionError,
 )
-from .sobolev_metric import CurvePath, path_energy
+from .sobolev_metric import CurvePath, path_energy, path_residuals
 from .space_forms import (
     Model,
     SpaceForm,
@@ -553,7 +554,10 @@ K_BOUNDS_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """``seed`` is validated but has no effect: the search is deterministic."""
+    """``max_iter`` caps the trust-region iterations, accepted or not.
+
+    ``seed`` is validated but has no effect: the search is deterministic.
+    """
 
     seed: int = 0
     max_iter: int = 500
@@ -570,6 +574,10 @@ def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.nda
     return (1.0 - s) * a + s * b
 
 
+# relative step of the forward-difference Jacobian of the path residuals
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
 def optimize_elastica_path(
     endpoints: tuple[ElasticaParams, ElasticaParams],
     q: int = 3,
@@ -577,13 +585,19 @@ def optimize_elastica_path(
     n: int = 128,
     opts: OptimizeOptions = OptimizeOptions(),
 ) -> tuple[ElasticaPathSpec, list[tuple[int, float]], CurvePath]:
-    """Simplex search over the 3q control coordinates minimizing path energy.
+    """Gauss-Newton trust-region search over the 3q control coordinates.
 
-    Runs one deterministic Nelder-Mead descent from the linear-interpolation
-    seed; control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint
-    range, and infeasible controls, score ``inf``.  Returns the best spec,
-    the (evaluation, energy) trace of accepted improvements, and the final
-    path.
+    The path energy is the sum of squares r . r of ``path_residuals``.
+    ``minimize`` (``trust-exact``) gets the energy itself as its objective,
+    the gradient 2 J^T r and the Gauss-Newton Hessian 2 J^T J, with J the
+    forward-difference Jacobian of r, built once per point the search
+    visits (Nocedal & Wright, *Numerical Optimization*, ch. 4 and 10).
+    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range,
+    and infeasible controls, score ``inf`` and are never accepted; where a
+    Jacobian column is infeasible the search sees a zero gradient and stops.
+    Returns the best spec, the (evaluation, energy) trace of improvements
+    among the visited points, and the best path; the evaluation index
+    counts every materialized path, Jacobian columns included.
     """
     start, end = endpoints
     if start.K != end.K:
@@ -609,51 +623,61 @@ def optimize_elastica_path(
     k_hi = max(start.k, end.k) * K_BOUNDS_FACTOR
     n_coords = 3 if flat else 2  # mu frozen at 0 on curved surfaces
 
-    def unpack(x: np.ndarray) -> np.ndarray:
+    def spec_at(x: np.ndarray) -> ElasticaPathSpec:
         ctrl = np.zeros((q, 3))
         ctrl[:, :n_coords] = x.reshape(q, n_coords)
-        return ctrl
-
-    trace: list[tuple[int, float]] = []
-    state = {"best": math.inf, "evals": 0, "best_x": None}
-
-    def objective(x: np.ndarray) -> float:
-        state["evals"] += 1
-        ctrl = unpack(x)
         if np.any(ctrl[:, 0] < k_lo) or np.any(ctrl[:, 0] > k_hi):
-            return math.inf
+            raise DomainError("control amplitude outside the search bounds")
+        return ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=n)
+
+    evals = 0
+    trace: list[tuple[int, float]] = []
+    best: dict = {"energy": math.inf}
+    point: dict = {"x": None}  # the point the search visited last
+
+    def visit(x: np.ndarray) -> dict:
+        """Energy, gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J at x, once per point."""
+        nonlocal evals
+        if np.array_equal(point["x"], x):
+            return point
+        evals += 1
+        # zero derivatives unless the point and all its Jacobian columns are feasible
+        point.update(
+            x=x.copy(), energy=math.inf, grad=np.zeros(x.size), hess=np.zeros((x.size, x.size))
+        )
         try:
-            spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=n)
-            energy, _ = elastica_path_energy(spec)
+            spec = spec_at(x)
+            energy, path = elastica_path_energy(spec)
+            point["energy"] = energy
+            if energy < best["energy"]:
+                best.update(energy=energy, spec=spec, path=path)
+                trace.append((evals, energy))
+            r = path_residuals(path)
+            columns = []
+            for k in range(x.size):
+                xk = x.copy()
+                xk[k] += _FD_STEP * max(1.0, abs(x[k]))
+                evals += 1
+                rk = path_residuals(materialize_path(spec_at(xk)))
+                columns.append((rk - r) / (xk[k] - x[k]))
         except CurveSpaceError:
-            return math.inf
-        if energy < state["best"]:
-            state["best"] = energy
-            state["best_x"] = x.copy()
-            trace.append((state["evals"], energy))
-        return energy
+            return point
+        J = np.stack(columns, axis=1)
+        point.update(grad=2.0 * (J.T @ r), hess=2.0 * (J.T @ J))
+        return point
 
-    x0 = seed_spec.control_points[:, :n_coords].ravel()
-    seed_energy = objective(x0)  # trace entry 1 and the scale of the stopping tolerance
     minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": opts.max_iter,
-            "fatol": 1e-8 * (max(1.0, seed_energy) if math.isfinite(seed_energy) else 1.0),
-            "xatol": 1e-6,
-            "adaptive": True,
-        },
+        lambda x: visit(x)["energy"],
+        seed_spec.control_points[:, :n_coords].ravel(),
+        method="trust-exact",
+        jac=lambda x: visit(x)["grad"],
+        hess=lambda x: visit(x)["hess"],
+        options={"maxiter": opts.max_iter},
     )
 
-    if state["best_x"] is None:
+    if not trace:
         raise OptimizationFailure("no feasible interior point found")
-    best_spec = ElasticaPathSpec(
-        start=start, end=end, control_points=unpack(state["best_x"]), m=m, n=n
-    )
-    energy, path = elastica_path_energy(best_spec)
-    return best_spec, trace, path
+    return best["spec"], trace, best["path"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class NumericFailure(CurveSpaceError, RuntimeError):
 
 
 class OptimizationFailure(NumericFailure):
-    """The deterministic simplex search found no feasible point."""
+    """The deterministic trust-region search found no feasible point."""
 
 
 class InputFormatError(CurveSpaceError, ValueError):

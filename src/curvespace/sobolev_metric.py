@@ -28,6 +28,8 @@ from .discrete_curves import (
     build_curve,
     cov_d_T,
     d_theta,
+    dtheta_weights,
+    trapezoid_weights,
 )
 from .errors import DomainError, NormalityError, PreconditionError
 from .space_forms import (
@@ -152,15 +154,30 @@ def sobolev_inner(curve: DiscreteCurve, h, k):
 
 
 def path_speed(path: CurvePath) -> np.ndarray:
-    """Sobolev speed nu(s_j) = sqrt(G(c', c')) at every path sample."""
-    v = path.velocity
-    return np.sqrt(np.maximum(sobolev_inner(path.batch, v, v), 0.0))
+    """Sobolev speed nu(s_j) = sqrt(G(c', c')) at every path sample (``sobolev_inner``)."""
+    v, dv, inner = path.velocity, path.dT_velocity, path.space.inner
+    return np.sqrt(np.maximum(_integrate_dtheta(path.batch, inner(v, v) + inner(dv, dv)), 0.0))
 
 
 def path_energy(path: CurvePath) -> float:
     """Riemannian path energy, the trapezoid sum of nu^2 over s."""
     nu = path_speed(path)
     return float(np.trapezoid(nu * nu, dx=path.ds))
+
+
+def path_residuals(path: CurvePath) -> np.ndarray:
+    """Residual vector r of the path energy: r . r = ``path_energy`` up to rounding.
+
+    E = sum_j w_j sum_i w_i omega_ij (|c'_ij|^2 + |D_T c'_ij|^2) with the
+    trapezoid weights w_j in s and the theta weights w_i omega_ij
+    (``dtheta_weights``), so r holds sqrt(w_j w_i omega_ij) times the
+    Euclidean tangent coordinates (``SpaceForm.tangent_coordinates``) of
+    c' and D_T c', flattened.
+    """
+    weights = trapezoid_weights(path.m, path.ds)[:, None] * dtheta_weights(path.batch)
+    coords = [path.space.tangent_coordinates(path.points, f)
+              for f in (path.velocity, path.dT_velocity)]
+    return (np.sqrt(weights)[..., None] * np.concatenate(coords, axis=-1)).ravel()
 
 
 def path_length(path: CurvePath) -> float:

@@ -12,10 +12,11 @@ projection:
 
 ``SpaceForm`` is the one place that knows each model's surface geometry:
 the ambient inner product, the distance of a point from the surface and
-of a vector from the tangent plane, the tangent projection and the 2D
-normal.  The polar length element ``omega(r)`` of geodesic circles
-around a point and its r-derivatives (one case table), and the
-closed-form exponential map of each model live here as well.
+of a vector from the tangent plane, the tangent projection, tangent
+coordinates in which the metric is Euclidean, and the 2D normal.  The
+polar length element ``omega(r)`` of geodesic circles around a point and
+its r-derivatives (one case table), and the closed-form exponential map
+of each model live here as well.
 """
 
 from __future__ import annotations
@@ -159,6 +160,23 @@ class SpaceForm:
         coeff = self.inner(v, point) / self.inner(point, point)
         return v - coeff[..., None] * point
 
+    def tangent_coordinates(self, point, v):
+        """Coordinates of tangent vectors ``v`` at ``point`` in which the metric is Euclidean.
+
+        The sum of their squares is ``inner(v, v)``.  The ambient components
+        on the flat models and the sphere; on the hyperboloid the two
+        coordinates ``v_xy - (p_xy . v_xy) / (p_z (p_z + R)) p_xy``, exact
+        because tangency gives v_z = p_xy . v_xy / p_z and the surface
+        p_z^2 - |p_xy|^2 = R^2.
+        """
+        v = np.asarray(v, dtype=float)
+        if not self.lorentzian:
+            return v
+        p = np.asarray(point, dtype=float)
+        pxy, vxy, pz = p[..., :2], v[..., :2], p[..., 2]
+        coeff = (pxy[..., 0] * vxy[..., 0] + pxy[..., 1] * vxy[..., 1]) / (pz * (pz + self.radius))
+        return vxy - coeff[..., None] * pxy
+
     def normal_2d(self, points, T):
         """``T`` rotated by +pi/2 in the oriented tangent plane of a 2D model."""
         if self.model is Model.PLANE2D:
@@ -271,7 +289,14 @@ class PolarFrame:
 
 
 def polar_frame(space: SpaceForm, center, e1, e2) -> PolarFrame:
-    """Validated polar frame; orthonormality is required, never repaired."""
+    """Validated polar frame; orthonormality is required, never repaired.
+
+    The orthonormality defects are held to ``FRAME_ORTHO_TOL``, times
+    max(1, |p|^2 / R^2) on the hyperboloid (Euclidean |p|, as in
+    ``tangent_distance``): there a unit tangent vector has Euclidean
+    length up to |p| / R, so the rounding of <e, e> grows like
+    eps |p|^2 / R^2.  The other models cancel nothing.
+    """
     center, e1, e2 = (np.asarray(v, dtype=float) for v in (center, e1, e2))
     if any(v.shape != (space.ambient_dim,) for v in (center, e1, e2)):
         raise DomainError(f"frame vectors must have dimension {space.ambient_dim}")
@@ -279,12 +304,14 @@ def polar_frame(space: SpaceForm, center, e1, e2) -> PolarFrame:
     for e in (e1, e2):
         if float(space.tangent_distance(center, e)) > SURFACE_TOL:
             raise DomainError("frame vector is not tangent at the center")
+    scale = -space.curvature * float(center @ center) if space.lorentzian else 1.0
+    tol = FRAME_ORTHO_TOL * max(1.0, scale)
     if (
-        abs(float(space.inner(e1, e1)) - 1.0) > FRAME_ORTHO_TOL
-        or abs(float(space.inner(e2, e2)) - 1.0) > FRAME_ORTHO_TOL
-        or abs(float(space.inner(e1, e2))) > FRAME_ORTHO_TOL
+        abs(float(space.inner(e1, e1)) - 1.0) > tol
+        or abs(float(space.inner(e2, e2)) - 1.0) > tol
+        or abs(float(space.inner(e1, e2))) > tol
     ):
-        raise DomainError("frame vectors are not orthonormal to 1e-12")
+        raise DomainError(f"frame vectors are not orthonormal to {tol:.3g}")
     return PolarFrame(center=center, e1=e1, e2=e2)
 
 

@@ -62,16 +62,19 @@ def predicted_omega_variation(path: CurvePath) -> np.ndarray:
     return np.asarray(batch.space.inner(path.dT_velocity, batch.T)) * batch.omega
 
 
-def normal_omega_discrepancy(path: CurvePath) -> np.ndarray:
+def normal_omega_discrepancy(path: CurvePath, predicted: np.ndarray | None = None) -> np.ndarray:
     """Sup over t of the difference between the general formula and -rho kappa omega.
 
     The two agree on normal rows; the others are NaN, and a path with no
-    normal row raises :class:`NormalityError`.
+    normal row raises :class:`NormalityError`.  ``predicted`` is
+    ``predicted_omega_variation(path)`` when the caller has it already.
     """
     normal, batch = normal_rows(path), path.batch
     if not normal.any():
         raise NormalityError("the -rho kappa omega form only applies to normal paths")
-    gap = predicted_omega_variation(path) + rho_normal_component(path) * batch.kappa * batch.omega
+    if predicted is None:
+        predicted = predicted_omega_variation(path)
+    gap = predicted + rho_normal_component(path) * batch.kappa * batch.omega
     return np.where(normal, np.max(np.abs(gap), axis=-1), np.nan)
 
 
@@ -98,13 +101,27 @@ def fd_variation(path: CurvePath, quantity: str, eps_steps: int = 1) -> np.ndarr
     return (q[2 * k:] - q[:-2 * k]) / (2.0 * k * path.ds)
 
 
-def variation_report(path: CurvePath, quantity: str, eps_steps: int = 1) -> VariationReport:
-    """The analytic variation of omega or kappa against ``fd_variation``, row for row."""
-    observed = fd_variation(path, quantity, eps_steps)
+def predicted_variation(path: CurvePath, quantity: str) -> np.ndarray:
+    """The analytic variation of ``quantity`` ("omega" or "kappa") at every sample."""
+    if quantity not in VARIATION_QUANTITIES:
+        raise DomainError(f"unknown variation quantity {quantity!r}")
     predict = predicted_omega_variation if quantity == "omega" else predicted_kappa_variation
+    return predict(path)
+
+
+def variation_report(
+    path: CurvePath, quantity: str, eps_steps: int = 1, *, predicted: np.ndarray | None = None
+) -> VariationReport:
+    """The analytic variation of omega or kappa against ``fd_variation``, row for row.
+
+    ``predicted`` is ``predicted_variation(path, quantity)`` when the
+    caller has it already, so that reports at several ``eps_steps`` share it.
+    """
+    observed = fd_variation(path, quantity, eps_steps)
+    if predicted is None:
+        predicted = predicted_variation(path, quantity)
     k = int(eps_steps)
-    predicted = predict(path)[k:path.m - k]
-    return VariationReport(quantity=quantity, predicted=predicted, observed=observed)
+    return VariationReport(quantity=quantity, predicted=predicted[k:path.m - k], observed=observed)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,22 @@ class TestCircles:
     def test_unknown_flag_rejected(self):
         assert run(["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--out", "/tmp/x.json", "--bogus", "3"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2"],
+            ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2"],
+        ],
+        ids=["circles", "helices"],
+    )
+    def test_empty_traj_name_is_an_io_error(self, argv, tmp_path, capsys):
+        # an empty --traj names no file, as an empty --out does: exit 3, nothing written
+        out = tmp_path / "p.json"
+        assert run(argv + ["--s-samples", "8", "--t-samples", "32",
+                           "--out", str(out), "--traj", ""]) == 3
+        assert capsys.readouterr().err.startswith("io error:")
+        assert not out.exists()
+
 
 class TestDistance:
     def test_flat_distance_printed(self, flat_path_file, capsys):
@@ -187,7 +203,7 @@ class TestCheck:
         assert report["normal"] == (family != "non_normal")
 
     def test_derivatives_computed_once_over_the_stack(self, tmp_path, monkeypatch):
-        # D_T c' and D_T^2 c' for the diagnostics, D_T c' for the speed; no per-row rerun
+        # D_T c' (shared by the speed) and D_T^2 c' for the diagnostics; no per-row rerun
         from curvespace import discrete_curves, sobolev_metric, variations
 
         out, report_file = tmp_path / "p.json", tmp_path / "report.json"
@@ -202,7 +218,7 @@ class TestCheck:
         for module in (sobolev_metric, variations):
             monkeypatch.setattr(module, "cov_d_T", counting, raising=False)
         assert run(["check", "--input", str(out), "--report", str(report_file)]) == 0
-        assert shapes == [(12, 48, 3)] * 3
+        assert shapes == [(12, 48, 3)] * 2
 
     def test_undefined_frame_rejected(self, tmp_path, capsys):
         # a normal path of straight segments in R^3: kappa = 0, so rho is undefined

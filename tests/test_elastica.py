@@ -10,6 +10,7 @@ from curvespace import (
     ElasticaPathSpec,
     FrenetFrame,
     NumericFailure,
+    OptimizationFailure,
     OptimizeOptions,
     PreconditionError,
     build_curve,
@@ -42,6 +43,7 @@ from curvespace.elastica import (
     materialize_path,
     parameter_trajectory,
 )
+from curvespace.sobolev_metric import path_energy, path_residuals
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
 
@@ -50,6 +52,24 @@ def flat_params(k, lam, mu, L=None):
     if L is None:
         L = 2 * np.pi / k
     return ElasticaParams(k=k, lam=lam, mu=mu, K=0.0, L=L, frame=default_flat_frame(k))
+
+
+def surface_endpoints(K):
+    """Circle-locus endpoints k = 2 -> 1.5 with one turn each on the surface of curvature K."""
+    frame = default_surface_frame(K)
+    start = ElasticaParams(k=2.0, lam=4.0 + 2 * K, mu=0.0, K=K, L=np.pi, frame=frame)
+    end = ElasticaParams(k=1.5, lam=1.5**2 + 2 * K, mu=0.0, K=K, L=2 * np.pi / 1.5, frame=frame)
+    return start, end
+
+
+def torsional_endpoints():
+    """Two distinct off-locus (k, lambda, mu) triples with nonplanar curves."""
+    start = flat_params(1.0, 0.6, 0.1)
+    end = ElasticaParams(
+        k=0.8, lam=0.3, mu=0.05, K=0.0, L=2 * np.pi / 0.8,
+        frame=_end_frame(flat_params(1.0, 0.6, 0.1), 0.8),
+    )
+    return start, end
 
 
 def circle_endpoints(k0=1.0, k1=0.5):
@@ -731,7 +751,7 @@ class TestOptimizer:
         with pytest.raises(DomainError):
             OptimizeOptions(**bad)
 
-    def test_one_simplex_descent_per_call(self, monkeypatch):
+    def test_one_trust_region_search_per_call(self, monkeypatch):
         import curvespace.elastica as el
 
         calls = []
@@ -744,7 +764,7 @@ class TestOptimizer:
         monkeypatch.setattr(el, "minimize", counting)
         start, end = circle_endpoints()
         optimize_elastica_path((start, end), q=1, m=7, n=64, opts=OptimizeOptions(max_iter=30))
-        assert calls == ["Nelder-Mead"]
+        assert calls == ["trust-exact"]
 
     def test_too_few_path_samples_fail_before_the_search(self, monkeypatch):
         import curvespace.elastica as el
@@ -782,6 +802,100 @@ class TestOptimizer:
         # the path is genuinely three-dimensional
         z_span = float(np.ptp(path.points[:, :, 2]))
         assert z_span > 0.1
+
+
+class TestPathResiduals:
+    @pytest.mark.parametrize(
+        "endpoints",
+        [torsional_endpoints, lambda: surface_endpoints(1.0), lambda: surface_endpoints(-1.0)],
+        ids=["K=0-torsional", "K=+1", "K=-1"],
+    )
+    def test_sum_of_squares_is_the_path_energy(self, endpoints):
+        start, end = endpoints()
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, 1), m=7, n=64
+        )
+        energy, path = elastica_path_energy(spec)
+        r = path_residuals(path)
+        assert abs(r @ r - energy) <= 1e-12 * energy
+
+
+class TestTrustRegionSearch:
+    # materialize_path calls of the simplex search this replaced on the
+    # circle_endpoints problem at q = 1, m = 7, n = 64 with default options
+    SIMPLEX_MATERIALIZATIONS = 183
+
+    @pytest.mark.parametrize("K", [1.0, -1.0])
+    def test_surface_search_descends_and_repeats(self, K):
+        start, end = surface_endpoints(K)
+        seed = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, 1), m=7, n=64
+        )
+        seed_energy, _ = elastica_path_energy(seed)
+        (spec, trace, path), (spec2, trace2, path2) = (
+            optimize_elastica_path((start, end), q=1, m=7, n=64) for _ in range(2)
+        )
+        assert trace == trace2
+        assert np.array_equal(spec.control_points, spec2.control_points)
+        assert np.array_equal(path.points, path2.points)
+        energies = [e for _, e in trace]
+        assert len(energies) >= 2
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        assert energies[0] == seed_energy and energies[-1] < seed_energy
+        assert path.space.curvature == K
+        assert elastica_path_energy(spec)[0] == energies[-1]
+
+    def test_materializations_capped_and_indexed(self, monkeypatch):
+        # a fallback to a derivative-free search would far exceed the cap;
+        # the trace's evaluation index counts every materialized path
+        import curvespace.elastica as el
+
+        specs = []
+        original = el.materialize_path
+
+        def counting(spec):
+            specs.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(el, "materialize_path", counting)
+        start, end = circle_endpoints()
+        _, trace, _ = optimize_elastica_path((start, end), q=1, m=7, n=64)
+        assert len(specs) <= self.SIMPLEX_MATERIALIZATIONS // 5
+        for index, energy in trace:
+            assert elastica_path_energy(specs[index - 1])[0] == energy
+
+    def test_infeasible_jacobian_column_stops_at_the_point(self, monkeypatch):
+        # the seed materializes, its first Jacobian column does not: no
+        # derivative, so the search ends at the seed
+        import curvespace.elastica as el
+
+        specs = []
+        original = el.materialize_path
+
+        def first_only(spec):
+            specs.append(spec)
+            if len(specs) > 1:
+                raise NumericFailure("infeasible column")
+            return original(spec)
+
+        monkeypatch.setattr(el, "materialize_path", first_only)
+        start, end = circle_endpoints()
+        spec, trace, path = optimize_elastica_path((start, end), q=1, m=7, n=64)
+        assert len(specs) == 2
+        assert trace == [(1, path_energy(path))]
+        assert np.array_equal(spec.control_points, _interior_seed(start, end, 1))
+
+    def test_no_feasible_point_is_an_optimization_failure(self, monkeypatch):
+        import curvespace.elastica as el
+
+        def no_path(spec):
+            raise AssertionError("a control outside the k bounds was materialized")
+
+        # k_lo = 2 min(k) > k_hi = max(k) / 2: every control is out of bounds
+        monkeypatch.setattr(el, "K_BOUNDS_FACTOR", 0.5)
+        monkeypatch.setattr(el, "materialize_path", no_path)
+        with pytest.raises(OptimizationFailure, match="no feasible"):
+            optimize_elastica_path(circle_endpoints(), q=1, m=7, n=64)
 
 
 class TestEndpointsJSON:

@@ -21,7 +21,7 @@ from curvespace import (
     solve_concentric_geodesic,
     sphere,
 )
-from curvespace.sobolev_metric import path_from_curves, path_length
+from curvespace.sobolev_metric import path_from_curves, path_length, path_residuals
 
 
 def circle_curve(n=256, radius=1.0):
@@ -204,6 +204,25 @@ class TestPathSpeedAndEnergy:
             path = concentric_path(1.0 + s + 0.2 * np.sin(np.pi * s))
             vals.append(path_energy(path))
         assert abs(vals[0] - vals[1]) <= 0.02 * abs(vals[1])
+
+
+class TestPathResiduals:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: concentric_path(1.0 + np.linspace(0, 1, 9) ** 2),
+            lambda: latitude_path(lambda s: 0.5 + 0.6 * s**2, m=9),
+            lambda: solve_concentric_geodesic(hyperbolic(-1.0), 0.5, 1.0, m=9, n=128)[1],
+            helix_path,
+        ],
+        ids=["plane", "sphere", "hyperboloid", "helix"],
+    )
+    def test_sum_of_squares_is_the_path_energy(self, make):
+        path = make()
+        r = path_residuals(path)
+        assert r.shape == (2 * path.m * path.n * (2 if path.space.lorentzian else path.space.ambient_dim),)
+        energy = path_energy(path)
+        assert abs(r @ r - energy) <= 1e-12 * energy
 
 
 class TestPathFromCurves:

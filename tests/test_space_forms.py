@@ -230,6 +230,26 @@ class TestTangentDistance:
         assert euclidean3d().tangent_distance(np.zeros(3), np.ones(3)) == 0.0
 
 
+class TestTangentCoordinates:
+    @pytest.mark.parametrize("space", [plane(), sphere(2.0), euclidean3d()], ids=str)
+    def test_ambient_components_off_the_hyperboloid(self, space):
+        v = np.arange(2.0 * space.ambient_dim).reshape(2, space.ambient_dim)
+        assert np.array_equal(space.tangent_coordinates(np.zeros_like(v), v), v)
+
+    @pytest.mark.parametrize("K", [-1.0, -0.25, -4.0])
+    @pytest.mark.parametrize("r", [0.0, 0.8, 6.0])
+    def test_sum_of_squares_is_the_minkowski_norm(self, K, r):
+        space = hyperbolic(K)
+        p = exp_polar(space, standard_frame(space), r, 0.9) if r else standard_frame(space).center
+        rng = np.random.default_rng(5)
+        v = space.tangent_project(p, rng.normal(size=(4, 3)))
+        coords = space.tangent_coordinates(p, v)
+        assert coords.shape == (4, 2)
+        norm2 = space.inner(v, v)
+        scale = np.sum(v * v, axis=-1)  # Euclidean: the rounding scale of <v, v>
+        assert np.all(np.abs(np.sum(coords * coords, axis=-1) - norm2) <= 1e-14 * scale)
+
+
 class TestTangentProject:
     def test_flat_identity(self):
         sp = plane()
@@ -296,6 +316,27 @@ class TestPolarFrame:
         # at r = 8, |p| ~ 2.1e3: the rounding of <e1, p> is no normal part
         ch, sh = math.cosh(8.0), math.sinh(8.0)
         polar_frame(hyperbolic(-1.0), [sh, 0.0, ch], [ch, 0.0, sh], [0.0, 1.0, 0.0])
+
+    @staticmethod
+    def _hyperbolic_polar(r, phi):
+        ch, sh, c, s = math.cosh(r), math.sinh(r), math.cos(phi), math.sin(phi)
+        return [sh * c, sh * s, ch], [ch * c, ch * s, sh], [-s, c, 0.0]
+
+    @pytest.mark.parametrize("r", [5.0, 8.0])
+    def test_exact_far_hyperboloid_frames_accepted_at_every_angle(self, r):
+        # <e1, e1> = cosh^2 r - sinh^2 r rounds at about eps cosh^2 r there
+        for phi in np.linspace(0.0, 2.0 * math.pi, 13):
+            polar_frame(hyperbolic(-1.0), *self._hyperbolic_polar(r, phi))
+
+    @pytest.mark.parametrize("defect", ["norm", "angle"])
+    def test_small_defect_refused_near_the_pole(self, defect):
+        center, e1, e2 = (np.array(v) for v in self._hyperbolic_polar(1.0, 0.7))
+        if defect == "norm":
+            e1 = (1.0 + 1e-8) * e1
+        else:
+            e2 = e2 + 1e-8 * e1
+        with pytest.raises(DomainError, match="orthonormal"):
+            polar_frame(hyperbolic(-1.0), center, e1, e2)
 
 
 class TestSerialization:
