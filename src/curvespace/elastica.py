@@ -514,26 +514,30 @@ def parameter_trajectory(spec: ElasticaPathSpec) -> np.ndarray:
     return _trajectory_weights(spec.q, spec.m) @ values
 
 
+def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
+    """Points (r, n, dim) of the elastica with (k, lambda, mu) rows (r, 3), in the path's gauge."""
+    ks, lams, mus = rows.T
+    Ls = spec.ell / ks
+    frames = np.repeat(_frame_rows(spec.start.frame)[None], len(ks), axis=0)
+    if spec.K == 0.0:
+        frames[:, 0] = _gauge_anchor(spec.start) - spec.start.frame.N / ks[:, None]
+    kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
+    return _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
+
+
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
     """Generate the m curves of the path in one batched integration and one ``build_curve``."""
-    ks, lams, mus = parameter_trajectory(spec).T
-    if np.any(ks <= 0.0):
-        bad = int(np.argmax(ks <= 0.0))
+    rows = parameter_trajectory(spec)
+    if np.any(rows[:, 0] <= 0.0):
+        bad = int(np.argmax(rows[:, 0] <= 0.0))
         raise NumericFailure(
             f"curve generation failed at s-sample {bad}: amplitude left the positive range"
         )
-    Ls = spec.ell / ks
-
-    frames = np.repeat(_frame_rows(spec.start.frame)[None], spec.m, axis=0)
-    if spec.K == 0.0:
-        frames[:, 0] = _gauge_anchor(spec.start) - spec.start.frame.N / ks[:, None]
-    space = spec.start.space
     try:
-        kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
-        points = _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
-        return CurvePath(build_curve(space, points, closed=False))
+        points = _integrate_rows(spec, rows)
+        return CurvePath(build_curve(spec.start.space, points, closed=False))
     except CurveSpaceError as exc:
         raise NumericFailure(f"curve generation failed along the path: {exc}") from exc
 
@@ -578,6 +582,39 @@ def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.nda
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
+def _path_jacobian(
+    spec: ElasticaPathSpec, path: CurvePath, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``path_residuals`` r and its forward-difference Jacobian in the control coordinates.
+
+    Row j of the path is the elastica with parameters p_j = W[j] . nodes
+    (``parameter_trajectory``), so it moves with its own triple alone and the
+    endpoint rows move with no control.  One integration of the m - 2
+    interior rows per coordinate d gives dc_j/dp_jd by a forward difference
+    (Curtis, Powell & Reid, *IMA J. Appl. Math.* 13, 1974); control (i, d)
+    moves row j by W[j, i + 1] dc_j/dp_jd.  Column (i, d) is the forward
+    difference of the residuals along that motion with step ``steps[i, d]``,
+    the displaced path passing every ``build_curve`` check.  ``steps`` is
+    (q, coordinates); the columns follow the flattened controls.
+    """
+    q, n_coords = steps.shape
+    P = parameter_trajectory(spec)[1:-1]
+    W = _trajectory_weights(q, spec.m)[1:-1, 1:-1]
+    c = path.points
+    r = path_residuals(path)
+    J = np.empty((r.size, q, n_coords))
+    for d in range(n_coords):
+        rows = P.copy()
+        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(P[:, d]))
+        dc = (_integrate_rows(spec, rows) - c[1:-1]) / (rows[:, d] - P[:, d])[:, None, None]
+        for i in range(q):
+            points = c.copy()
+            points[1:-1] += steps[i, d] * W[:, i, None, None] * dc
+            column = CurvePath(build_curve(path.space, points, closed=False))
+            J[:, i, d] = (path_residuals(column) - r) / steps[i, d]
+    return r, J.reshape(r.size, -1)
+
+
 def optimize_elastica_path(
     endpoints: tuple[ElasticaParams, ElasticaParams],
     q: int = 3,
@@ -590,14 +627,16 @@ def optimize_elastica_path(
     The path energy is the sum of squares r . r of ``path_residuals``.
     ``minimize`` (``trust-exact``) gets the energy itself as its objective,
     the gradient 2 J^T r and the Gauss-Newton Hessian 2 J^T J, with J the
-    forward-difference Jacobian of r, built once per point the search
-    visits (Nocedal & Wright, *Numerical Optimization*, ch. 4 and 10).
-    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range,
-    and infeasible controls, score ``inf`` and are never accepted; where a
-    Jacobian column is infeasible the search sees a zero gradient and stops.
-    Returns the best spec, the (evaluation, energy) trace of improvements
-    among the visited points, and the best path; the evaluation index
-    counts every materialized path, Jacobian columns included.
+    forward-difference Jacobian of r from per-row derivatives
+    (``_path_jacobian``), built once per point the search visits (Nocedal &
+    Wright, *Numerical Optimization*, ch. 4, 8 and 10).  Control amplitudes
+    outside ``K_BOUNDS_FACTOR`` of the endpoint range, and infeasible
+    controls, score ``inf`` and are never accepted; where a Jacobian column
+    leaves the bounds or is infeasible the search sees a zero gradient and
+    stops.  Returns the best spec, the (evaluation, energy) trace of
+    improvements among the visited points, and the best path; the
+    evaluation index counts the ``materialize_path`` calls, one per visited
+    point within the bounds.
     """
     start, end = endpoints
     if start.K != end.K:
@@ -640,29 +679,23 @@ def optimize_elastica_path(
         nonlocal evals
         if np.array_equal(point["x"], x):
             return point
-        evals += 1
         # zero derivatives unless the point and all its Jacobian columns are feasible
         point.update(
             x=x.copy(), energy=math.inf, grad=np.zeros(x.size), hess=np.zeros((x.size, x.size))
         )
         try:
             spec = spec_at(x)
+            evals += 1
             energy, path = elastica_path_energy(spec)
             point["energy"] = energy
             if energy < best["energy"]:
                 best.update(energy=energy, spec=spec, path=path)
                 trace.append((evals, energy))
-            r = path_residuals(path)
-            columns = []
-            for k in range(x.size):
-                xk = x.copy()
-                xk[k] += _FD_STEP * max(1.0, abs(x[k]))
-                evals += 1
-                rk = path_residuals(materialize_path(spec_at(xk)))
-                columns.append((rk - r) / (xk[k] - x[k]))
+            stepped = x + _FD_STEP * np.maximum(1.0, np.abs(x))
+            spec_at(stepped)  # column k moves coordinate k alone: all are in the box iff this is
+            r, J = _path_jacobian(spec, path, (stepped - x).reshape(q, n_coords))
         except CurveSpaceError:
             return point
-        J = np.stack(columns, axis=1)
         point.update(grad=2.0 * (J.T @ r), hess=2.0 * (J.T @ J))
         return point
 

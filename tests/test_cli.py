@@ -540,7 +540,7 @@ class TestElasticaCommand:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(CIRCLE_ENDPOINTS))
         outputs = []
-        # --seed is accepted but has no effect: the simplex search is deterministic
+        # --seed is accepted but has no effect: the trust-region search is deterministic
         for attempt, seed in enumerate(["0", "0", "7"]):
             out, trace = tmp_path / f"path{attempt}.json", tmp_path / f"trace{attempt}.csv"
             code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",

@@ -24,6 +24,7 @@ from curvespace import (
     sphere,
 )
 from curvespace.elastica import (
+    _FD_STEP,
     MU_LOCUS_SIGN,
     _GAUSS_NODES,
     _batch_reconstruct,
@@ -33,6 +34,7 @@ from curvespace.elastica import (
     _gauss_values,
     _interior_seed,
     _magnus_exponents,
+    _path_jacobian,
     _prefix_products,
     default_flat_frame,
     default_surface_frame,
@@ -865,23 +867,23 @@ class TestTrustRegionSearch:
             assert elastica_path_energy(specs[index - 1])[0] == energy
 
     def test_infeasible_jacobian_column_stops_at_the_point(self, monkeypatch):
-        # the seed materializes, its first Jacobian column does not: no
+        # the seed integrates, its first batch of perturbed rows does not: no
         # derivative, so the search ends at the seed
         import curvespace.elastica as el
 
-        specs = []
-        original = el.materialize_path
+        batches = []
+        original = el._integrate_rows
 
-        def first_only(spec):
-            specs.append(spec)
-            if len(specs) > 1:
+        def first_only(spec, rows):
+            batches.append(rows)
+            if len(batches) > 1:
                 raise NumericFailure("infeasible column")
-            return original(spec)
+            return original(spec, rows)
 
-        monkeypatch.setattr(el, "materialize_path", first_only)
+        monkeypatch.setattr(el, "_integrate_rows", first_only)
         start, end = circle_endpoints()
         spec, trace, path = optimize_elastica_path((start, end), q=1, m=7, n=64)
-        assert len(specs) == 2
+        assert len(batches) == 2
         assert trace == [(1, path_energy(path))]
         assert np.array_equal(spec.control_points, _interior_seed(start, end, 1))
 
@@ -896,6 +898,80 @@ class TestTrustRegionSearch:
         monkeypatch.setattr(el, "materialize_path", no_path)
         with pytest.raises(OptimizationFailure, match="no feasible"):
             optimize_elastica_path(circle_endpoints(), q=1, m=7, n=64)
+
+
+def per_column_jacobian(spec, n_coords):
+    """Forward-difference Jacobian of the residuals, one materialized path per coordinate."""
+    x = spec.control_points[:, :n_coords].ravel()
+    r = path_residuals(materialize_path(spec))
+    columns = []
+    for k in range(x.size):
+        xk = x.copy()
+        xk[k] += _FD_STEP * max(1.0, abs(x[k]))
+        ctrl = np.zeros_like(spec.control_points)
+        ctrl[:, :n_coords] = xk.reshape(spec.q, n_coords)
+        moved = ElasticaPathSpec(
+            start=spec.start, end=spec.end, control_points=ctrl, m=spec.m, n=spec.n
+        )
+        columns.append((path_residuals(materialize_path(moved)) - r) / (xk[k] - x[k]))
+    return np.stack(columns, axis=1)
+
+
+class TestRowJacobian:
+    """The per-row Jacobian against the per-column one it replaced, at the search's seed."""
+
+    @pytest.mark.parametrize(
+        "endpoints, q, m, n",
+        [
+            (circle_endpoints, 1, 7, 64),
+            (torsional_endpoints, 1, 7, 64),
+            (lambda: surface_endpoints(1.0), 1, 7, 64),
+            (lambda: surface_endpoints(-1.0), 1, 7, 64),
+            (torsional_endpoints, 3, 13, 96),
+        ],
+        ids=["circles", "K=0-torsional", "K=+1", "K=-1", "K=0-torsional-q3"],
+    )
+    def test_matches_the_per_column_jacobian(self, endpoints, q, m, n):
+        start, end = endpoints()
+        n_coords = 3 if start.K == 0.0 else 2
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
+        )
+        path = materialize_path(spec)
+        x = spec.control_points[:, :n_coords]
+        steps = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
+        r, J = _path_jacobian(spec, path, steps)
+        reference = per_column_jacobian(spec, n_coords)
+        assert np.array_equal(r, path_residuals(path))
+        assert J.shape == reference.shape == (r.size, q * n_coords)
+        assert np.linalg.norm(J - reference) <= 1e-5 * np.linalg.norm(reference)
+        grad, grad_ref = 2.0 * (J.T @ r), 2.0 * (reference.T @ r)
+        assert np.linalg.norm(grad - grad_ref) <= 1e-5 * np.linalg.norm(grad_ref)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_rows_integrated_per_visited_point(self, monkeypatch, q):
+        # m rows for the point and 3 (m - 2) for its Jacobian, whatever q;
+        # a Jacobian of materialized paths integrates (1 + 3 q) m rows
+        import curvespace.elastica as el
+
+        m, n = 9, 64
+        rows, visits = [], []
+        profiles, energy = el._batch_profiles, el.elastica_path_energy
+
+        def counting_profiles(ks, *args):
+            rows.append(len(ks))
+            return profiles(ks, *args)
+
+        def counting_energy(spec):
+            visits.append(spec)
+            return energy(spec)
+
+        monkeypatch.setattr(el, "_batch_profiles", counting_profiles)
+        monkeypatch.setattr(el, "elastica_path_energy", counting_energy)
+        optimize_elastica_path(circle_endpoints(), q=q, m=m, n=n)
+        assert rows[:2] == [1, 1]  # the endpoint checks of generate_curve
+        assert len(visits) >= 2
+        assert sum(rows[2:]) <= (m + 3 * (m - 2)) * len(visits)
 
 
 class TestEndpointsJSON:
