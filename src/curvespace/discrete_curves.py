@@ -9,9 +9,10 @@ Length, the metric and path energy need only ``omega`` and ``T``.
 
 One ``DiscreteCurve`` may also hold a whole stack of ``m`` curves on one
 grid: points of shape (m, n, dim), fields of shape (m, n) or
-(m, n, dim).  The t axis is then ``points.ndim - 2``, every operation
-here works along it, and ``DiscreteCurve.row`` views curve j's points,
-``omega`` and ``T``.  A path of curves (``sobolev_metric.CurvePath``) is
+(m, n, dim), or a stack of such stacks with more leading axes.  The t
+axis is then ``points.ndim - 2``, every operation here works along it,
+and ``DiscreteCurve.row`` views curve j's points, ``omega`` and ``T`` of
+an (m, n, dim) stack.  A path of curves (``sobolev_metric.CurvePath``) is
 such a stack.  Every curve, row or stack, gets its frame from ``_fd_frame``
 on first read, the one place that knows how a curve gets its frame.  The
 surface geometry it needs (inner product, 2D normal, tangent projection,
@@ -151,7 +152,7 @@ class DiscreteCurve:
     def row(self, j: int) -> "DiscreteCurve":
         """Curve j of a stack: views of the stack's points, ``omega`` and ``T``."""
         if self.points.ndim != 3:
-            raise PreconditionError("row(j) takes a stack of curves, not one curve")
+            raise PreconditionError("row(j) takes an (m, n, dim) stack of curves")
         if not 0 <= j < self.points.shape[0]:
             raise PreconditionError(f"stack index {j} out of range")
         return replace(self, points=self.points[j], omega=self.omega[j], T=self.T[j])
@@ -165,11 +166,12 @@ def _grid_step(n: int, periodic: bool) -> float:
 def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> DiscreteCurve:
     """Build a :class:`DiscreteCurve` from sampled points.
 
-    ``points`` is one (n, dim) curve or an (m, n, dim) stack of curves on
-    one grid; a stack is built in one pass along its t axis.  Runs every
-    check and computes ``omega`` and ``T`` from a fourth-order derivative
-    of the points; the frame and curvature, from arclength derivatives of
-    the same order, are computed on first read (``DiscreteCurve.frame``).
+    ``points`` is one (n, dim) curve or a stack of curves on one grid,
+    (..., n, dim) with any leading axes; a stack is built in one pass
+    along its t axis.  Runs every check and computes ``omega`` and ``T``
+    from a fourth-order derivative of the points; the frame and
+    curvature, from arclength derivatives of the same order, are computed
+    on first read (``DiscreteCurve.frame``).
     The parameter grid follows from ``n`` and periodicity (see the module
     docstring); ``screw_shift`` makes an open curve periodic.  Raises
     :class:`ImmersionError` when the discrete derivative vanishes; the
@@ -179,7 +181,7 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
     """
     points = np.array(points, dtype=float, order="C")
     points.flags.writeable = False
-    if points.ndim not in (2, 3) or points.shape[-2] < MIN_SAMPLES:
+    if points.ndim < 2 or points.shape[-2] < MIN_SAMPLES:
         raise PreconditionError(f"need at least {MIN_SAMPLES} samples, got {points.shape}")
     n, dim = points.shape[-2:]
     axis = points.ndim - 2
@@ -309,6 +311,8 @@ def curve_from_dict(data: dict) -> DiscreteCurve:
         n = json_count(data, "t_samples")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid curve record: {exc}") from exc
+    if points.ndim != 2:  # build_curve would take a stack
+        raise DomainError("a curve record holds one (t_samples, dim) point array")
     if points.shape[0] != n:
         raise DomainError("t_samples disagrees with the point count")
     return build_curve(space, points, closed)

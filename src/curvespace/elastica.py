@@ -492,8 +492,13 @@ def _trajectory_weights(q: int, m: int) -> np.ndarray:
 
     The spline is linear in the node values, so splining the identity gives
     its value at each of the m equispaced path samples as a weighted sum.
+    The end rows are set to exactly e_0 and e_{q+1}, so the end curves are
+    the endpoints' own and move with no control, whatever the rounding of
+    the spline there.
     """
-    weights = CubicSpline(np.linspace(0.0, 1.0, q + 2), np.eye(q + 2))(np.linspace(0.0, 1.0, m))
+    nodes = np.eye(q + 2)
+    weights = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes)(np.linspace(0.0, 1.0, m))
+    weights[[0, -1]] = nodes[[0, -1]]
     weights.flags.writeable = False
     return weights
 
@@ -572,10 +577,21 @@ class OptimizeOptions:
 
 
 def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.ndarray:
+    """(q, 3) control triples at the equispaced interior nodes, linear in scale-free coordinates.
+
+    Scaling a curve by a takes (k, lambda, mu) to (k / a, lambda / a^2,
+    mu / a^3), so log k, lambda / k^2 and mu / k^3 say everything but the
+    scale.  Each is interpolated linearly in s: endpoints that differ by a
+    scaling get a seed of scaled copies (concentric circles between two
+    circles), and every k lies between the endpoint amplitudes.
+    """
+    if start.k <= 0.0 or end.k <= 0.0:
+        raise DomainError("path endpoints need positive curvature amplitude")
     s = np.linspace(0.0, 1.0, q + 2)[1:-1][:, None]
-    a = np.array([start.k, start.lam, start.mu])
-    b = np.array([end.k, end.lam, end.mu])
-    return (1.0 - s) * a + s * b
+    a, b = np.array([[math.log(p.k), p.lam / p.k**2, p.mu / p.k**3] for p in (start, end)])
+    log_k, lam_shape, mu_shape = ((1.0 - s) * a + s * b).T
+    k = np.exp(log_k)
+    return np.stack([k, lam_shape * k**2, mu_shape * k**3], axis=1)
 
 
 # relative step of the forward-difference Jacobian of the path residuals
@@ -593,9 +609,11 @@ def _path_jacobian(
     interior rows per coordinate d gives dc_j/dp_jd by a forward difference
     (Curtis, Powell & Reid, *IMA J. Appl. Math.* 13, 1974); control (i, d)
     moves row j by W[j, i + 1] dc_j/dp_jd.  Column (i, d) is the forward
-    difference of the residuals along that motion with step ``steps[i, d]``,
-    the displaced path passing every ``build_curve`` check.  ``steps`` is
-    (q, coordinates); the columns follow the flattened controls.
+    difference of the residuals along that motion with step ``steps[i, d]``.
+    The q displaced paths of coordinate d are one (q, m, n, dim) stack,
+    passed through every ``build_curve`` check and scored by one
+    ``path_residuals`` call.  ``steps`` is (q, coordinates); the columns
+    of the C-ordered J follow the flattened controls.
     """
     q, n_coords = steps.shape
     P = parameter_trajectory(spec)[1:-1]
@@ -607,11 +625,10 @@ def _path_jacobian(
         rows = P.copy()
         rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(P[:, d]))
         dc = (_integrate_rows(spec, rows) - c[1:-1]) / (rows[:, d] - P[:, d])[:, None, None]
-        for i in range(q):
-            points = c.copy()
-            points[1:-1] += steps[i, d] * W[:, i, None, None] * dc
-            column = CurvePath(build_curve(path.space, points, closed=False))
-            J[:, i, d] = (path_residuals(column) - r) / steps[i, d]
+        points = np.repeat(c[None], q, axis=0)
+        points[:, 1:-1] += (steps[:, d, None] * W.T)[..., None, None] * dc
+        columns = CurvePath(build_curve(path.space, points, closed=False))
+        J[:, :, d] = ((path_residuals(columns) - r) / steps[:, d, None]).T
     return r, J.reshape(r.size, -1)
 
 
@@ -625,15 +642,17 @@ def optimize_elastica_path(
     """Gauss-Newton trust-region search over the 3q control coordinates.
 
     The path energy is the sum of squares r . r of ``path_residuals``.
-    ``minimize`` (``trust-exact``) gets the energy itself as its objective,
-    the gradient 2 J^T r and the Gauss-Newton Hessian 2 J^T J, with J the
-    forward-difference Jacobian of r from per-row derivatives
-    (``_path_jacobian``), built once per point the search visits (Nocedal &
-    Wright, *Numerical Optimization*, ch. 4, 8 and 10).  Control amplitudes
-    outside ``K_BOUNDS_FACTOR`` of the endpoint range, and infeasible
-    controls, score ``inf`` and are never accepted; where a Jacobian column
-    leaves the bounds or is infeasible the search sees a zero gradient and
-    stops.  Returns the best spec, the (evaluation, energy) trace of
+    ``minimize`` (``trust-exact``) starts from ``_interior_seed``, linear
+    in the scale-free coordinates log k, lambda / k^2 and mu / k^3, and
+    gets the energy itself as its objective, the gradient 2 J^T r and the
+    Gauss-Newton Hessian 2 J^T J, with J the forward-difference Jacobian
+    of r from per-row derivatives and one stacked residual pass per
+    coordinate (``_path_jacobian``), built once per point the search
+    visits (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
+    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range,
+    and infeasible controls, score ``inf`` and are never accepted; where a
+    Jacobian column leaves the bounds or is infeasible the search sees a
+    zero gradient and stops.  Returns the best spec, the (evaluation, energy) trace of
     improvements among the visited points, and the best path; the
     evaluation index counts the ``materialize_path`` calls, one per visited
     point within the bounds.

@@ -53,14 +53,16 @@ class CurvePath:
     The s-grid is ``linspace(0, 1, m)``, derived from the stack, never
     stored.  ``velocity``, ``dT_velocity`` and ``dT2_velocity`` hold c',
     D_T c' and D_T^2 c' over the whole stack, each computed once on first
-    read.
+    read.  A (..., m, n, dim) stack of paths sharing one grid is one
+    ``CurvePath`` too: its fields and ``path_residuals`` keep the leading
+    axes; ``curves`` and the scalar path quantities take one path.
     """
 
     batch: DiscreteCurve
 
     @property
     def m(self) -> int:
-        return self.batch.points.shape[0]
+        return self.batch.points.shape[-3]
 
     @property
     def n(self) -> int:
@@ -91,7 +93,7 @@ class CurvePath:
     @cached_property
     def velocity(self) -> np.ndarray:
         """c' at every sample by second-order differences in s, projected tangent; read-only."""
-        v = diff1(self.points, self.ds, False, order=2)
+        v = diff1(self.points, self.ds, False, order=2, axis=self.points.ndim - 3)
         return _read_only(self.space.tangent_project(self.points, v, check=False))
 
     @cached_property
@@ -172,12 +174,14 @@ def path_residuals(path: CurvePath) -> np.ndarray:
     trapezoid weights w_j in s and the theta weights w_i omega_ij
     (``dtheta_weights``), so r holds sqrt(w_j w_i omega_ij) times the
     Euclidean tangent coordinates (``SpaceForm.tangent_coordinates``) of
-    c' and D_T c', flattened.
+    c' and D_T c', flattened: (R,) for one path, (..., R) for a stack of
+    paths, row for row equal to the single-path calls.
     """
     weights = trapezoid_weights(path.m, path.ds)[:, None] * dtheta_weights(path.batch)
     coords = [path.space.tangent_coordinates(path.points, f)
               for f in (path.velocity, path.dT_velocity)]
-    return (np.sqrt(weights)[..., None] * np.concatenate(coords, axis=-1)).ravel()
+    r = np.sqrt(weights)[..., None] * np.concatenate(coords, axis=-1)
+    return r.reshape(*r.shape[:-3], -1)
 
 
 def path_length(path: CurvePath) -> float:

@@ -492,6 +492,15 @@ class TestCurveSerialization:
         with pytest.raises(PreconditionError):
             curve_to_dict(stack)
 
+    @pytest.mark.parametrize("leading", [(2,), (2, 3)])
+    def test_stacked_points_rejected_on_load(self, leading):
+        pts, _ = circle_points(64)
+        data = curve_to_dict(build_curve(plane(), pts, closed=True))
+        data["points"] = np.broadcast_to(pts, leading + pts.shape).tolist()
+        data["t_samples"] = leading[0]
+        with pytest.raises(DomainError, match="one"):
+            curve_from_dict(data)
+
     def test_screw_shift_rejected(self):
         # the record has no screw_shift: it would load as a different open curve
         pts, _ = _helix_stack(m=1)

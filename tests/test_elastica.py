@@ -32,10 +32,12 @@ from curvespace.elastica import (
     _expm,
     _frame_rows,
     _gauss_values,
+    _integrate_rows,
     _interior_seed,
     _magnus_exponents,
     _path_jacobian,
     _prefix_products,
+    _trajectory_weights,
     default_flat_frame,
     default_surface_frame,
     endpoints_from_dict,
@@ -45,7 +47,7 @@ from curvespace.elastica import (
     materialize_path,
     parameter_trajectory,
 )
-from curvespace.sobolev_metric import path_energy, path_residuals
+from curvespace.sobolev_metric import CurvePath, path_energy, path_residuals
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
 
@@ -80,6 +82,25 @@ def circle_endpoints(k0=1.0, k1=0.5):
         k=k1, lam=k1**2, mu=0.0, K=0.0, L=2 * np.pi / k1, frame=_end_frame(flat_params(k0, k0**2, 0.0), k1)
     )
     return start, end
+
+
+def scaled_torsional_endpoints(a=2.0):
+    """A torsional start curve and its copy scaled by a: (k, lambda, mu) / (a, a^2, a^3)."""
+    start = flat_params(1.0, 0.6, 0.1)
+    k1 = start.k / a
+    end = ElasticaParams(
+        k=k1, lam=start.lam / a**2, mu=start.mu / a**3, K=0.0, L=2 * np.pi / k1,
+        frame=_end_frame(start, k1),
+    )
+    return start, end
+
+
+def linear_seed(start, end, q):
+    """The seed the scale-free one replaced: (k, lambda, mu) linear in s."""
+    s = np.linspace(0.0, 1.0, q + 2)[1:-1][:, None]
+    a = np.array([start.k, start.lam, start.mu])
+    b = np.array([end.k, end.lam, end.mu])
+    return (1.0 - s) * a + s * b
 
 
 class TestMuSignOracle:
@@ -556,6 +577,24 @@ class TestClosedFormSteps:
         ref = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes, axis=0)(np.linspace(0.0, 1.0, m))
         assert np.max(np.abs(parameter_trajectory(spec) - ref)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "q,m", [(2, 9), (3, 13), (5, 13), (5, 33), (11, 13), (11, 25), (23, 25)]
+    )
+    def test_trajectory_end_rows_are_exact(self, q, m):
+        # the spline alone leaves up to 2.2e-16 in the end rows at most of these sizes
+        W = _trajectory_weights(q, m)
+        nodes = np.eye(q + 2)
+        spline = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes)(np.linspace(0.0, 1.0, m))
+        assert np.array_equal(W[0], nodes[0]) and np.array_equal(W[-1], nodes[-1])
+        assert np.array_equal(W[1:-1], spline[1:-1])
+        start, end = torsional_endpoints()
+        ctrl = np.tile([0.9, 0.45, 0.07], (q, 1))
+        P = parameter_trajectory(
+            ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=64)
+        )
+        assert np.array_equal(P[0], [start.k, start.lam, start.mu])
+        assert np.array_equal(P[-1], [end.k, end.lam, end.mu])
+
     @pytest.mark.parametrize("n", [2, 5, 7])
     def test_short_grids_keep_their_error_classes(self, n):
         start, end = circle_endpoints()
@@ -677,6 +716,47 @@ class TestNonFiniteParameters:
         data["L"] = float("nan")
         with pytest.raises(DomainError):
             endpoints_from_dict(data)
+
+
+class TestInteriorSeed:
+    @pytest.mark.parametrize(
+        "endpoints", [circle_endpoints, scaled_torsional_endpoints], ids=["circles", "K=0-torsional"]
+    )
+    def test_scaled_endpoints_seed_scaled_copies(self, endpoints):
+        # log k, lambda / k^2 and mu / k^3 linear in s: endpoints that differ by
+        # a scaling keep their scale-free shape at every node
+        start, end = endpoints()
+        k, lam, mu = _interior_seed(start, end, 5).T
+        shape = np.array([start.lam / start.k**2, start.mu / start.k**3])
+        assert np.allclose(shape, [end.lam / end.k**2, end.mu / end.k**3], rtol=1e-15, atol=0.0)
+        assert np.allclose(lam / k**2, shape[0], rtol=1e-15, atol=0.0)
+        assert np.allclose(mu / k**3, shape[1], rtol=1e-15, atol=0.0)
+        assert np.all(np.diff(np.concatenate([[start.k], k, [end.k]])) < 0.0)
+        assert np.allclose(np.log(k), np.linspace(np.log(start.k), np.log(end.k), 7)[1:-1], rtol=1e-15)
+
+    def test_zero_amplitude_endpoint_is_a_domain_error(self):
+        start, end = circle_endpoints()
+        line = ElasticaParams(k=0.0, lam=0.0, mu=0.0, K=0.0, L=1.0, frame=start.frame)
+        with pytest.raises(DomainError, match="positive curvature amplitude"):
+            _interior_seed(start, line, 2)
+        with pytest.raises(DomainError, match="positive curvature amplitude"):
+            optimize_elastica_path((line, end), q=2, m=9, n=64)
+
+    def test_criterion_8_visits_at_most_five_points(self, monkeypatch):
+        # the scale-free seed is the concentric-circle path; the linear seed
+        # left the circle locus and needed 7 visited points
+        import curvespace.elastica as el
+
+        visits = []
+        energy = el.elastica_path_energy
+
+        def counting(spec):
+            visits.append(spec)
+            return energy(spec)
+
+        monkeypatch.setattr(el, "elastica_path_energy", counting)
+        optimize_elastica_path(circle_endpoints(), q=3, m=13, n=96)
+        assert 2 <= len(visits) <= 5
 
 
 class TestPathEnergy:
@@ -917,8 +997,29 @@ def per_column_jacobian(spec, n_coords):
     return np.stack(columns, axis=1)
 
 
+def per_row_jacobian(spec, path, steps):
+    """``_path_jacobian`` with one ``build_curve`` and ``path_residuals`` call per column."""
+    q, n_coords = steps.shape
+    P = parameter_trajectory(spec)[1:-1]
+    W = _trajectory_weights(q, spec.m)[1:-1, 1:-1]
+    c = path.points
+    r = path_residuals(path)
+    J = np.empty((r.size, q, n_coords))
+    for d in range(n_coords):
+        rows = P.copy()
+        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(P[:, d]))
+        dc = (_integrate_rows(spec, rows) - c[1:-1]) / (rows[:, d] - P[:, d])[:, None, None]
+        for i in range(q):
+            points = c.copy()
+            points[1:-1] += steps[i, d] * W[:, i, None, None] * dc
+            column = CurvePath(build_curve(path.space, points, closed=False))
+            J[:, i, d] = (path_residuals(column) - r) / steps[i, d]
+    return r, J.reshape(r.size, -1)
+
+
 class TestRowJacobian:
-    """The per-row Jacobian against the per-column one it replaced, at the search's seed."""
+    """The stacked per-row Jacobian against the per-row loop and the per-column
+    Jacobian it replaced, at the search's seed."""
 
     @pytest.mark.parametrize(
         "endpoints, q, m, n",
@@ -941,12 +1042,33 @@ class TestRowJacobian:
         x = spec.control_points[:, :n_coords]
         steps = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
         r, J = _path_jacobian(spec, path, steps)
+        # one (q, m, n, dim) stack per coordinate: the same floats as one path per column
+        r_loop, J_loop = per_row_jacobian(spec, path, steps)
+        assert np.array_equal(r, r_loop) and np.array_equal(J, J_loop)
+        assert J.flags.c_contiguous
         reference = per_column_jacobian(spec, n_coords)
         assert np.array_equal(r, path_residuals(path))
         assert J.shape == reference.shape == (r.size, q * n_coords)
         assert np.linalg.norm(J - reference) <= 1e-5 * np.linalg.norm(reference)
         grad, grad_ref = 2.0 * (J.T @ r), 2.0 * (reference.T @ r)
         assert np.linalg.norm(grad - grad_ref) <= 1e-5 * np.linalg.norm(grad_ref)
+
+    def test_linear_seed_search_repeats_through_both_jacobians(self, monkeypatch):
+        # criterion 8 from the linear seed: the same trace, controls and path
+        # with either Jacobian, ending where the linear-seed search ended
+        import curvespace.elastica as el
+
+        monkeypatch.setattr(el, "_interior_seed", linear_seed)
+        runs = []
+        for jacobian in (per_row_jacobian, _path_jacobian):
+            monkeypatch.setattr(el, "_path_jacobian", jacobian)
+            runs.append(optimize_elastica_path(circle_endpoints(), q=3, m=13, n=96))
+        (spec1, trace1, path1), (spec2, trace2, path2) = runs
+        assert trace1 == trace2
+        assert np.array_equal(spec1.control_points, spec2.control_points)
+        assert np.array_equal(path1.points, path2.points)
+        assert len(trace1) == 7
+        assert trace1[-1][1] == pytest.approx(13.72144124944718, rel=1e-12)
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_rows_integrated_per_visited_point(self, monkeypatch, q):

@@ -19,9 +19,10 @@ from curvespace import (
     rho_kappa_defect,
     sobolev_inner,
     solve_concentric_geodesic,
+    solve_helix_geodesic,
     sphere,
 )
-from curvespace.sobolev_metric import path_from_curves, path_length, path_residuals
+from curvespace.sobolev_metric import CurvePath, path_from_curves, path_length, path_residuals
 
 
 def circle_curve(n=256, radius=1.0):
@@ -223,6 +224,48 @@ class TestPathResiduals:
         assert r.shape == (2 * path.m * path.n * (2 if path.space.lorentzian else path.space.ambient_dim),)
         energy = path_energy(path)
         assert abs(r @ r - energy) <= 1e-12 * energy
+
+
+def space_path(z, m=9, n=128):
+    """Closed saddle curves (r cos t, r sin t, z sin 2t) in R^3 with r = 1 + s."""
+    t = 2 * np.pi * np.arange(n) / n
+    s = np.linspace(0, 1, m)[:, None]
+    pts = np.stack([(1 + s) * np.cos(t), (1 + s) * np.sin(t), z * s * np.sin(2 * t)], axis=2)
+    return make_path(euclidean3d(), pts, closed=True)
+
+
+def path_stack(paths):
+    """The paths (or stacks of paths) as one stack with a new leading axis of length B."""
+    first = paths[0].batch
+    points = np.stack([p.points for p in paths])
+    return CurvePath(build_curve(first.space, points, first.closed, screw_shift=first.screw_shift))
+
+
+class TestStackedPathResiduals:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [concentric_path(1.0 + a * np.linspace(0, 1, 9) ** 2) for a in (0.5, 1.0, 1.5)],
+            lambda: [latitude_path(lambda s, a=a: 0.5 + a * s**2, m=9) for a in (0.3, 0.6, 0.9)],
+            lambda: [
+                solve_concentric_geodesic(hyperbolic(-1.0), r0, 1.0, m=9, n=128)[1]
+                for r0 in (0.5, 0.7, 0.9)
+            ],
+            lambda: [space_path(z) for z in (0.1, 0.3, 0.5)],
+            lambda: [solve_helix_geodesic(r0, 2.0, 0.5, m=9, n=128)[1] for r0 in (1.0, 1.5)],
+        ],
+        ids=["plane", "sphere", "hyperboloid", "R3", "helix"],
+    )
+    def test_rows_equal_the_single_path_calls(self, make):
+        paths = make()
+        stack = path_stack(paths)
+        r = path_residuals(stack)
+        assert stack.m == paths[0].m
+        assert r.shape == (len(paths), path_residuals(paths[0]).size)
+        for row, path in zip(r, paths):
+            assert np.array_equal(row, path_residuals(path))
+        # more leading axes keep the rows too
+        assert np.array_equal(path_residuals(path_stack([stack])), r[None])
 
 
 class TestPathFromCurves:
