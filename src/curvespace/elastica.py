@@ -49,7 +49,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 from scipy.special import ellipj, ellipk
 
-from .discrete_curves import DiscreteCurve, build_curve
+from .discrete_curves import MIN_SAMPLES, DiscreteCurve, build_curve
 from .errors import (
     CapabilityError,
     CurveSpaceError,
@@ -57,8 +57,9 @@ from .errors import (
     NumericFailure,
     OptimizationFailure,
     PreconditionError,
+    check_count,
 )
-from .sobolev_metric import CurvePath, path_energy, path_residuals
+from .sobolev_metric import MIN_PATH_SAMPLES, CurvePath, path_energy, path_residuals
 from .space_forms import (
     Model,
     SpaceForm,
@@ -75,6 +76,9 @@ from .space_forms import (
 # the mu^2/kappa^3 term of the profile ODE).  Fixed once by the
 # first-variation oracle; see the module docstring.
 MU_LOCUS_SIGN = -1.0
+
+# fewest samples of a curvature profile, and so of every curve of a path
+MIN_PROFILE_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +186,13 @@ def solve_curvature_profile(params: ElasticaParams, n: int, *, with_derivative: 
     (equivalently, a nonnegative circle-locus residual); for parameters on
     the other side of the locus the profile oscillates above k instead.
     """
-    if n < 64:
-        raise PreconditionError("profile needs n >= 64 samples")
-    k, mu = params.k, params.mu
-    if k == 0.0:
-        kappa, kappa_t = np.zeros(n), np.zeros(n)
+    check_count("n", n, MIN_PROFILE_SAMPLES)
+    if params.k == 0.0:
+        kappa, tau, kappa_t = (np.zeros(n) for _ in range(3))
     else:
-        kappa, kappa_t = (v[0] for v in _batch_profiles(
-            np.array([k]), np.array([params.lam]), np.array([mu]), params.K, np.array([params.L]), n
+        kappa, tau, kappa_t = (v[0] for v in _batch_profiles(
+            [params.k], [params.lam], [params.mu], params.K, [params.L], n
         ))
-    tau = mu / kappa**2 if mu != 0.0 else np.zeros(n)
     return (kappa, tau, kappa_t) if with_derivative else (kappa, tau)
 
 
@@ -204,10 +205,12 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
     omega = sqrt(u1 - u3) / 2, p = (u1 - u2) / (u1 - u3) and the quarter
     period shift = K(p) when k^2 is the lower root u2.  For mu = 0 and
     u2 = 0 (wave-like branch, separatrix) kappa = k cn(.) changes sign.
-    Parameter arrays have shape (m,); returns kappa and kappa_t as (m, n).
+    Parameter arrays have shape (m,); returns kappa, tau = mu / kappa^2
+    (0 where mu = 0) and kappa_t, each (m, n).
     """
     ks = np.asarray(ks, dtype=float)[:, None]
-    mu2 = np.asarray(mus, dtype=float)[:, None] ** 2
+    mus = np.asarray(mus, dtype=float)[:, None]
+    mu2 = mus**2
     a = ks**2
     b = a + 2.0 * (2.0 * K - np.asarray(lams, dtype=float)[:, None])
     c = -4.0 * mu2 / a  # exactly 0 when mu = 0
@@ -231,7 +234,8 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
         raise NumericFailure("curvature profile evaluation produced non-finite values")
     if np.any((mu2 > 0.0) & (kappa <= 1e-9)):
         raise NumericFailure("curvature reached zero with nonzero torsion constant")
-    return kappa, kappa_t
+    tau = np.divide(mus, kappa**2, out=np.zeros_like(kappa), where=mus != 0.0)
+    return kappa, tau, kappa_t
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +306,8 @@ def _gauss_stencil(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Step i reads the 6 samples from i - 2, shifted inward at the ends of
     the grid, and weighs them by the Lagrange basis polynomials at its two
-    Gauss points: exact for polynomials of degree <= 5.
+    Gauss points: exact for polynomials of degree <= 5.  Callers ensure n >= 8.
     """
-    if n < _STENCIL:
-        raise PreconditionError(f"Lie-group reconstruction needs n >= {_STENCIL} samples")
     first = np.clip(np.arange(n - 1) - 2, 0, n - _STENCIL)
     nodes = np.arange(_STENCIL)
     # Gauss point x minus stencil node l, never 0, and the Lagrange weights
@@ -400,6 +402,7 @@ def reconstruct_curve(params: ElasticaParams, kappa, tau, n: int) -> DiscreteCur
     torsion vanishes.  Fourth-order Magnus propagators, combined by a
     blocked prefix product (see ``_batch_reconstruct``).
     """
+    check_count("n", n, MIN_SAMPLES)
     kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if kappa.shape != (n,) or tau.shape != (n,):
@@ -434,6 +437,8 @@ class ElasticaPathSpec:
     parameters reproduce closed round circles.  For K = 0 the gauge
     anchors the osculating center at theta = 0 (concentric circles stay
     concentric); on curved surfaces the start point itself is shared.
+    So the end curve is the end triple in the start's gauge: ``end.L`` and
+    ``end.frame`` are not read.  Sizes: m >= 3, n >= ``MIN_PROFILE_SAMPLES``.
     """
 
     start: ElasticaParams
@@ -464,8 +469,8 @@ class ElasticaPathSpec:
             or np.any(self.control_points[:, 2] != 0.0)
         ):
             raise CapabilityError("torsion (mu != 0) requires a flat ambient space")
-        if self.m < 3:
-            raise PreconditionError("paths need m >= 3 samples")
+        check_count("m", self.m, MIN_PATH_SAMPLES)
+        check_count("n", self.n, MIN_PROFILE_SAMPLES)
 
     @property
     def K(self) -> float:
@@ -526,9 +531,7 @@ def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
     frames = np.repeat(_frame_rows(spec.start.frame)[None], len(ks), axis=0)
     if spec.K == 0.0:
         frames[:, 0] = _gauge_anchor(spec.start) - spec.start.frame.N / ks[:, None]
-    kappas, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        taus = np.where(mus[:, None] != 0.0, mus[:, None] / kappas**2, 0.0)
+    kappas, taus, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
     return _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
 
 
@@ -649,44 +652,25 @@ def optimize_elastica_path(
     of r from per-row derivatives and one stacked residual pass per
     coordinate (``_path_jacobian``), built once per point the search
     visits (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
-    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range,
-    and infeasible controls, score ``inf`` and are never accepted; where a
-    Jacobian column leaves the bounds or is infeasible the search sees a
-    zero gradient and stops.  Returns the best spec, the (evaluation, energy) trace of
-    improvements among the visited points, and the best path; the
-    evaluation index counts the ``materialize_path`` calls, one per visited
-    point within the bounds.
+    Identical endpoints too: their seed has a zero gradient, one visit.
+    The end curve is the end triple in the start's gauge; ``end.L`` and
+    ``end.frame`` are not read.  Control amplitudes outside
+    ``K_BOUNDS_FACTOR`` of the endpoint range, and infeasible controls,
+    score ``inf`` and are never accepted; only an infeasible Jacobian column
+    zeroes the gradient, and the search stops there.  Returns the best spec,
+    the (evaluation, energy) trace of improvements among the visited points,
+    and the best path; the evaluation index counts the ``materialize_path``
+    calls, one per visited point within the bounds.
     """
+    check_count("q", q, 1)
     start, end = endpoints
-    if start.K != end.K:
-        raise DomainError("endpoints must share the ambient curvature")
-    if q < 1:
-        raise PreconditionError("need at least one control point")
-
-    flat = start.K == 0.0
-    # built once up front, so that a bad size or endpoint fails here instead
-    # of inside every objective evaluation
+    # a bad size or endpoint fails here, before the search
     seed_spec = ElasticaPathSpec(
         start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
     )
-    if start.k == end.k and start.lam == end.lam and start.mu == end.mu:
-        energy, path = elastica_path_energy(seed_spec)
-        return seed_spec, [(0, energy)], path
-
-    # reject infeasible endpoints early
-    for p in (start, end):
-        generate_curve(p, n)
-
     k_lo = min(start.k, end.k) / K_BOUNDS_FACTOR
     k_hi = max(start.k, end.k) * K_BOUNDS_FACTOR
-    n_coords = 3 if flat else 2  # mu frozen at 0 on curved surfaces
-
-    def spec_at(x: np.ndarray) -> ElasticaPathSpec:
-        ctrl = np.zeros((q, 3))
-        ctrl[:, :n_coords] = x.reshape(q, n_coords)
-        if np.any(ctrl[:, 0] < k_lo) or np.any(ctrl[:, 0] > k_hi):
-            raise DomainError("control amplitude outside the search bounds")
-        return ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=n)
+    n_coords = 3 if start.K == 0.0 else 2  # mu frozen at 0 on curved surfaces
 
     evals = 0
     trace: list[tuple[int, float]] = []
@@ -702,8 +686,12 @@ def optimize_elastica_path(
         point.update(
             x=x.copy(), energy=math.inf, grad=np.zeros(x.size), hess=np.zeros((x.size, x.size))
         )
+        ctrl = np.zeros((q, 3))
+        ctrl[:, :n_coords] = x.reshape(q, n_coords)
+        if np.any(ctrl[:, 0] < k_lo) or np.any(ctrl[:, 0] > k_hi):
+            return point  # outside the k box: never materialized
         try:
-            spec = spec_at(x)
+            spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=n)
             evals += 1
             energy, path = elastica_path_energy(spec)
             point["energy"] = energy
@@ -711,7 +699,6 @@ def optimize_elastica_path(
                 best.update(energy=energy, spec=spec, path=path)
                 trace.append((evals, energy))
             stepped = x + _FD_STEP * np.maximum(1.0, np.abs(x))
-            spec_at(stepped)  # column k moves coordinate k alone: all are in the box iff this is
             r, J = _path_jacobian(spec, path, (stepped - x).reshape(q, n_coords))
         except CurveSpaceError:
             return point

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one sample-count check."""
+
+from numbers import Integral
 
 
 class CurveSpaceError(Exception):
@@ -35,3 +37,9 @@ class OptimizationFailure(NumericFailure):
 
 class InputFormatError(CurveSpaceError, ValueError):
     """An input file does not match the documented JSON/CSV schema."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """PreconditionError unless size ``name`` is an integer (numpy's too, no bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise PreconditionError(f"need an integer {name} >= {minimum}, not {value!r}")

@@ -162,13 +162,13 @@ def path_speed(path: CurvePath) -> np.ndarray:
 
 
 def path_energy(path: CurvePath) -> float:
-    """Riemannian path energy, the trapezoid sum of nu^2 over s."""
-    nu = path_speed(path)
-    return float(np.trapezoid(nu * nu, dx=path.ds))
+    """Riemannian path energy, the trapezoid sum of nu^2 over s, as r . r of ``path_residuals``."""
+    r = path_residuals(path)
+    return float(r @ r)
 
 
 def path_residuals(path: CurvePath) -> np.ndarray:
-    """Residual vector r of the path energy: r . r = ``path_energy`` up to rounding.
+    """Residual vector r of the path energy: r . r is ``path_energy``.
 
     E = sum_j w_j sum_i w_i omega_ij (|c'_ij|^2 + |D_T c'_ij|^2) with the
     trapezoid weights w_j in s and the theta weights w_i omega_ij

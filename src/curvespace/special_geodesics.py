@@ -27,8 +27,9 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from ._fd import diff1
-from .errors import DomainError, NumericFailure, PreconditionError
-from .sobolev_metric import CurvePath, make_path
+from .discrete_curves import MIN_SAMPLES
+from .errors import DomainError, NumericFailure, PreconditionError, check_count
+from .sobolev_metric import MIN_PATH_SAMPLES, CurvePath, make_path
 from .space_forms import (
     Model,
     PolarFrame,
@@ -117,8 +118,7 @@ def _solve_radius_profile(f, r0: float, r1: float, m: int):
         raise PreconditionError("endpoint radii must differ (r0 != r1)")
     if min(r0, r1) < R_MIN:
         raise DomainError(f"radii must stay above {R_MIN}")
-    if m < 3:
-        raise PreconditionError("need at least 3 path samples")
+    check_count("m", m, MIN_PATH_SAMPLES)
     lo, hi = float(min(r0, r1)), float(max(r0, r1))
     with warnings.catch_warnings():
         # a failed quadrature is reported through NumericFailure below
@@ -162,6 +162,7 @@ def solve_concentric_geodesic(
     """
     if space.model is Model.EUCLIDEAN3D:
         raise DomainError("concentric circle families live on 2D space forms")
+    check_count("n", n, MIN_SAMPLES)
     check_radius(space, [r0, r1])
     s_grid, r, E, distance = _solve_radius_profile(partial(_circle_f, space.curvature), r0, r1, m)
 
@@ -185,6 +186,7 @@ def solve_helix_geodesic(
     are open over t in [0, 2 pi) but differentiated with screw-periodic
     stencils, the wrap translating by (0, 0, 2 pi h).
     """
+    check_count("n", n, MIN_SAMPLES)
     h = float(h)
     s_grid, r, E, distance = _solve_radius_profile(partial(_helix_f, h), r0, r1, m)
 

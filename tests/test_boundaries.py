@@ -9,7 +9,9 @@ Every case holds ``cli.run`` to its exit-code contract:
   finite numbers (CSV, SVG and stdout hold no nan or inf either).
 
 The mutations are type swaps, booleans, strings, huge integers, deep
-nesting, truncation and wrong shapes.  Hypothesis runs derandomized, as in
+nesting, truncation and wrong shapes.  The library entry points that take
+sample counts are held to one size contract too: an integer (numpy's
+included) or :class:`PreconditionError`.  Hypothesis runs derandomized, as in
 ``test_properties.py``, so the suite is deterministic.  Every size stays far
 below ``cli.MAX_SAMPLES``; the bound is met only through its check, with
 counts whose product is refused before anything is allocated.  The argv
@@ -30,9 +32,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvespace import path_to_dict, plane, solve_concentric_geodesic, solve_helix_geodesic, sphere
+from curvespace import (
+    PreconditionError,
+    optimize_elastica_path,
+    path_to_dict,
+    plane,
+    reconstruct_curve,
+    solve_concentric_geodesic,
+    solve_curvature_profile,
+    solve_helix_geodesic,
+    sphere,
+)
 from curvespace.cli import MAX_SAMPLES, run
-from curvespace.elastica import default_surface_frame
+from curvespace.elastica import (
+    ElasticaParams,
+    _end_frame,
+    default_flat_frame,
+    default_surface_frame,
+    generate_curve,
+)
 
 FUZZ = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -55,8 +73,8 @@ def _path_docs():
 
 
 def _spec_doc():
-    # identical endpoints take the one-evaluation path; a mutation that makes
-    # them differ runs a small search (see ELASTICA_SIZES)
+    # identical endpoints stop the search after its first visit; a mutation
+    # that makes them differ runs a small search (see ELASTICA_SIZES)
     frame = default_surface_frame(1.0)
     triple = {"k": 2.0, "lambda": 6.0, "mu": 0.0}
     return {"K": 1.0, "L": 3.0, "start": dict(triple), "end": dict(triple),
@@ -217,6 +235,11 @@ class TestValidInputs:
         argv = VALID_ARGV["elastica"] + ["--control-points", str(math.isqrt(MAX_SAMPLES) + 1)]
         assert assert_contract(argv, _valid_files()) == 1
 
+    def test_elastica_grid_below_the_profile_floor(self):
+        # refused when the path spec is built, before the search
+        argv = VALID_ARGV["elastica"] + ["--t-samples", "63"]
+        assert assert_contract(argv, _valid_files()) == 1
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize("command, option", [
@@ -324,3 +347,50 @@ class TestMutatedJson:
     def test_endpoint_files(self, edit, text_edit):
         files = {"spec.json": mutate_doc(SPEC_DOC, edit, text_edit)}
         assert_contract(VALID_ARGV["elastica"] + ELASTICA_SIZES, files)
+
+
+# ---------------------------------------------------------------------------
+# sample counts at the library entry points
+
+
+def _circle_endpoints():
+    start = ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=0.0, L=2 * np.pi, frame=default_flat_frame(1.0))
+    end = ElasticaParams(k=0.5, lam=0.25, mu=0.0, K=0.0, L=4 * np.pi, frame=_end_frame(start, 0.5))
+    return start, end
+
+
+# each entry point with its sizes as keywords: small valid values
+SIZED_CALLS = {
+    "optimize_elastica_path": (
+        lambda **sizes: optimize_elastica_path(_circle_endpoints(), **sizes), dict(q=1, m=5, n=64)
+    ),
+    "solve_curvature_profile": (
+        lambda **sizes: solve_curvature_profile(_circle_endpoints()[0], **sizes), dict(n=64)
+    ),
+    "generate_curve": (lambda **sizes: generate_curve(_circle_endpoints()[0], **sizes), dict(n=64)),
+    "reconstruct_curve": (
+        lambda n: reconstruct_curve(_circle_endpoints()[0], np.ones(64), np.zeros(64), n), dict(n=64)
+    ),
+    "solve_helix_geodesic": (
+        lambda **sizes: solve_helix_geodesic(1.0, 1.4, 0.3, **sizes), dict(m=5, n=16)
+    ),
+    "solve_concentric_geodesic": (
+        lambda **sizes: solve_concentric_geodesic(plane(), 1.0, 1.5, **sizes), dict(m=5, n=16)
+    ),
+}
+SIZE_CASES = [(name, key) for name, (_, sizes) in SIZED_CALLS.items() for key in sizes]
+
+
+class TestLibrarySizes:
+    @pytest.mark.parametrize("bad", [float, bool, str, np.float64], ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("name, key", SIZE_CASES, ids=[f"{n}-{k}" for n, k in SIZE_CASES])
+    def test_non_integral_size_is_a_precondition_error(self, name, key, bad):
+        call, sizes = SIZED_CALLS[name]
+        value = bad(sizes[key])  # 64.0, True, "64", ...: equal or truthy, but no integer
+        with pytest.raises(PreconditionError, match=f"need an integer {key} >= "):
+            call(**{**sizes, key: value})
+
+    @pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+    def test_numpy_integer_sizes_are_accepted(self, name):
+        call, sizes = SIZED_CALLS[name]
+        assert call(**{key: np.int64(v) for key, v in sizes.items()}) is not None

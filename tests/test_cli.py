@@ -609,7 +609,7 @@ class TestElasticaCommand:
 
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_binormal_of_the_wrong_shape_is_input_error(self, K, tmp_path, capsys):
-        # flat: a full search; K = 1: identical endpoints take the fast path
+        # flat: a full search; K = 1: identical endpoints, a search of one visit
         if K == 0.0:
             spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
         else:

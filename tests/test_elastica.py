@@ -597,16 +597,24 @@ class TestClosedFormSteps:
 
     @pytest.mark.parametrize("n", [2, 5, 7])
     def test_short_grids_keep_their_error_classes(self, n):
+        # a path grid is refused when the spec is built, before any integration
         start, end = circle_endpoints()
-        spec = ElasticaPathSpec(
-            start=start, end=end, control_points=_interior_seed(start, end, 1), m=5, n=n
-        )
-        with pytest.raises(NumericFailure):
-            materialize_path(spec)
-        with pytest.raises(NumericFailure):
-            elastica_path_energy(spec)
+        with pytest.raises(PreconditionError, match="n >= 64"):
+            ElasticaPathSpec(
+                start=start, end=end, control_points=_interior_seed(start, end, 1), m=5, n=n
+            )
         with pytest.raises(PreconditionError):
             reconstruct_curve(start, np.ones(n), np.zeros(n), n)
+
+    def test_path_grid_floor_is_the_profile_floor(self):
+        start, end = circle_endpoints()
+        ctrl = _interior_seed(start, end, 1)
+        with pytest.raises(PreconditionError, match="n >= 64"):
+            solve_curvature_profile(start, 63)
+        with pytest.raises(PreconditionError, match="n >= 64"):
+            ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=5, n=63)
+        spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=5, n=64)
+        assert materialize_path(spec).n == 64
 
 
 class TestLieGroupReconstruction:
@@ -812,11 +820,43 @@ class TestPathEnergy:
 
 
 class TestOptimizer:
-    def test_identical_endpoints_immediate(self):
-        start, _ = circle_endpoints()
-        spec, trace, path = optimize_elastica_path((start, start), q=2, m=9, n=64)
-        assert len(trace) == 1
-        assert trace[0][1] <= 1e-10
+    def test_identical_endpoints_immediate(self, monkeypatch):
+        # the general search: the seed has a zero gradient, so it is the one visit
+        import curvespace.elastica as el
+
+        visits = []
+        original = el.elastica_path_energy
+
+        def counting(spec):
+            visits.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(el, "elastica_path_energy", counting)
+        for endpoints in (circle_endpoints(), torsional_endpoints(), surface_endpoints(1.0),
+                          surface_endpoints(-1.0)):
+            visits.clear()
+            start = endpoints[0]
+            spec, trace, path = optimize_elastica_path((start, start), q=2, m=9, n=64)
+            assert len(visits) == 1
+            assert trace == [(1, path_energy(path))]
+            assert trace[0][1] <= 1e-10
+            assert spec is visits[0]
+
+    def test_end_row_is_the_gauge_end_curve(self):
+        # end.L and end.frame disagree with the start's gauge and are not read:
+        # the last row is the end triple with the shared ell = L k
+        start = flat_params(1.0, 1.0, 0.0)
+        end = ElasticaParams(
+            k=0.5, lam=0.25, mu=0.0, K=0.0, L=3 * np.pi, frame=default_flat_frame(0.5)
+        )
+        gauge_end = ElasticaParams(
+            k=0.5, lam=0.25, mu=0.0, K=0.0, L=4 * np.pi, frame=_end_frame(start, 0.5)
+        )
+        n = 64
+        _, _, path = optimize_elastica_path((start, end), q=1, m=7, n=n)
+        last = path.points[-1]
+        assert np.max(np.abs(last - generate_curve(gauge_end, n).points)) <= 1e-12
+        assert np.max(np.abs(last - generate_curve(end, n).points)) > 0.1
 
     def test_trace_strictly_decreasing_and_deterministic(self):
         start, end = circle_endpoints()
@@ -899,7 +939,7 @@ class TestPathResiduals:
         )
         energy, path = elastica_path_energy(spec)
         r = path_residuals(path)
-        assert abs(r @ r - energy) <= 1e-12 * energy
+        assert r @ r == energy
 
 
 class TestTrustRegionSearch:
@@ -1070,13 +1110,11 @@ class TestRowJacobian:
         assert len(trace1) == 7
         assert trace1[-1][1] == pytest.approx(13.72144124944718, rel=1e-12)
 
-    @pytest.mark.parametrize("q", [1, 3])
-    def test_rows_integrated_per_visited_point(self, monkeypatch, q):
-        # m rows for the point and 3 (m - 2) for its Jacobian, whatever q;
-        # a Jacobian of materialized paths integrates (1 + 3 q) m rows
+    @staticmethod
+    def count_profile_batches(monkeypatch, q, m, n):
+        """Rows of every ``_batch_profiles`` call, and the visited specs, of one search."""
         import curvespace.elastica as el
 
-        m, n = 9, 64
         rows, visits = [], []
         profiles, energy = el._batch_profiles, el.elastica_path_energy
 
@@ -1091,9 +1129,25 @@ class TestRowJacobian:
         monkeypatch.setattr(el, "_batch_profiles", counting_profiles)
         monkeypatch.setattr(el, "elastica_path_energy", counting_energy)
         optimize_elastica_path(circle_endpoints(), q=q, m=m, n=n)
-        assert rows[:2] == [1, 1]  # the endpoint checks of generate_curve
+        return rows, visits
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_rows_integrated_per_visited_point(self, monkeypatch, q):
+        # m rows for the point and 3 (m - 2) for its Jacobian, whatever q, and
+        # nothing else; a Jacobian of materialized paths integrates (1 + 3 q) m rows
+        m, n = 9, 64
+        rows, visits = self.count_profile_batches(monkeypatch, q, m, n)
+        assert set(rows) <= {m, m - 2}
         assert len(visits) >= 2
-        assert sum(rows[2:]) <= (m + 3 * (m - 2)) * len(visits)
+        assert sum(rows) <= (m + 3 * (m - 2)) * len(visits)
+
+    def test_criterion_8_profile_batches(self, monkeypatch):
+        # 5 visits, each one batch for the point and one per coordinate:
+        # no endpoint integrations besides
+        rows, visits = self.count_profile_batches(monkeypatch, 3, 13, 96)
+        assert len(visits) == 5
+        assert len(rows) == 20
+        assert rows == [13, 11, 11, 11] * 5
 
 
 class TestEndpointsJSON:

@@ -223,7 +223,7 @@ class TestPathResiduals:
         r = path_residuals(path)
         assert r.shape == (2 * path.m * path.n * (2 if path.space.lorentzian else path.space.ambient_dim),)
         energy = path_energy(path)
-        assert abs(r @ r - energy) <= 1e-12 * energy
+        assert r @ r == energy
 
 
 def space_path(z, m=9, n=128):
