@@ -30,17 +30,17 @@ first-variation test of the bending energy on discretized perturbations
 of a constant-(kappa, tau) helix (the test lives in the suite and guards
 the constant below).
 
-Paths of elastica interpolate (k, lambda, mu) through interior control
-points, share one initial-frame gauge, and are scored with the Sobolev
-path energy.  That energy is a sum of squares of path residuals, so one
-deterministic Gauss-Newton trust-region search minimizes it over the
-control coordinates.
+Paths of elastica spline the shape coordinates (log k, (lambda - 2 K) /
+k^2, mu / k^3) through interior control points, share one initial-frame
+gauge, and are scored with the Sobolev path energy.  That energy is a sum
+of squares of path residuals, so one deterministic Gauss-Newton
+trust-region search minimizes it over the controls' shape coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -427,18 +427,42 @@ def generate_curve(params: ElasticaParams, n: int) -> DiscreteCurve:
 # paths of elastica
 
 
+def _triple(params: ElasticaParams) -> list[float]:
+    return [params.k, params.lam, params.mu]
+
+
+def _shape(triples, K: float) -> np.ndarray:
+    """Shape coordinates z = (log k, (lambda - 2 K) / k^2, mu / k^3) of (..., 3) triples.
+
+    Scaling a flat curve by a takes (k, lambda, mu) to (k / a, lambda / a^2,
+    mu / a^3), so z_2 and z_3 fix all but the scale, and the circle locus
+    divided by k^6 reads z_2 = 1 - 2 z_3^2.  Refuses k <= 0 (``DomainError``).
+    """
+    k, lam, mu = np.moveaxis(np.asarray(triples, dtype=float), -1, 0)
+    if np.any(k <= 0.0):
+        raise DomainError("path endpoints and controls need positive curvature amplitude")
+    return np.stack([np.log(k), (lam - 2.0 * K) / k**2, mu / k**3], axis=-1)
+
+
+def _triples(z: np.ndarray, K: float) -> np.ndarray:
+    """(k, lambda, mu) of (..., 3) shape coordinates; k = exp z_1 > 0."""
+    k = np.exp(z[..., 0])
+    return np.stack([k, 2.0 * K + z[..., 1] * k**2, z[..., 2] * k**3], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ElasticaPathSpec:
     """Endpoint parameters plus interior control triples for one path.
 
     All curves share the ambient curvature, the frame directions at
     theta = 0, and the dimensionless length ell = L k: each curve spans
-    one full turn of its amplitude-osculating circle, so circle-locus
-    parameters reproduce closed round circles.  For K = 0 the gauge
-    anchors the osculating center at theta = 0 (concentric circles stay
-    concentric); on curved surfaces the start point itself is shared.
-    So the end curve is the end triple in the start's gauge: ``end.L`` and
-    ``end.frame`` are not read.  Sizes: m >= 3, n >= ``MIN_PROFILE_SAMPLES``.
+    one full turn of its amplitude-osculating circle.  For K = 0 the gauge
+    anchors the osculating center at theta = 0, so circle-locus parameters
+    give closed concentric circles; on surfaces the start point is shared,
+    and circles do not close: length 2 pi / sqrt(k^2 + K), not 2 pi / k.
+    The end curve is the end triple in the start's gauge (``end.L`` and
+    ``end.frame`` are not read).  ``nodes`` are the shape coordinates
+    (``_shape``) of start, controls and end.  m >= 3, n >= ``MIN_PROFILE_SAMPLES``.
     """
 
     start: ElasticaParams
@@ -446,6 +470,7 @@ class ElasticaPathSpec:
     control_points: np.ndarray
     m: int = 17
     n: int = 128
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -459,15 +484,9 @@ class ElasticaPathSpec:
             raise DomainError("control points must be finite")
         if self.control_points.shape[0] < 1:
             raise PreconditionError("need at least one interior control point")
-        if np.any(self.control_points[:, 0] <= 0.0):
-            raise DomainError("interior control amplitudes must be positive")
-        if self.start.k <= 0.0 or self.end.k <= 0.0:
-            raise DomainError("path endpoints need positive curvature amplitude")
-        if self.K != 0.0 and (
-            self.start.mu != 0.0
-            or self.end.mu != 0.0
-            or np.any(self.control_points[:, 2] != 0.0)
-        ):
+        triples = np.vstack([_triple(self.start), self.control_points, _triple(self.end)])
+        object.__setattr__(self, "nodes", _shape(triples, self.K))
+        if self.K != 0.0 and np.any(triples[:, 2] != 0.0):
             raise CapabilityError("torsion (mu != 0) requires a flat ambient space")
         check_count("m", self.m, MIN_PATH_SAMPLES)
         check_count("n", self.n, MIN_PROFILE_SAMPLES)
@@ -497,13 +516,8 @@ def _trajectory_weights(q: int, m: int) -> np.ndarray:
 
     The spline is linear in the node values, so splining the identity gives
     its value at each of the m equispaced path samples as a weighted sum.
-    The end rows are set to exactly e_0 and e_{q+1}, so the end curves are
-    the endpoints' own and move with no control, whatever the rounding of
-    the spline there.
     """
-    nodes = np.eye(q + 2)
-    weights = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes)(np.linspace(0.0, 1.0, m))
-    weights[[0, -1]] = nodes[[0, -1]]
+    weights = CubicSpline(np.linspace(0.0, 1.0, q + 2), np.eye(q + 2))(np.linspace(0.0, 1.0, m))
     weights.flags.writeable = False
     return weights
 
@@ -511,17 +525,14 @@ def _trajectory_weights(q: int, m: int) -> np.ndarray:
 def parameter_trajectory(spec: ElasticaPathSpec) -> np.ndarray:
     """(k, lambda, mu) at the m path samples, (m, 3).
 
-    The not-a-knot cubic spline through the endpoints and controls, as the
-    cached weights of ``_trajectory_weights`` times the node values.
+    The not-a-knot cubic spline of ``spec.nodes`` (cached weights of
+    ``_trajectory_weights``) mapped back by ``_triples``: nodes of one shape
+    keep every row on the circle locus.  The end rows are exactly the
+    endpoint triples, whatever the rounding of the spline and of exp(log k).
     """
-    values = np.vstack(
-        [
-            [spec.start.k, spec.start.lam, spec.start.mu],
-            spec.control_points,
-            [spec.end.k, spec.end.lam, spec.end.mu],
-        ]
-    )
-    return _trajectory_weights(spec.q, spec.m) @ values
+    rows = _triples(_trajectory_weights(spec.q, spec.m) @ spec.nodes, spec.K)
+    rows[[0, -1]] = _triple(spec.start), _triple(spec.end)
+    return rows
 
 
 def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
@@ -537,14 +548,8 @@ def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
 
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:
     """Generate the m curves of the path in one batched integration and one ``build_curve``."""
-    rows = parameter_trajectory(spec)
-    if np.any(rows[:, 0] <= 0.0):
-        bad = int(np.argmax(rows[:, 0] <= 0.0))
-        raise NumericFailure(
-            f"curve generation failed at s-sample {bad}: amplitude left the positive range"
-        )
     try:
-        points = _integrate_rows(spec, rows)
+        points = _integrate_rows(spec, parameter_trajectory(spec))
         return CurvePath(build_curve(spec.start.space, points, closed=False))
     except CurveSpaceError as exc:
         raise NumericFailure(f"curve generation failed along the path: {exc}") from exc
@@ -568,33 +573,27 @@ K_BOUNDS_FACTOR = 5.0
 class OptimizeOptions:
     """``max_iter`` caps the trust-region iterations, accepted or not.
 
-    ``seed`` is validated but has no effect: the search is deterministic.
+    ``seed`` (an integer >= 0, like ``max_iter`` >= 1) is validated but has
+    no effect: the search is deterministic.
     """
 
     seed: int = 0
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.seed < 0 or self.max_iter < 1:
-            raise DomainError("optimizer needs seed >= 0 and max_iter >= 1")
+        check_count("seed", self.seed, 0)
+        check_count("max_iter", self.max_iter, 1)
 
 
 def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.ndarray:
-    """(q, 3) control triples at the equispaced interior nodes, linear in scale-free coordinates.
+    """(q, 3) control triples at the equispaced interior nodes, linear in ``_shape``'s z.
 
-    Scaling a curve by a takes (k, lambda, mu) to (k / a, lambda / a^2,
-    mu / a^3), so log k, lambda / k^2 and mu / k^3 say everything but the
-    scale.  Each is interpolated linearly in s: endpoints that differ by a
-    scaling get a seed of scaled copies (concentric circles between two
-    circles), and every k lies between the endpoint amplitudes.
+    Endpoints that differ by a scaling get a seed of scaled copies, endpoints
+    on the circle locus a seed on it; every k lies between theirs.
     """
-    if start.k <= 0.0 or end.k <= 0.0:
-        raise DomainError("path endpoints need positive curvature amplitude")
     s = np.linspace(0.0, 1.0, q + 2)[1:-1][:, None]
-    a, b = np.array([[math.log(p.k), p.lam / p.k**2, p.mu / p.k**3] for p in (start, end)])
-    log_k, lam_shape, mu_shape = ((1.0 - s) * a + s * b).T
-    k = np.exp(log_k)
-    return np.stack([k, lam_shape * k**2, mu_shape * k**3], axis=1)
+    a, b = _shape([_triple(start), _triple(end)], start.K)
+    return _triples((1.0 - s) * a + s * b, start.K)
 
 
 # relative step of the forward-difference Jacobian of the path residuals
@@ -604,30 +603,32 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 def _path_jacobian(
     spec: ElasticaPathSpec, path: CurvePath, steps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``path_residuals`` r and its forward-difference Jacobian in the control coordinates.
+    """``path_residuals`` r and its forward-difference Jacobian in the controls' z.
 
-    Row j of the path is the elastica with parameters p_j = W[j] . nodes
-    (``parameter_trajectory``), so it moves with its own triple alone and the
-    endpoint rows move with no control.  One integration of the m - 2
-    interior rows per coordinate d gives dc_j/dp_jd by a forward difference
-    (Curtis, Powell & Reid, *IMA J. Appl. Math.* 13, 1974); control (i, d)
-    moves row j by W[j, i + 1] dc_j/dp_jd.  Column (i, d) is the forward
-    difference of the residuals along that motion with step ``steps[i, d]``.
-    The q displaced paths of coordinate d are one (q, m, n, dim) stack,
-    passed through every ``build_curve`` check and scored by one
-    ``path_residuals`` call.  ``steps`` is (q, coordinates); the columns
-    of the C-ordered J follow the flattened controls.
+    Row j of the path is the elastica with shape coordinates z_j = W[j] .
+    ``spec.nodes`` (``parameter_trajectory``), so it moves with its own z_j
+    alone and the endpoint rows move with no control.  One integration of
+    the m - 2 interior rows per coordinate d gives dc_j/dz_jd by a forward
+    difference (Curtis, Powell & Reid, *IMA J. Appl. Math.* 13, 1974);
+    control (i, d) moves row j by W[j, i + 1] dc_j/dz_jd.  Column (i, d) is
+    the forward difference of the residuals along that motion with step
+    ``steps[i, d]``.  The q displaced paths of coordinate d are one
+    (q, m, n, dim) stack, passed through every ``build_curve`` check and
+    scored by one ``path_residuals`` call.  ``steps`` is (q, coordinates);
+    the columns of the C-ordered J follow the flattened controls.
     """
     q, n_coords = steps.shape
-    P = parameter_trajectory(spec)[1:-1]
-    W = _trajectory_weights(q, spec.m)[1:-1, 1:-1]
+    W = _trajectory_weights(q, spec.m)
+    Z = (W @ spec.nodes)[1:-1]
+    W = W[1:-1, 1:-1]
     c = path.points
     r = path_residuals(path)
     J = np.empty((r.size, q, n_coords))
     for d in range(n_coords):
-        rows = P.copy()
-        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(P[:, d]))
-        dc = (_integrate_rows(spec, rows) - c[1:-1]) / (rows[:, d] - P[:, d])[:, None, None]
+        rows = Z.copy()
+        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(Z[:, d]))
+        moved = _integrate_rows(spec, _triples(rows, spec.K))
+        dc = (moved - c[1:-1]) / (rows[:, d] - Z[:, d])[:, None, None]
         points = np.repeat(c[None], q, axis=0)
         points[:, 1:-1] += (steps[:, d, None] * W.T)[..., None, None] * dc
         columns = CurvePath(build_curve(path.space, points, closed=False))
@@ -642,11 +643,11 @@ def optimize_elastica_path(
     n: int = 128,
     opts: OptimizeOptions = OptimizeOptions(),
 ) -> tuple[ElasticaPathSpec, list[tuple[int, float]], CurvePath]:
-    """Gauss-Newton trust-region search over the 3q control coordinates.
+    """Gauss-Newton trust-region search over the shape coordinates z of the q controls.
 
     The path energy is the sum of squares r . r of ``path_residuals``.
     ``minimize`` (``trust-exact``) starts from ``_interior_seed``, linear
-    in the scale-free coordinates log k, lambda / k^2 and mu / k^3, and
+    in z (``_shape``; z_3 = mu / k^3 stays 0 on curved surfaces), and
     gets the energy itself as its objective, the gradient 2 J^T r and the
     Gauss-Newton Hessian 2 J^T J, with J the forward-difference Jacobian
     of r from per-row derivatives and one stacked residual pass per
@@ -655,12 +656,13 @@ def optimize_elastica_path(
     Identical endpoints too: their seed has a zero gradient, one visit.
     The end curve is the end triple in the start's gauge; ``end.L`` and
     ``end.frame`` are not read.  Control amplitudes outside
-    ``K_BOUNDS_FACTOR`` of the endpoint range, and infeasible controls,
-    score ``inf`` and are never accepted; only an infeasible Jacobian column
-    zeroes the gradient, and the search stops there.  Returns the best spec,
-    the (evaluation, energy) trace of improvements among the visited points,
-    and the best path; the evaluation index counts the ``materialize_path``
-    calls, one per visited point within the bounds.
+    ``K_BOUNDS_FACTOR`` of the endpoint range (a box on z_1 = log k), and
+    infeasible controls, score ``inf`` and are never accepted; only an
+    infeasible Jacobian column zeroes the gradient, and the search stops
+    there.  Returns the best spec, the (evaluation, energy) trace of
+    improvements among the visited points, and the best path; the
+    evaluation index counts the ``materialize_path`` calls, one per
+    visited point within the bounds.
     """
     check_count("q", q, 1)
     start, end = endpoints
@@ -668,8 +670,8 @@ def optimize_elastica_path(
     seed_spec = ElasticaPathSpec(
         start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
     )
-    k_lo = min(start.k, end.k) / K_BOUNDS_FACTOR
-    k_hi = max(start.k, end.k) * K_BOUNDS_FACTOR
+    z_lo = math.log(min(start.k, end.k) / K_BOUNDS_FACTOR)
+    z_hi = math.log(max(start.k, end.k) * K_BOUNDS_FACTOR)
     n_coords = 3 if start.K == 0.0 else 2  # mu frozen at 0 on curved surfaces
 
     evals = 0
@@ -686,12 +688,12 @@ def optimize_elastica_path(
         point.update(
             x=x.copy(), energy=math.inf, grad=np.zeros(x.size), hess=np.zeros((x.size, x.size))
         )
-        ctrl = np.zeros((q, 3))
-        ctrl[:, :n_coords] = x.reshape(q, n_coords)
-        if np.any(ctrl[:, 0] < k_lo) or np.any(ctrl[:, 0] > k_hi):
-            return point  # outside the k box: never materialized
+        z = np.zeros((q, 3))
+        z[:, :n_coords] = x.reshape(q, n_coords)
+        if np.any(z[:, 0] < z_lo) or np.any(z[:, 0] > z_hi):
+            return point  # outside the box on log k: never materialized
         try:
-            spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=n)
+            spec = ElasticaPathSpec(start, end, _triples(z, start.K), m, n)
             evals += 1
             energy, path = elastica_path_energy(spec)
             point["energy"] = energy
@@ -707,7 +709,7 @@ def optimize_elastica_path(
 
     minimize(
         lambda x: visit(x)["energy"],
-        seed_spec.control_points[:, :n_coords].ravel(),
+        seed_spec.nodes[1:-1, :n_coords].ravel(),
         method="trust-exact",
         jac=lambda x: visit(x)["grad"],
         hess=lambda x: visit(x)["hess"],

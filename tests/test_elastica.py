@@ -19,7 +19,9 @@ from curvespace import (
     euclidean3d,
     length,
     optimize_elastica_path,
+    plane,
     reconstruct_curve,
+    solve_concentric_geodesic,
     solve_curvature_profile,
     sphere,
 )
@@ -37,7 +39,9 @@ from curvespace.elastica import (
     _magnus_exponents,
     _path_jacobian,
     _prefix_products,
+    _shape,
     _trajectory_weights,
+    _triples,
     default_flat_frame,
     default_surface_frame,
     endpoints_from_dict,
@@ -59,7 +63,11 @@ def flat_params(k, lam, mu, L=None):
 
 
 def surface_endpoints(K):
-    """Circle-locus endpoints k = 2 -> 1.5 with one turn each on the surface of curvature K."""
+    """Circle-locus endpoints k = 2 -> 1.5 on the surface of curvature K, start L = pi.
+
+    The curves do not close: a geodesic circle of curvature k has length
+    2 pi / sqrt(k^2 + K) there (one turn at k = 2 on the sphere is 2.81).
+    """
     frame = default_surface_frame(K)
     start = ElasticaParams(k=2.0, lam=4.0 + 2 * K, mu=0.0, K=K, L=np.pi, frame=frame)
     end = ElasticaParams(k=1.5, lam=1.5**2 + 2 * K, mu=0.0, K=K, L=2 * np.pi / 1.5, frame=frame)
@@ -573,20 +581,20 @@ class TestClosedFormSteps:
         start, end = circle_endpoints()
         ctrl = _interior_seed(start, end, q) + 0.1 * np.random.default_rng(q).normal(size=(q, 3))
         spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=m, n=64)
-        nodes = np.vstack([[start.k, start.lam, start.mu], ctrl, [end.k, end.lam, end.mu]])
-        ref = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes, axis=0)(np.linspace(0.0, 1.0, m))
-        assert np.max(np.abs(parameter_trajectory(spec) - ref)) <= 1e-15
+        # the not-a-knot spline of the shape coordinates, mapped back
+        nodes = _shape(np.vstack([[start.k, start.lam, start.mu], ctrl, [end.k, end.lam, end.mu]]), 0.0)
+        z = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes, axis=0)(np.linspace(0.0, 1.0, m))
+        assert np.max(np.abs(parameter_trajectory(spec) - _triples(z, 0.0))) <= 1e-15
 
     @pytest.mark.parametrize(
         "q,m", [(2, 9), (3, 13), (5, 13), (5, 33), (11, 13), (11, 25), (23, 25)]
     )
     def test_trajectory_end_rows_are_exact(self, q, m):
-        # the spline alone leaves up to 2.2e-16 in the end rows at most of these sizes
+        # the spline leaves up to 2.2e-16 in its end rows at most of these sizes,
+        # and exp(log k) may differ from k: parameter_trajectory sets the end rows
         W = _trajectory_weights(q, m)
-        nodes = np.eye(q + 2)
-        spline = CubicSpline(np.linspace(0.0, 1.0, q + 2), nodes)(np.linspace(0.0, 1.0, m))
-        assert np.array_equal(W[0], nodes[0]) and np.array_equal(W[-1], nodes[-1])
-        assert np.array_equal(W[1:-1], spline[1:-1])
+        spline = CubicSpline(np.linspace(0.0, 1.0, q + 2), np.eye(q + 2))(np.linspace(0.0, 1.0, m))
+        assert np.array_equal(W, spline)
         start, end = torsional_endpoints()
         ctrl = np.tile([0.9, 0.45, 0.07], (q, 1))
         P = parameter_trajectory(
@@ -750,9 +758,9 @@ class TestInteriorSeed:
         with pytest.raises(DomainError, match="positive curvature amplitude"):
             optimize_elastica_path((line, end), q=2, m=9, n=64)
 
-    def test_criterion_8_visits_at_most_five_points(self, monkeypatch):
-        # the scale-free seed is the concentric-circle path; the linear seed
-        # left the circle locus and needed 7 visited points
+    def test_criterion_8_visits_at_most_four_points(self, monkeypatch):
+        # the shape-coordinate seed is the concentric-circle path; the linear
+        # seed leaves the circle locus and needs more visited points
         import curvespace.elastica as el
 
         visits = []
@@ -764,7 +772,82 @@ class TestInteriorSeed:
 
         monkeypatch.setattr(el, "elastica_path_energy", counting)
         optimize_elastica_path(circle_endpoints(), q=3, m=13, n=96)
-        assert 2 <= len(visits) <= 5
+        assert 2 <= len(visits) <= 4
+
+
+def locus_defect(rows, K):
+    """Largest |k^6 + (2 K - lambda) k^4 + s 2 mu^2| / k^6 over (k, lambda, mu) rows."""
+    k, lam, mu = rows.T
+    return float(np.max(np.abs(k**6 + (2 * K - lam) * k**4 + MU_LOCUS_SIGN * 2 * mu**2) / k**6))
+
+
+def surface_circle_endpoints(K):
+    start, end = surface_endpoints(K)
+    return start, end, np.array([[k, k**2 + 2 * K, 0.0] for k in (1.9, 1.7, 1.6)])
+
+
+def flat_helix_endpoints():
+    # nodes of one shape: lambda / k^2 = 0.98 and mu / k^3 = 0.1, on the locus
+    start = flat_params(1.0, 0.98, 0.1)
+    end = ElasticaParams(
+        k=0.5, lam=0.98 / 4, mu=0.1 / 8, K=0.0, L=4 * np.pi, frame=_end_frame(start, 0.5)
+    )
+    return start, end, np.array([[k, 0.98 * k**2, 0.1 * k**3] for k in (0.8, 0.7, 0.6)])
+
+
+class TestShapeCoordinates:
+    """The path spline runs in z = (log k, (lambda - 2K) / k^2, mu / k^3)."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [lambda: surface_circle_endpoints(1.0), lambda: surface_circle_endpoints(-1.0),
+         flat_helix_endpoints],
+        ids=["K=+1-circles", "K=-1-circles", "K=0-helices"],
+    )
+    def test_locus_nodes_keep_every_row_on_the_locus(self, nodes):
+        # divided by k^6 the locus reads z_2 = 1 - 2 z_3^2: a spline of
+        # nodes of one shape stays on it (closure on K != 0 needs another gauge)
+        start, end, ctrl = nodes()
+        assert locus_defect(np.array([[p.k, p.lam, p.mu] for p in (start, end)]), start.K) <= 1e-15
+        spec = ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=13, n=64)
+        assert locus_defect(parameter_trajectory(spec), start.K) <= 1e-14
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(4)
+        triples = np.column_stack([rng.uniform(0.2, 5.0, 20), rng.normal(size=(20, 2))])
+        for K in (-1.0, 0.0, 1.0):
+            assert np.allclose(_triples(_shape(triples, K), K), triples, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("where, k", [(0, 0.0), (1, 0.0), (1, -1.0), (2, 0.0)])
+    def test_spec_refuses_nonpositive_amplitudes(self, where, k):
+        # one check, before any logarithm: node 0 is the start, 1 a control, 2 the end
+        start, end = circle_endpoints()
+        ctrl = _interior_seed(start, end, 2)
+        line = ElasticaParams(k=0.0, lam=0.0, mu=0.0, K=0.0, L=1.0, frame=start.frame)
+        if where == 0:
+            start = line
+        elif where == 1:
+            ctrl[1, 0] = k
+        else:
+            end = line
+        with pytest.raises(DomainError, match="positive curvature amplitude"):
+            ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=5, n=64)
+
+    @pytest.mark.parametrize("q, m, n", [(3, 13, 96), (5, 25, 128)])
+    def test_criterion_8_circle_path_is_in_the_family(self, q, m, n):
+        # controls on the locus at the concentric-geodesic radii of the nodes:
+        # every row is a closed circle, and the search does at least as well
+        start, end = circle_endpoints()
+        traj, _ = solve_concentric_geodesic(plane(), 1.0, 2.0, m=q + 2, n=64)
+        k = 1.0 / traj.r[1:-1]
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=np.column_stack([k, k**2, 0 * k]), m=m, n=n
+        )
+        assert locus_defect(parameter_trajectory(spec), 0.0) <= 1e-14
+        energy, path = elastica_path_energy(spec)
+        assert np.max(np.linalg.norm(path.points[:, -1] - path.points[:, 0], axis=-1)) <= 1e-12
+        _, trace, _ = optimize_elastica_path((start, end), q=q, m=m, n=n)
+        assert trace[-1][1] <= energy
 
 
 class TestPathEnergy:
@@ -868,7 +951,13 @@ class TestOptimizer:
         energies = [e for _, e in trace1]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
-    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(max_iter=0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(seed=-1), dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=True),
+            dict(max_iter=np.nan), dict(seed=1.5), dict(seed=True), dict(seed=np.nan),
+        ],
+    )
     def test_options_reject_out_of_range_values(self, bad):
         with pytest.raises(DomainError):
             OptimizeOptions(**bad)
@@ -1021,17 +1110,18 @@ class TestTrustRegionSearch:
 
 
 def per_column_jacobian(spec, n_coords):
-    """Forward-difference Jacobian of the residuals, one materialized path per coordinate."""
-    x = spec.control_points[:, :n_coords].ravel()
+    """Forward-difference Jacobian of the residuals in the controls' shape coordinates,
+    one materialized path per coordinate."""
+    x = spec.nodes[1:-1, :n_coords].ravel()
     r = path_residuals(materialize_path(spec))
     columns = []
     for k in range(x.size):
         xk = x.copy()
         xk[k] += _FD_STEP * max(1.0, abs(x[k]))
-        ctrl = np.zeros_like(spec.control_points)
-        ctrl[:, :n_coords] = xk.reshape(spec.q, n_coords)
+        z = np.zeros_like(spec.control_points)
+        z[:, :n_coords] = xk.reshape(spec.q, n_coords)
         moved = ElasticaPathSpec(
-            start=spec.start, end=spec.end, control_points=ctrl, m=spec.m, n=spec.n
+            start=spec.start, end=spec.end, control_points=_triples(z, spec.K), m=spec.m, n=spec.n
         )
         columns.append((path_residuals(materialize_path(moved)) - r) / (xk[k] - x[k]))
     return np.stack(columns, axis=1)
@@ -1040,15 +1130,16 @@ def per_column_jacobian(spec, n_coords):
 def per_row_jacobian(spec, path, steps):
     """``_path_jacobian`` with one ``build_curve`` and ``path_residuals`` call per column."""
     q, n_coords = steps.shape
-    P = parameter_trajectory(spec)[1:-1]
+    Z = (_trajectory_weights(q, spec.m) @ spec.nodes)[1:-1]
     W = _trajectory_weights(q, spec.m)[1:-1, 1:-1]
     c = path.points
     r = path_residuals(path)
     J = np.empty((r.size, q, n_coords))
     for d in range(n_coords):
-        rows = P.copy()
-        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(P[:, d]))
-        dc = (_integrate_rows(spec, rows) - c[1:-1]) / (rows[:, d] - P[:, d])[:, None, None]
+        rows = Z.copy()
+        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(Z[:, d]))
+        moved = _integrate_rows(spec, _triples(rows, spec.K))
+        dc = (moved - c[1:-1]) / (rows[:, d] - Z[:, d])[:, None, None]
         for i in range(q):
             points = c.copy()
             points[1:-1] += steps[i, d] * W[:, i, None, None] * dc
@@ -1079,7 +1170,7 @@ class TestRowJacobian:
             start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
         )
         path = materialize_path(spec)
-        x = spec.control_points[:, :n_coords]
+        x = spec.nodes[1:-1, :n_coords]
         steps = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
         r, J = _path_jacobian(spec, path, steps)
         # one (q, m, n, dim) stack per coordinate: the same floats as one path per column
@@ -1107,8 +1198,8 @@ class TestRowJacobian:
         assert trace1 == trace2
         assert np.array_equal(spec1.control_points, spec2.control_points)
         assert np.array_equal(path1.points, path2.points)
-        assert len(trace1) == 7
-        assert trace1[-1][1] == pytest.approx(13.72144124944718, rel=1e-12)
+        assert len(trace1) == 6
+        assert trace1[-1][1] == pytest.approx(13.722714980864207, rel=1e-12)
 
     @staticmethod
     def count_profile_batches(monkeypatch, q, m, n):
@@ -1142,12 +1233,12 @@ class TestRowJacobian:
         assert sum(rows) <= (m + 3 * (m - 2)) * len(visits)
 
     def test_criterion_8_profile_batches(self, monkeypatch):
-        # 5 visits, each one batch for the point and one per coordinate:
+        # 4 visits, each one batch for the point and one per coordinate:
         # no endpoint integrations besides
         rows, visits = self.count_profile_batches(monkeypatch, 3, 13, 96)
-        assert len(visits) == 5
-        assert len(rows) == 20
-        assert rows == [13, 11, 11, 11] * 5
+        assert len(visits) == 4
+        assert len(rows) == 16
+        assert rows == [13, 11, 11, 11] * 4
 
 
 class TestEndpointsJSON:
