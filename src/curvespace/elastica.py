@@ -607,33 +607,32 @@ def _path_jacobian(
 
     Row j of the path is the elastica with shape coordinates z_j = W[j] .
     ``spec.nodes`` (``parameter_trajectory``), so it moves with its own z_j
-    alone and the endpoint rows move with no control.  One integration of
-    the m - 2 interior rows per coordinate d gives dc_j/dz_jd by a forward
-    difference (Curtis, Powell & Reid, *IMA J. Appl. Math.* 13, 1974);
-    control (i, d) moves row j by W[j, i + 1] dc_j/dz_jd.  Column (i, d) is
-    the forward difference of the residuals along that motion with step
-    ``steps[i, d]``.  The q displaced paths of coordinate d are one
-    (q, m, n, dim) stack, passed through every ``build_curve`` check and
-    scored by one ``path_residuals`` call.  ``steps`` is (q, coordinates);
-    the columns of the C-ordered J follow the flattened controls.
+    alone and the endpoint rows move with no control.  Block d of one
+    integration of (coordinates, m - 2) interior rows steps z_jd and gives
+    dc_j/dz_jd by a forward difference (Curtis, Powell & Reid, *IMA J. Appl.
+    Math.* 13, 1974); control (i, d) moves row j by W[j, i + 1] dc_j/dz_jd.
+    Column (i, d) is the forward difference of the residuals along that
+    motion with step ``steps[i, d]``.  All q * coordinates displaced paths
+    are one stack, passed through every ``build_curve`` check and scored
+    by one ``path_residuals`` call.  ``steps`` is (q, coordinates); the
+    columns of the C-ordered J follow the flattened controls.
     """
     q, n_coords = steps.shape
     W = _trajectory_weights(q, spec.m)
     Z = (W @ spec.nodes)[1:-1]
     W = W[1:-1, 1:-1]
     c = path.points
+    stepped = np.eye(n_coords, 3, dtype=bool)[:, None]  # block d steps coordinate d
+    rows = np.where(stepped, Z + _FD_STEP * np.maximum(1.0, np.abs(Z)), Z)
+    moved = _integrate_rows(spec, _triples(rows, spec.K).reshape(-1, 3))
+    h = (rows - Z).sum(axis=-1)[..., None, None]  # the one nonzero difference of each row
+    dc = (moved.reshape(n_coords, *c[1:-1].shape) - c[1:-1]) / h
+    points = np.repeat(c[None], q * n_coords, axis=0)
+    motion = (steps[..., None] * W.T[:, None])[..., None, None] * dc
+    points[:, 1:-1] += motion.reshape(-1, *dc.shape[1:])
     r = path_residuals(path)
-    J = np.empty((r.size, q, n_coords))
-    for d in range(n_coords):
-        rows = Z.copy()
-        rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(Z[:, d]))
-        moved = _integrate_rows(spec, _triples(rows, spec.K))
-        dc = (moved - c[1:-1]) / (rows[:, d] - Z[:, d])[:, None, None]
-        points = np.repeat(c[None], q, axis=0)
-        points[:, 1:-1] += (steps[:, d, None] * W.T)[..., None, None] * dc
-        columns = CurvePath(build_curve(path.space, points, closed=False))
-        J[:, :, d] = ((path_residuals(columns) - r) / steps[:, d, None]).T
-    return r, J.reshape(r.size, -1)
+    columns = path_residuals(CurvePath(build_curve(path.space, points, closed=False)))
+    return r, np.ascontiguousarray(((columns - r) / steps.reshape(-1, 1)).T)
 
 
 def optimize_elastica_path(
@@ -650,8 +649,8 @@ def optimize_elastica_path(
     in z (``_shape``; z_3 = mu / k^3 stays 0 on curved surfaces), and
     gets the energy itself as its objective, the gradient 2 J^T r and the
     Gauss-Newton Hessian 2 J^T J, with J the forward-difference Jacobian
-    of r from per-row derivatives and one stacked residual pass per
-    coordinate (``_path_jacobian``), built once per point the search
+    of r from one integration of per-row derivatives and one stacked
+    residual pass (``_path_jacobian``), built once per point the search
     visits (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
     Identical endpoints too: their seed has a zero gradient, one visit.
     The end curve is the end triple in the start's gauge; ``end.L`` and

@@ -33,9 +33,6 @@ from .errors import DomainError
 SURFACE_TOL = 1e-9
 FRAME_ORTHO_TOL = 1e-12
 
-# switch omega(r) to its Taylor series below this value of |K| r^2
-_SERIES_THRESHOLD = 1e-8
-
 
 class Model(str, enum.Enum):
     PLANE2D = "plane2d"
@@ -222,10 +219,11 @@ def surface_of_curvature(K: float) -> SpaceForm:
 def polar_table(K: float, r):
     """``omega``, ``omega_r`` and ``omega_rr`` at radii ``r``; callers check ``r``.
 
-    omega = sin(sqrt(K) r)/sqrt(K) for K > 0, r for K = 0, and
-    sinh(sqrt(-K) r)/sqrt(-K) for K < 0; a Taylor series near K r^2 = 0
-    avoids cancellation, so the table is continuous in K.  omega_rr has its
-    own closed form, not -K omega.
+    With s = sqrt(|K|) they are sin(s r)/s, cos(s r) and -s sin(s r) for
+    K > 0, sinh(s r)/s, cosh(s r) and s sinh(s r) for K < 0, and r, 1 and 0
+    for K = 0.  None of these cancels near K r^2 = 0, so one closed form per
+    model keeps the table continuous in K; omega_rr has its own closed form,
+    not -K omega.
     """
     r = np.asarray(r, dtype=float)
     if K == 0.0:
@@ -233,18 +231,9 @@ def polar_table(K: float, r):
     s = math.sqrt(abs(K))
     if K > 0.0:
         sin = np.sin(s * r)
-        om, om_r, om_rr = sin / s, np.cos(s * r), -s * sin
-    else:
-        sinh = np.sinh(s * r)
-        om, om_r, om_rr = sinh / s, np.cosh(s * r), s * sinh
-    series = abs(K) * r * r < _SERIES_THRESHOLD
-    if np.any(series):
-        x = K * r * r
-        poly = 1.0 - x / 6.0 + x**2 / 120.0
-        om = np.where(series, r * poly, om)
-        om_r = np.where(series, 1.0 - x / 2.0 + x**2 / 24.0, om_r)
-        om_rr = np.where(series, -K * r * poly, om_rr)
-    return om, om_r, om_rr
+        return sin / s, np.cos(s * r), -s * sin
+    sinh = np.sinh(s * r)
+    return sinh / s, np.cosh(s * r), s * sinh
 
 
 def check_radius(space: SpaceForm, r) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""The traced benchmark wraps curvespace functions by attribute name.
+"""The benchmark reaches curvespace by attribute name and by signature.
 
 ``bench/workloads.install_trace`` patches module attributes such as
 ``elastica.minimize`` and ``special_geodesics.quad``; deleting or renaming
-one of them breaks the traced benchmark.  This test installs the trace on
-a fresh tracer and restores it, so such a change fails here in
-milliseconds.  It only reads ``bench/``.
+one of them breaks the traced benchmark.  The first test installs the
+trace on a fresh tracer and restores it.  The untraced workloads call
+further names, positional signatures and CLI flags; the second test runs
+one op of each kind through its gate.  Both fail in well under a second
+on such a change, and only read ``bench/``.
 """
 
 import importlib.util
@@ -36,3 +38,27 @@ def test_install_trace_finds_and_restores_every_name(monkeypatch):
         tracer.restore()
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} left wrapped"
+
+
+def test_untraced_workloads_build_run_and_pass_their_gates(monkeypatch, tmp_path):
+    # the untraced run also reaches names install_trace leaves alone
+    # (``el._end_frame``, ``el.first_integral``, ``el.MU_LOCUS_SIGN``,
+    # ``el.default_surface_frame``, positional ``reconstruct_curve``) and the
+    # CLI flags of a session; one op of each kind keeps this fast
+    workloads = _load("workloads", monkeypatch)
+    optimize = workloads.Optimize(1, tmp_path)
+    draw = optimize.inputs[0]
+    optimize.check(draw, optimize.op(draw))
+
+    curves = workloads.Curves(1, tmp_path)
+    for draw in curves.inputs[:4]:  # one draw per branch
+        curves.check(draw, curves.op(draw))
+
+    import curvespace.cli as cli
+
+    session = workloads.CliGeodesics(1, tmp_path)
+    try:
+        for argv in session._calls(session.inputs[0]):
+            assert cli.parse_command(argv).subcommand == argv[0]
+    finally:
+        session.close()

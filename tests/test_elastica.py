@@ -1184,6 +1184,42 @@ class TestRowJacobian:
         grad, grad_ref = 2.0 * (J.T @ r), 2.0 * (reference.T @ r)
         assert np.linalg.norm(grad - grad_ref) <= 1e-5 * np.linalg.norm(grad_ref)
 
+    @pytest.mark.parametrize(
+        "endpoints", [torsional_endpoints, lambda: surface_endpoints(1.0)], ids=["K=0", "K=+1"]
+    )
+    def test_one_pass_per_jacobian(self, monkeypatch, endpoints):
+        # every coordinate's rows in one integration, all columns in one
+        # build_curve and one path_residuals call besides the path's own
+        import curvespace.elastica as el
+
+        start, end = endpoints()
+        q, m, n = 3, 13, 96
+        n_coords = 3 if start.K == 0.0 else 2
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
+        )
+        path = materialize_path(spec)
+        calls = {}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("_integrate_rows", "build_curve", "path_residuals"):
+            monkeypatch.setattr(el, name, counting(name, getattr(el, name)))
+        x = spec.nodes[1:-1, :n_coords]
+        r, J = el._path_jacobian(spec, path, (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x)
+        assert [rows.shape for _, rows in calls["_integrate_rows"]] == [(n_coords * (m - 2), 3)]
+        dim = path.points.shape[-1]
+        assert [points.shape for _, points in calls["build_curve"]] == [(q * n_coords, m, n, dim)]
+        assert [p.points.shape for (p,) in calls["path_residuals"]] == [
+            (m, n, dim), (q * n_coords, m, n, dim)
+        ]
+        assert J.shape == (r.size, q * n_coords)
+
     def test_linear_seed_search_repeats_through_both_jacobians(self, monkeypatch):
         # criterion 8 from the linear seed: the same trace, controls and path
         # with either Jacobian, ending where the linear-seed search ended
@@ -1224,21 +1260,22 @@ class TestRowJacobian:
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_rows_integrated_per_visited_point(self, monkeypatch, q):
-        # m rows for the point and 3 (m - 2) for its Jacobian, whatever q, and
-        # nothing else; a Jacobian of materialized paths integrates (1 + 3 q) m rows
+        # m rows for the point and one batch of 3 (m - 2) for its Jacobian,
+        # whatever q, and nothing else; a Jacobian of materialized paths
+        # integrates (1 + 3 q) m rows
         m, n = 9, 64
         rows, visits = self.count_profile_batches(monkeypatch, q, m, n)
-        assert set(rows) <= {m, m - 2}
+        assert set(rows) <= {m, 3 * (m - 2)}
         assert len(visits) >= 2
         assert sum(rows) <= (m + 3 * (m - 2)) * len(visits)
 
     def test_criterion_8_profile_batches(self, monkeypatch):
-        # 4 visits, each one batch for the point and one per coordinate:
-        # no endpoint integrations besides
+        # 4 visits, each one batch for the point and one for every coordinate
+        # of its Jacobian: no endpoint integrations besides
         rows, visits = self.count_profile_batches(monkeypatch, 3, 13, 96)
         assert len(visits) == 4
-        assert len(rows) == 16
-        assert rows == [13, 11, 11, 11] * 4
+        assert len(rows) == 8
+        assert rows == [13, 33] * 4
 
 
 class TestEndpointsJSON:

@@ -82,11 +82,11 @@ class TestOmegaProfile:
             om, _ = omega_profile(space, r)
             assert np.all(np.abs(om - r) <= 1e-6 * r**3 + 1e-15)
 
-    def test_series_and_closed_form_agree_at_threshold(self):
-        # both branches within roundoff near |K| r^2 = 1e-8
+    def test_closed_form_near_small_curvature_radius(self):
+        # within roundoff of the exact value on both sides of |K| r^2 = 1e-8
         for K in (1e-4, -1e-4):
             space = sphere(K) if K > 0 else hyperbolic(K)
-            r = np.array([0.9e-2, 1.1e-2])  # straddles the switch
+            r = np.array([0.9e-2, 1.1e-2])
             om, om_r = omega_profile(space, r)
             exact = np.sin(np.sqrt(abs(K)) * r) / np.sqrt(abs(K)) if K > 0 else \
                 np.sinh(np.sqrt(-K) * r) / np.sqrt(-K)
