@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -138,7 +139,15 @@ def _build_parser() -> _Parser:
 
 
 def parse_command(argv) -> Command:
-    ns = _build_parser().parse_args(argv)
+    # argparse reads "-5e-1" (unlike "-0.5") as an option name; no option here
+    # starts like a negative number, so "--pitch -5e-1" goes on as "--pitch=-5e-1"
+    args = []
+    for token in argv:
+        if args and args[-1].startswith("--") and "=" not in args[-1] and re.match(r"-[\d.]", token):
+            args[-1] += "=" + token
+        else:
+            args.append(token)
+    ns = _build_parser().parse_args(args)
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     _check_sample_counts(options)
     return Command(subcommand=ns.subcommand, options=options)

@@ -31,9 +31,9 @@ of a constant-(kappa, tau) helix (the test lives in the suite and guards
 the constant below).
 
 Paths of elastica spline the shape coordinates (log k, (lambda - 2 K) /
-k^2, mu / k^3) through interior control points, share one initial-frame
-gauge, and are scored with the Sobolev path energy.  That energy is a sum
-of squares of path residuals, so one deterministic Gauss-Newton
+k^2, mu / k^3) through interior control points, lie in the start's
+``_gauge`` and are scored with the Sobolev path energy.  That energy is a
+sum of squares of path residuals, so one deterministic Gauss-Newton
 trust-region search minimizes it over the controls' shape coordinates.
 """
 
@@ -435,11 +435,15 @@ def _shape(triples, K: float) -> np.ndarray:
 
     Scaling a flat curve by a takes (k, lambda, mu) to (k / a, lambda / a^2,
     mu / a^3), so z_2 and z_3 fix all but the scale, and the circle locus
-    divided by k^6 reads z_2 = 1 - 2 z_3^2.  Refuses k <= 0 (``DomainError``).
+    divided by k^6 reads z_2 = 1 - 2 z_3^2.  Refuses k <= 0 and any k whose
+    k^2 or k^3 (the more extreme) is not a normal float, with ``DomainError``.
     """
     k, lam, mu = np.moveaxis(np.asarray(triples, dtype=float), -1, 0)
-    if np.any(k <= 0.0):
-        raise DomainError("path endpoints and controls need positive curvature amplitude")
+    with np.errstate(over="ignore", under="ignore"):
+        bad = ~((k > 0.0) & (k**3 >= np.finfo(float).tiny) & (k**3 < math.inf))
+    if np.any(bad):
+        raise DomainError("path endpoints and controls need positive curvature amplitude"
+                          f" k with normal k^2 and k^3, got k = {float(k[bad][0])!r}")
     return np.stack([np.log(k), (lam - 2.0 * K) / k**2, mu / k**3], axis=-1)
 
 
@@ -453,15 +457,10 @@ def _triples(z: np.ndarray, K: float) -> np.ndarray:
 class ElasticaPathSpec:
     """Endpoint parameters plus interior control triples for one path.
 
-    All curves share the ambient curvature, the frame directions at
-    theta = 0, and the dimensionless length ell = L k: each curve spans
-    one full turn of its amplitude-osculating circle.  For K = 0 the gauge
-    anchors the osculating center at theta = 0, so circle-locus parameters
-    give closed concentric circles; on surfaces the start point is shared,
-    and circles do not close: length 2 pi / sqrt(k^2 + K), not 2 pi / k.
-    The end curve is the end triple in the start's gauge (``end.L`` and
-    ``end.frame`` are not read).  ``nodes`` are the shape coordinates
-    (``_shape``) of start, controls and end.  m >= 3, n >= ``MIN_PROFILE_SAMPLES``.
+    Every curve lies in the start's gauge (``_gauge``), the end curve too:
+    ``end.L`` and ``end.frame`` are not read.  ``nodes`` are the shape
+    coordinates (``_shape``) of start, controls and end.  m >= 3,
+    n >= ``MIN_PROFILE_SAMPLES``.
     """
 
     start: ElasticaParams
@@ -498,15 +497,23 @@ class ElasticaPathSpec:
     def q(self) -> int:
         return self.control_points.shape[0]
 
-    @property
-    def ell(self) -> float:
-        """Shared dimensionless length L * k."""
-        return self.start.L * self.start.k
 
+def _gauge(start: ElasticaParams, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Initial rows (r, 4, dim) and lengths (r,) of the curves with amplitudes ``ks``.
 
-def _gauge_anchor(start: ElasticaParams) -> np.ndarray:
-    """Osculating-circle center of the start curve at theta = 0 (flat case)."""
-    return start.frame.origin + start.frame.N / start.k
+    The gauge of a path: every curve has the start's frame directions at
+    theta = 0 and the shared dimensionless length ell = L k, so it spans
+    one full turn of its amplitude-osculating circle.  For K = 0 the
+    osculating center at theta = 0 is the start's, so circle-locus
+    parameters give closed concentric circles; for K != 0 every curve
+    begins at the start point, and circles do not close: length
+    2 pi / sqrt(k^2 + K), not 2 pi / k.
+    """
+    ks = np.asarray(ks, dtype=float)
+    frames = np.repeat(_frame_rows(start.frame)[None], len(ks), axis=0)
+    if start.K == 0.0:
+        frames[:, 0] = start.frame.origin + start.frame.N / start.k - start.frame.N / ks[:, None]
+    return frames, start.L * start.k / ks
 
 
 @lru_cache(maxsize=8)
@@ -554,12 +561,9 @@ def parameter_trajectory(spec: ElasticaPathSpec) -> np.ndarray:
 
 
 def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
-    """Points (r, n, dim) of the elastica with (k, lambda, mu) rows (r, 3), in the path's gauge."""
+    """Points (r, n, dim) of the elastica with (k, lambda, mu) rows (r, 3), in the path's ``_gauge``."""
     ks, lams, mus = rows.T
-    Ls = spec.ell / ks
-    frames = np.repeat(_frame_rows(spec.start.frame)[None], len(ks), axis=0)
-    if spec.K == 0.0:
-        frames[:, 0] = _gauge_anchor(spec.start) - spec.start.frame.N / ks[:, None]
+    frames, Ls = _gauge(spec.start, ks)
     kappas, taus, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
     return _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
 
@@ -736,22 +740,18 @@ def optimize_elastica_path(
     The path energy is the sum of squares r . r of ``path_residuals``.
     ``minimize``, an exact-step trust-region search on the Gauss-Newton
     model, starts from ``_interior_seed``, linear in z (``_shape``;
-    z_3 = mu / k^3 stays 0 on curved surfaces), and gets the energy
-    itself as its objective, the gradient 2 J^T r and the
-    Gauss-Newton Hessian 2 J^T J, with J the forward-difference Jacobian
-    of r from one integration of per-row derivatives and one stacked
-    residual pass (``_path_jacobian``), built once per point the search
-    visits (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
+    z_3 = mu / k^3 stays 0 on curved surfaces), and gets the energy itself
+    as its objective, the gradient 2 J^T r and the Gauss-Newton Hessian
+    2 J^T J, with J from ``_path_jacobian`` once per point the search visits
+    (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
     Identical endpoints too: their seed has a zero gradient, one visit.
-    The end curve is the end triple in the start's gauge; ``end.L`` and
-    ``end.frame`` are not read.  Control amplitudes outside
-    ``K_BOUNDS_FACTOR`` of the endpoint range (a box on z_1 = log k), and
-    infeasible controls, score ``inf`` and are never accepted; only an
-    infeasible Jacobian column zeroes the gradient, and the search stops
-    there.  Returns the best spec, the (evaluation, energy) trace of
-    improvements among the visited points, and the best path; the
-    evaluation index counts the ``materialize_path`` calls, one per
-    visited point within the bounds.
+    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range (a
+    box on z_1 = log k), and infeasible controls, score ``inf`` and are
+    never accepted; only an infeasible Jacobian column zeroes the gradient,
+    and the search stops there.  Returns the best spec, the (evaluation,
+    energy) trace of improvements among the visited points, and the best
+    path; the evaluation index counts the ``materialize_path`` calls, one
+    per visited point within the bounds.
     """
     check_count("q", q, 1)
     start, end = endpoints
@@ -848,8 +848,8 @@ def _frame_from_dict(data: dict) -> FrenetFrame:
 def endpoints_from_dict(data: dict) -> tuple[ElasticaParams, ElasticaParams]:
     """Parse the endpoint JSON: shared K, L, init_frame plus two parameter triples.
 
-    The stated L and frame belong to the start curve; the end curve's
-    length and gauge frame follow from the shared dimensionless length.
+    The stated L and frame belong to the start curve; the end curve gets
+    its length and frame from the start's ``_gauge``.
     """
     try:
         K = json_number(data, "K")
@@ -859,33 +859,23 @@ def endpoints_from_dict(data: dict) -> tuple[ElasticaParams, ElasticaParams]:
         frame = _frame_from_dict(data["init_frame"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"invalid elastica endpoint record: {exc}") from exc
+    _shape(triples, K)  # the amplitude check, before any division by k
     (k0, lam0, mu0), (k1, lam1, mu1) = triples
-    if k0 <= 0.0 or k1 <= 0.0:
-        raise DomainError("path endpoints need positive curvature amplitude")
     start = ElasticaParams(k=k0, lam=lam0, mu=mu0, K=K, L=L, frame=frame)
-    # the end curve's length and gauge frame follow from the shared ell = L k
-    end = ElasticaParams(
-        k=k1, lam=lam1, mu=mu1, K=K, L=L * k0 / k1, frame=_end_frame(start, k1)
-    )
+    (L1,) = _gauge(start, [k1])[1]
+    end = ElasticaParams(k=k1, lam=lam1, mu=mu1, K=K, L=float(L1), frame=_end_frame(start, k1))
     return start, end
 
 
 def _end_frame(start: ElasticaParams, k1: float) -> FrenetFrame:
-    base = start.frame
-    if start.K == 0.0:
-        origin = _gauge_anchor(start) - base.N / k1
-        return FrenetFrame(origin=origin, T=base.T, N=base.N, B=base.B)
-    return base
+    """Frame of the curve with amplitude k1 in the start's ``_gauge``."""
+    origin, T, N, B = _gauge(start, [k1])[0][0]
+    return FrenetFrame(origin=origin, T=T, N=N, B=None if start.frame.B is None else B)
 
 
 def endpoints_to_dict(start: ElasticaParams, end: ElasticaParams) -> dict:
-    frame = {
-        "origin": start.frame.origin.tolist(),
-        "T": start.frame.T.tolist(),
-        "N": start.frame.N.tolist(),
-    }
-    if start.frame.B is not None:
-        frame["B"] = start.frame.B.tolist()
+    names = ("origin", "T", "N") if start.frame.B is None else ("origin", "T", "N", "B")
+    frame = {name: getattr(start.frame, name).tolist() for name in names}
     return {
         "K": start.K,
         "L": start.L,

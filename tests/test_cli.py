@@ -1,11 +1,13 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvespace import euclidean3d, make_path, path_from_dict, path_to_dict, plane, rho_kappa_defect
-from curvespace.cli import run
+from curvespace.cli import _HANDLERS, parse_command, run
 from curvespace.elastica import default_surface_frame
 
 FLAT_DISTANCE_1_TO_2 = 3.7098994412119352
@@ -103,6 +105,37 @@ class TestCircles:
                            "--out", str(out), "--traj", ""]) == 3
         assert capsys.readouterr().err.startswith("io error:")
         assert not out.exists()
+
+
+class TestNegativeNumbers:
+    def test_exponent_form_is_a_value(self, tmp_path):
+        # argparse takes "-0.5" as a number but "-5e-1" as an option name
+        outs = []
+        for pitch in ("-0.5", "-5e-1"):
+            out = tmp_path / f"h{pitch}.json"
+            assert run(["helices", "--pitch", pitch, "--r0", "1", "--r1", "2",
+                        "--s-samples", "8", "--t-samples", "32", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        out = tmp_path / "c.json"
+        assert run(["circles", "--curvature", "-1e-3", "--r0", "1", "--r1", "2",
+                    "--s-samples", "8", "--t-samples", "32", "--out", str(out)]) == 0
+        assert read_json(out)["space"]["curvature"] == -1e-3
+
+
+def readme_commands():
+    """The ``curvespace`` commands of the README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("curvespace ")]
+
+
+class TestReadmeExamples:
+    def test_every_command_line_example_parses(self):
+        # a renamed or removed flag fails here instead of staying in the docs
+        parsed = [parse_command(argv) for argv in readme_commands()]
+        assert {command.subcommand for command in parsed} == set(_HANDLERS)
 
 
 class TestDistance:
@@ -652,6 +685,20 @@ class TestElasticaCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and err.count("\n") == 1
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("k", [1e-160, 1e200])
+    def test_amplitude_without_normal_powers_is_input_error(self, k, tmp_path, capsys):
+        # k^3 underflows or overflows: refused while the file is read
+        spec = json.loads(json.dumps(CIRCLE_ENDPOINTS))
+        spec["end"] = {"k": k, "lambda": 0.0, "mu": 0.0}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--out", str(out), "--trace", str(trace)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and f"k = {k!r}" in err
         assert not out.exists() and not trace.exists()
 
     def test_bad_spec_is_input_error(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
@@ -836,6 +838,29 @@ class TestShapeCoordinates:
         with pytest.raises(DomainError, match="positive curvature amplitude"):
             ElasticaPathSpec(start=start, end=end, control_points=ctrl, m=5, n=64)
 
+    @pytest.mark.parametrize("k", [1e-160, 1e200])
+    def test_amplitudes_without_normal_powers_are_refused_before_any_path(self, k):
+        # k^3 underflows or overflows: a DomainError naming k, with no RuntimeWarning
+        start, end = circle_endpoints()
+        data = endpoints_to_dict(start, end)
+        data["end"] = {"k": k, "lambda": 0.0, "mu": 0.0}
+        named = re.escape(f"k = {k!r}")
+        with pytest.raises(DomainError, match=named):
+            endpoints_from_dict(data)
+        far = ElasticaParams(k=k, lam=0.0, mu=0.0, K=0.0, L=1.0, frame=start.frame)
+        with pytest.raises(DomainError, match=named):
+            ElasticaPathSpec(start, far, _interior_seed(start, end, 2), m=5, n=64)
+        with pytest.raises(DomainError, match=named):
+            optimize_elastica_path((start, far), q=2, m=5, n=64)
+
+    def test_tiny_amplitude_with_normal_powers_runs(self):
+        # k^3 = 1e-300 is a normal float: the endpoints load and the search ends
+        start, end = circle_endpoints()
+        data = endpoints_to_dict(start, end)
+        data["end"] = {"k": 1e-100, "lambda": 1e-200, "mu": 0.0}
+        _, trace, _ = optimize_elastica_path(endpoints_from_dict(data), q=1, m=5, n=64)
+        assert trace and np.isfinite(trace[-1][1])
+
     @pytest.mark.parametrize("q, m, n", [(3, 13, 96), (5, 25, 128)])
     def test_criterion_8_circle_path_is_in_the_family(self, q, m, n):
         # controls on the locus at the concentric-geodesic radii of the nodes:
@@ -928,21 +953,26 @@ class TestOptimizer:
             assert trace[0][1] <= 1e-10
             assert spec is visits[0]
 
-    def test_end_row_is_the_gauge_end_curve(self):
-        # end.L and end.frame disagree with the start's gauge and are not read:
-        # the last row is the end triple with the shared ell = L k
-        start = flat_params(1.0, 1.0, 0.0)
-        end = ElasticaParams(
-            k=0.5, lam=0.25, mu=0.0, K=0.0, L=3 * np.pi, frame=default_flat_frame(0.5)
-        )
-        gauge_end = ElasticaParams(
-            k=0.5, lam=0.25, mu=0.0, K=0.0, L=4 * np.pi, frame=_end_frame(start, 0.5)
-        )
+    @pytest.mark.parametrize(
+        "endpoints",
+        [circle_endpoints, torsional_endpoints, lambda: surface_endpoints(1.0),
+         lambda: surface_endpoints(-1.0)],
+        ids=["K=0-circles", "K=0-torsional", "K=+1", "K=-1"],
+    )
+    def test_end_row_is_the_gauge_end_curve(self, endpoints):
+        # the loaded end curve is the one the path ends on, bit for bit; a
+        # change of the gauge (``_gauge``) shows here on every model
+        start, end = endpoints_from_dict(endpoints_to_dict(*endpoints()))
         n = 64
-        _, _, path = optimize_elastica_path((start, end), q=1, m=7, n=n)
-        last = path.points[-1]
-        assert np.max(np.abs(last - generate_curve(gauge_end, n).points)) <= 1e-12
-        assert np.max(np.abs(last - generate_curve(end, n).points)) > 0.1
+        spec = ElasticaPathSpec(start, end, _interior_seed(start, end, 2), m=7, n=n)
+        path = materialize_path(spec)
+        assert np.array_equal(path.points[0], generate_curve(start, n).points)
+        assert np.array_equal(path.points[-1], generate_curve(end, n).points)
+        # end.L and end.frame are not read: another length (flat: and frame) gives the same path
+        frame = default_flat_frame(end.k) if end.K == 0.0 else end.frame
+        other = ElasticaParams(k=end.k, lam=end.lam, mu=end.mu, K=end.K, L=3.0, frame=frame)
+        spec = ElasticaPathSpec(start, other, spec.control_points, m=7, n=n)
+        assert np.array_equal(materialize_path(spec).points, path.points)
 
     def test_trace_strictly_decreasing_and_deterministic(self):
         start, end = circle_endpoints()
