@@ -258,22 +258,20 @@ def _cmd_elastica(opt) -> int:
 
 
 def _variation_block(path: sm.CurvePath, normal: bool) -> dict:
-    # the middle row j; a report with eps_steps = k holds rows k .. m-1-k;
-    # each prediction is computed once and shared by the reports
+    # the middle row j; a report with eps_steps = k holds rows k .. m-1-k
     j = path.m // 2
     block = {}
     for quantity in va.VARIATION_QUANTITIES:
-        predicted = va.predicted_variation(path, quantity)
-        report = va.variation_report(path, quantity, predicted=predicted)
+        report = va.variation_report(path, quantity)
         sup_error = float(report.abs_error[j - 1])
         entry = {"sup_error": sup_error}
         # factor between the 2*ds and ds oracles; ~4 for second-order
         # agreement, omitted once the error sits at the roundoff floor
         if 2 <= j <= path.m - 3 and sup_error > 1e-12:
-            coarse = va.variation_report(path, quantity, eps_steps=2, predicted=predicted)
+            coarse = va.variation_report(path, quantity, eps_steps=2)
             entry["convergence_factor"] = float(coarse.abs_error[j - 2]) / sup_error
         if quantity == "omega" and normal:
-            entry["normal_form_discrepancy"] = float(va.normal_omega_discrepancy(path, predicted)[j])
+            entry["normal_form_discrepancy"] = float(va.normal_omega_discrepancy(path)[j])
         block[quantity] = entry
     return block
 

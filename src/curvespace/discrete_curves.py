@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._fd import diff1
-from .errors import DomainError, ImmersionError, PreconditionError
+from .errors import DomainError, ImmersionError, NumericFailure, PreconditionError
 from .space_forms import (
     Model,
     SpaceForm,
@@ -61,6 +61,12 @@ from .space_forms import (
 KAPPA_FLOOR = 1e-8
 TANGENCY_TOL = 1e-9
 MIN_SAMPLES = 8
+# The one-sided fourth-order end row weighs its samples by |coefficients|
+# summing to 128 / 12, so rounding of eps |p| per coordinate puts about
+# 11 eps |p| / chord into omega, relatively.  Chords below CHORD_ROUNDING eps
+# times the larger |coordinate| of their ends, where that passes 1e-5, are refused.
+CHORD_ROUNDING = 128.0 / 12.0 / 1e-5
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -171,13 +177,14 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
     along its t axis.  Runs every check and computes ``omega`` and ``T``
     from a fourth-order derivative of the points; the frame and
     curvature, from arclength derivatives of the same order, are computed
-    on first read (``DiscreteCurve.frame``).
-    The parameter grid follows from ``n`` and periodicity (see the module
-    docstring); ``screw_shift`` makes an open curve periodic.  Raises
-    :class:`ImmersionError` when the discrete derivative vanishes; the
-    frame flags (without failing) the 3D samples where the curvature is
-    below ``KAPPA_FLOOR``.  The curve keeps a read-only copy of
-    ``points``, so its cached fields cannot go stale.
+    on first read (``DiscreteCurve.frame``).  The parameter grid follows
+    from ``n`` and periodicity (see the module docstring); ``screw_shift``
+    makes an open curve periodic.  Raises :class:`ImmersionError` when the
+    discrete derivative vanishes, :class:`NumericFailure` when rounding
+    would swamp it (``CHORD_ROUNDING``); the frame flags (without failing)
+    the 3D samples where the curvature is below ``KAPPA_FLOOR``.  The
+    curve keeps a read-only copy of ``points``, so its cached fields
+    cannot go stale.
     """
     points = np.array(points, dtype=float, order="C")
     points.flags.writeable = False
@@ -191,9 +198,15 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
         raise DomainError(f"{space.model.value} expects dimension {space.ambient_dim}, got {dim}")
     space.check_on_surface(points)
 
-    chords = np.linalg.norm(np.diff(points, axis=axis), axis=-1)
+    # component at a time: reductions over the short last axis are several times slower
+    chords = np.sqrt(sum(d * d for d in np.moveaxis(np.diff(points, axis=axis), -1, 0)))
     if np.any(chords == 0.0):
         raise ImmersionError("consecutive samples coincide")
+    ends = np.abs(points[..., 0])  # the larger |coordinate| of each sample
+    for i in range(1, dim):
+        np.maximum(ends, np.abs(points[..., i]), out=ends)
+    if np.any(chords < CHORD_ROUNDING * _EPS * np.maximum(ends[..., :-1], ends[..., 1:])):
+        raise NumericFailure("samples too close for their size: rounding swamps the derivative")
 
     if screw_shift is not None:
         if closed:

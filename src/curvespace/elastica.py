@@ -15,8 +15,8 @@ its 2D intrinsic analogue on a surface) is linear in the frame rows, so
 each step is the exponential of a fourth-order Magnus exponent, and a
 blocked prefix product of the steps (about 2n products in about 2 sqrt(n)
 batched rounds) gives every point at once.  The steps are closed forms:
-the exponents are one product with a constant basis of the isometry
-algebra, the exponential is a Rodrigues-type polynomial in the exponent,
+the exponents are written entry by entry in the isometry algebra, the
+exponential is a Rodrigues-type polynomial in the exponent,
 and a cached 6-point Lagrange stencil gives the curvature and torsion at
 the Gauss points.
 
@@ -209,24 +209,24 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
     """
     ks = np.asarray(ks, dtype=float)[:, None]
     mus = np.asarray(mus, dtype=float)[:, None]
-    mu2 = mus**2
-    a = ks**2
-    b = a + 2.0 * (2.0 * K - np.asarray(lams, dtype=float)[:, None])
-    c = -4.0 * mu2 / a  # exactly 0 when mu = 0
-    # cancellation-free roots of u^2 + b u + c; r1 = 0 only when c = 0
-    r1 = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c), b))
-    r2 = c / np.where(r1 != 0.0, r1, 1.0)
-    u3, u2, u1 = np.sort(np.stack([a, r1, r2]), axis=0)
-    d = u1 - u2
-    omega = 0.5 * np.sqrt(u1 - u3)
-    p = d / (u1 - u3)
-    shift = np.where(a < u1, ellipk(p), 0.0)
     t = np.asarray(Ls, dtype=float)[:, None] * np.linspace(0.0, 1.0, n)
-    sn, cn, dn, _ = ellipj(omega * t + shift, p)
-
-    signed = (mu2 == 0.0) & (u2 == 0.0)
-    kappa = np.where(signed, ks * cn, np.sqrt(u2 + d * cn**2))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # overflow of extreme amplitudes ends in the finite check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu2 = mus**2
+        a = ks**2
+        b = a + 2.0 * (2.0 * K - np.asarray(lams, dtype=float)[:, None])
+        c = -4.0 * mu2 / a  # exactly 0 when mu = 0
+        # cancellation-free roots of u^2 + b u + c; r1 = 0 only when c = 0
+        r1 = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c), b))
+        r2 = c / np.where(r1 != 0.0, r1, 1.0)
+        u3, u2, u1 = np.sort(np.stack([a, r1, r2]), axis=0)
+        d = u1 - u2
+        omega = 0.5 * np.sqrt(u1 - u3)
+        p = d / (u1 - u3)
+        shift = np.where(a < u1, ellipk(p), 0.0)
+        sn, cn, dn, _ = ellipj(omega * t + shift, p)
+        signed = (mu2 == 0.0) & (u2 == 0.0)
+        kappa = np.where(signed, ks * cn, np.sqrt(u2 + d * cn**2))
         kappa_t = -omega * d * sn * dn * np.where(signed, 1.0 / ks, cn / kappa)
     kappa[:, 0], kappa_t[:, 0] = ks[:, 0], 0.0
     if not np.all(np.isfinite(kappa)) or not np.all(np.isfinite(kappa_t)):
@@ -325,31 +325,15 @@ def _gauss_values(samples: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,ijk->...ij", samples[..., index], weights)
 
 
-@lru_cache(maxsize=8)
-def _magnus_basis(K: float) -> np.ndarray:
-    """Flattened (5, 16) matrices C, X, Y, [X, C], [X, Y] of the Magnus exponents.
-
-    A(kappa, tau) = C + kappa X + tau Y, so
-    [A_2, A_1] = (kappa_2 - kappa_1) [X, C] + (tau_2 - tau_1) [Y, C]
-    + (kappa_2 tau_1 - kappa_1 tau_2) [X, Y], and [Y, C] = 0.
-    """
-    C, X, Y = np.zeros((3, 4, 4))
-    C[0, 1], C[1, 0] = 1.0, -K
-    X[1, 2], X[2, 1] = 1.0, -1.0
-    Y[2, 3], Y[3, 2] = 1.0, -1.0
-    basis = np.stack([C, X, Y, X @ C - C @ X, X @ Y - Y @ X]).reshape(5, 16)
-    basis.flags.writeable = False
-    return basis
-
-
 def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
     """Fourth-order Magnus exponents, (m, n - 1, 4, 4): one per step of each curve.
 
     Omega_i = h/2 (A_1 + A_2) + sqrt(3)/12 h^2 [A_2, A_1] with A (see
     ``_batch_reconstruct``) at the two Gauss points of step i, where a
     6-point Lagrange stencil (``_gauss_stencil``) gives kappa and tau.
-    Omega is linear in the constant basis of ``_magnus_basis``, so the
-    whole stack is one product of its coefficients with that basis.
+    With the matrix units Eij, A = C + kappa X + tau Y for C = E01 - K E10,
+    X = E12 - E21 and Y = E23 - E32; [X, C] = K E20 - E02, [X, Y] = E13 - E31
+    and [Y, C] = 0, so every entry of Omega is one coefficient.
     """
     samples = np.stack([kappas, taus])
     if not np.all(np.isfinite(samples)):
@@ -357,13 +341,15 @@ def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
     (k1, k2), (t1, t2) = np.moveaxis(_gauss_values(samples), -1, 1)  # each (m, n - 1)
     h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None]
     c = math.sqrt(3.0) / 12.0 * h * h
-    coefficients = np.stack(
-        np.broadcast_arrays(
-            h, 0.5 * h * (k1 + k2), 0.5 * h * (t1 + t2), c * (k2 - k1), c * (k2 * t1 - k1 * t2)
-        ),
-        axis=-1,
-    )
-    return (coefficients @ _magnus_basis(K)).reshape(*k1.shape, 4, 4)
+    a, b = 0.5 * h * (k1 + k2), 0.5 * h * (t1 + t2)
+    g, d = c * (k2 - k1), c * (k2 * t1 - k1 * t2)
+    Omega = np.zeros((*k1.shape, 4, 4))
+    Omega[..., 0, 1], Omega[..., 1, 0] = h, -K * h
+    Omega[..., 0, 2], Omega[..., 2, 0] = -g, K * g
+    Omega[..., 1, 2], Omega[..., 2, 1] = a, -a
+    Omega[..., 1, 3], Omega[..., 3, 1] = d, -d
+    Omega[..., 2, 3], Omega[..., 3, 2] = b, -b
+    return Omega
 
 
 def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray:
@@ -767,10 +753,11 @@ def optimize_elastica_path(
     trace: list[tuple[int, float]] = []
     best: dict = {"energy": math.inf}
     point: dict = {"x": None}  # the point the search visited last
+    failure = None  # the error of the last infeasible visit
 
     def visit(x: np.ndarray) -> dict:
         """Energy, gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J at x, once per point."""
-        nonlocal evals
+        nonlocal evals, failure
         if np.array_equal(point["x"], x):
             return point
         # zero derivatives unless the point and all its Jacobian columns are feasible
@@ -791,7 +778,8 @@ def optimize_elastica_path(
                 trace.append((evals, energy))
             stepped = x + _FD_STEP * np.maximum(1.0, np.abs(x))
             r, J = _path_jacobian(spec, path, (stepped - x).reshape(q, n_coords))
-        except CurveSpaceError:
+        except CurveSpaceError as exc:
+            failure = exc
             return point
         point.update(grad=2.0 * (J.T @ r), hess=2.0 * (J.T @ J))
         return point
@@ -805,7 +793,7 @@ def optimize_elastica_path(
     )
 
     if not trace:
-        raise OptimizationFailure("no feasible interior point found")
+        raise OptimizationFailure(f"no feasible interior point found: {failure}") from failure
     return best["spec"], trace, best["path"]
 
 

@@ -59,17 +59,21 @@ class Helices:
 
 @dataclass(frozen=True, eq=False)
 class RadiusTrajectory:
-    """Solved radius-vs-s trajectory with its conserved quantity.
-
-    ``conserved`` is E = (r')^2 f(r); ``distance`` the Sobolev length
-    sqrt(2 pi E) of the materialized path.
-    """
+    """Solved radii r on the uniform s-grid with the conserved quantity E = (r')^2 f(r)."""
 
     family: ConcentricCircles | Helices
-    s_grid: np.ndarray
     r: np.ndarray
     conserved: float
-    distance: float
+
+    @property
+    def s_grid(self) -> np.ndarray:
+        """The uniform grid of ``r`` over [0, 1]."""
+        return np.linspace(0.0, 1.0, len(self.r))
+
+    @property
+    def distance(self) -> float:
+        """The Sobolev length sqrt(2 pi E) of the materialized path."""
+        return math.sqrt(2.0 * math.pi * self.conserved)
 
 
 def circle_profile_f(space: SpaceForm, r):
@@ -115,8 +119,8 @@ def quad(*args, **kwargs):
 def _solve_radius_profile(f, r0: float, r1: float, m: int):
     """Solve (r')^2 f(r) = E with r(0) = r0, r(1) = r1 on a uniform s-grid.
 
-    Returns (s_grid, r, E, distance).  sqrt(E) is the quadrature of sqrt(f)
-    over [min(r0, r1), max(r0, r1)]; the radii solve r' = sqrt(E) / sqrt(f(r))
+    Returns (r, E).  sqrt(E) is the quadrature of sqrt(f) over
+    [min(r0, r1), max(r0, r1)]; the radii solve r' = sqrt(E) / sqrt(f(r))
     upward from the smaller radius and are reversed for r1 < r0, so forward
     and reverse solves produce exactly mirrored radii.  ``f`` is evaluated
     only on that interval, which the callers have checked, so it skips the
@@ -139,15 +143,13 @@ def _solve_radius_profile(f, r0: float, r1: float, m: int):
     if not math.isfinite(sqrt_E) or err > 1e-8 * max(1.0, abs(sqrt_E)):
         raise NumericFailure("quadrature of sqrt(f) did not converge")
     E = sqrt_E * sqrt_E
-    distance = math.sqrt(2.0 * math.pi * E)
-    if not math.isfinite(distance):
+    if not math.isfinite(2.0 * math.pi * E):
         raise NumericFailure(f"conserved quantity E = {E} is not finite")
 
-    s_grid = np.linspace(0.0, 1.0, m)
     # Runge-Kutta stages may step outside [lo, hi], where f can be undefined
     sol = solve_ivp(
-        lambda s, r: sqrt_E / np.sqrt(f(np.clip(r, lo, hi))),
-        (0.0, 1.0), [lo], method="DOP853", t_eval=s_grid, rtol=_ODE_RTOL, atol=0.0,
+        lambda s, r: sqrt_E / np.sqrt(f(np.clip(r, lo, hi))), (0.0, 1.0), [lo],
+        method="DOP853", t_eval=np.linspace(0.0, 1.0, m), rtol=_ODE_RTOL, atol=0.0,
     )
     if not sol.success or not abs(sol.y[0, -1] - hi) <= _LANDING_TOL * max(1.0, hi):
         raise NumericFailure("radius inversion did not converge")
@@ -155,7 +157,7 @@ def _solve_radius_profile(f, r0: float, r1: float, m: int):
     r[0], r[-1] = lo, hi
     if r1 < r0:
         r = r[::-1].copy()
-    return s_grid, r, E, distance
+    return r, E
 
 
 def solve_concentric_geodesic(
@@ -174,17 +176,13 @@ def solve_concentric_geodesic(
         raise DomainError("concentric circle families live on 2D space forms")
     check_count("n", n, MIN_SAMPLES)
     check_radius(space, [r0, r1])
-    s_grid, r, E, distance = _solve_radius_profile(partial(_circle_f, space.curvature), r0, r1, m)
+    r, E = _solve_radius_profile(partial(_circle_f, space.curvature), r0, r1, m)
 
     frame = standard_frame(space)
     t = 2.0 * np.pi * np.arange(n) / n
     points = exp_polar(space, frame, r, t)
     path = make_path(space, points, closed=True)
-    traj = RadiusTrajectory(
-        family=ConcentricCircles(space=space, frame=frame),
-        s_grid=s_grid, r=r, conserved=E, distance=distance,
-    )
-    return traj, path
+    return RadiusTrajectory(ConcentricCircles(space=space, frame=frame), r, E), path
 
 
 def solve_helix_geodesic(
@@ -198,7 +196,7 @@ def solve_helix_geodesic(
     """
     check_count("n", n, MIN_SAMPLES)
     h = float(h)
-    s_grid, r, E, distance = _solve_radius_profile(partial(_helix_f, h), r0, r1, m)
+    r, E = _solve_radius_profile(partial(_helix_f, h), r0, r1, m)
 
     space = SpaceForm(Model.EUCLIDEAN3D, 0.0)
     t = 2.0 * np.pi * np.arange(n) / n
@@ -208,10 +206,7 @@ def solve_helix_geodesic(
     points[:, :, 2] = h * t
     shift = np.array([0.0, 0.0, 2.0 * np.pi * h])
     path = make_path(space, points, closed=False, screw_shift=shift)
-    traj = RadiusTrajectory(
-        family=Helices(pitch=h), s_grid=s_grid, r=r, conserved=E, distance=distance,
-    )
-    return traj, path
+    return RadiusTrajectory(Helices(pitch=h), r, E), path
 
 
 # ---------------------------------------------------------------------------

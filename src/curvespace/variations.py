@@ -62,19 +62,16 @@ def predicted_omega_variation(path: CurvePath) -> np.ndarray:
     return np.asarray(batch.space.inner(path.dT_velocity, batch.T)) * batch.omega
 
 
-def normal_omega_discrepancy(path: CurvePath, predicted: np.ndarray | None = None) -> np.ndarray:
+def normal_omega_discrepancy(path: CurvePath) -> np.ndarray:
     """Sup over t of the difference between the general formula and -rho kappa omega.
 
     The two agree on normal rows; the others are NaN, and a path with no
-    normal row raises :class:`NormalityError`.  ``predicted`` is
-    ``predicted_omega_variation(path)`` when the caller has it already.
+    normal row raises :class:`NormalityError`.
     """
     normal, batch = normal_rows(path), path.batch
     if not normal.any():
         raise NormalityError("the -rho kappa omega form only applies to normal paths")
-    if predicted is None:
-        predicted = predicted_omega_variation(path)
-    gap = predicted + rho_normal_component(path) * batch.kappa * batch.omega
+    gap = predicted_omega_variation(path) + rho_normal_component(path) * batch.kappa * batch.omega
     return np.where(normal, np.max(np.abs(gap), axis=-1), np.nan)
 
 
@@ -109,38 +106,28 @@ def predicted_variation(path: CurvePath, quantity: str) -> np.ndarray:
     return predict(path)
 
 
-def variation_report(
-    path: CurvePath, quantity: str, eps_steps: int = 1, *, predicted: np.ndarray | None = None
-) -> VariationReport:
-    """The analytic variation of omega or kappa against ``fd_variation``, row for row.
-
-    ``predicted`` is ``predicted_variation(path, quantity)`` when the
-    caller has it already, so that reports at several ``eps_steps`` share it.
-    """
+def variation_report(path: CurvePath, quantity: str, eps_steps: int = 1) -> VariationReport:
+    """The analytic variation of omega or kappa against ``fd_variation``, row for row."""
     observed = fd_variation(path, quantity, eps_steps)
-    if predicted is None:
-        predicted = predicted_variation(path, quantity)
     k = int(eps_steps)
-    return VariationReport(quantity=quantity, predicted=predicted[k:path.m - k], observed=observed)
+    return VariationReport(quantity, predicted_variation(path, quantity)[k:path.m - k], observed)
 
 
 # ---------------------------------------------------------------------------
 # conserved quantities of normal horizontal families
 
 
-def curvature_conservation_residual(curve: DiscreteCurve, K: float | None = None) -> np.ndarray:
+def curvature_conservation_residual(curve: DiscreteCurve) -> np.ndarray:
     """2 kappa kappa_tt - 3 kappa_t^2 - 4 kappa^2 (kappa^2 + K) per sample.
 
     Zero along normal horizontal families whose curvature is conserved in s.
     """
     if curve.space.model is Model.EUCLIDEAN3D:
         raise DomainError("curvature conservation residual is a surface (2D) identity")
-    if K is None:
-        K = curve.space.curvature
     kap = curve.kappa
     kap_t = d_theta(curve, kap)
     kap_tt = d_theta(curve, kap_t)
-    return 2.0 * kap * kap_tt - 3.0 * kap_t**2 - 4.0 * kap**2 * (kap**2 + K)
+    return 2.0 * kap * kap_tt - 3.0 * kap_t**2 - 4.0 * kap**2 * (kap**2 + curve.space.curvature)
 
 
 def parallel_geodesic_alpha(path: CurvePath) -> np.ndarray:

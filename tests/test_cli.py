@@ -468,6 +468,18 @@ class TestRender:
         assert figs[0] == figs[1]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["distance", "--input", "{array}"], 3),
+    (["circles", "--curvature", "0", "--r0", "5e-5", "--r1", "1", "--out", "{out}"], 1),
+    (["helices", "--pitch", "0.5", "--r0", "5e-5", "--r1", "1", "--out", "{out}"], 1),
+])
+def test_documented_refusal(argv, code, tmp_path):
+    array, out = tmp_path / "array.json", tmp_path / "out.json"
+    array.write_text("[1, 2]")
+    assert run([a.format(array=array, out=out) for a in argv]) == code
+    assert not out.exists()
+
+
 CIRCLE_ENDPOINTS = {
     "K": 0.0,
     "L": 2 * np.pi,
@@ -745,6 +757,31 @@ class TestElasticaCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("end, cause", [
+        ({"k": 1e50, "lambda": 1e100, "mu": 0.0}, "curve derivative vanishes"),
+        ({"k": 1e100, "lambda": 1e200, "mu": 0.0}, "non-finite values"),
+    ])
+    def test_infeasible_search_names_its_cause(self, end, cause, tmp_path, capfd):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**CIRCLE_ENDPOINTS, "end": end}))
+        out, trace = tmp_path / "path.json", tmp_path / "trace.csv"
+        code = run(["elastica", "--spec", str(spec_file), "--control-points", "1",
+                    "--s-samples", "5", "--t-samples", "64", "--out", str(out), "--trace", str(trace)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert err.startswith("numeric failure: no feasible interior point found: ") and cause in err
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("curvature", ["1e-300", "-1e-300"])
+    def test_surface_too_flat_for_its_embedding(self, curvature, tmp_path, capfd):
+        # the samples sit |K|^(-1/2) = 1e150 from the origin, far past their chords
+        out, traj = tmp_path / "x.json", tmp_path / "t.csv"
+        code = run(["circles", "--curvature", curvature, "--r0", "0.5", "--r1", "1",
+                    "--out", str(out), "--traj", str(traj)])
+        assert code == 2
+        assert capfd.readouterr().err.startswith("numeric failure: samples too close")
+        assert not out.exists() and not traj.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # pitch = 1e308 overflows the helix profile: the quadrature fails to converge
         out = tmp_path / "x.json"

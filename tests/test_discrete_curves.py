@@ -3,11 +3,13 @@ import pytest
 
 import curvespace.discrete_curves as discrete_curves
 from curvespace import (
+    CurveSpaceError,
     DomainError,
     ElasticaParams,
     ElasticaPathSpec,
     ImmersionError,
     Model,
+    NumericFailure,
     PreconditionError,
     TangentField,
     build_curve,
@@ -16,13 +18,17 @@ from curvespace import (
     curve_to_dict,
     d_theta,
     euclidean3d,
+    exp_polar,
     hyperbolic,
     length,
     make_path,
     path_from_curves,
     path_length,
     plane,
+    solve_concentric_geodesic,
     sphere,
+    standard_frame,
+    surface_of_curvature,
 )
 from curvespace._fd import diff1
 from curvespace.cli import _render_svg
@@ -151,6 +157,59 @@ class TestBuildCurve:
             c = build_curve(euclidean3d(), pts, closed=False)
             errs_tau.append(np.max(np.abs(c.tau - 0.5 / 1.25)))
         assert errs_tau[0] / errs_tau[1] >= 3.5
+
+
+def _circle_record(n):
+    return curve_to_dict(build_curve(plane(), circle_points(n)[0], closed=True))
+
+
+DOCUMENTED_REFUSALS = {
+    "wrong dimension": (DomainError, lambda: build_curve(sphere(1.0), circle_points(64)[0], closed=True)),
+    "closed with a screw_shift": (DomainError, lambda: build_curve(
+        plane(), circle_points(64)[0], closed=True, screw_shift=[0.0, 1.0])),
+    "t_samples disagrees": (DomainError, lambda: curve_from_dict({**_circle_record(64), "t_samples": 63})),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error
+
+
+def _unit_circle(K, n):
+    space = surface_of_curvature(K)
+    t = 2 * np.pi * np.arange(n) / n
+    return space, exp_polar(space, standard_frame(space), np.array([1.0]), t)[0]
+
+
+class TestNearFlatSurfaces:
+    """Samples about |K|^(-1/2) from the embedding's origin round by about eps |K|^(-1/2)."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n, accepted, refused", [(64, 1e-17, 3e-18), (256, 2e-16, 5e-17)])
+    def test_unit_circle_floor(self, sign, n, accepted, refused):
+        # smallest accepted |K|: about 5.8e-18 at n = 64 and 9.3e-17 at n = 256
+        build_curve(*_unit_circle(sign * accepted, n), closed=True)
+        with pytest.raises(NumericFailure, match="rounding"):
+            build_curve(*_unit_circle(sign * refused, n), closed=True)
+
+    def test_the_rule_reads_each_chord_at_its_own_scale(self):
+        # a stack of radii 1 and 1e100: every chord is long for its own ends
+        pts, _ = circle_points(64)
+        stack = build_curve(plane(), np.stack([pts, 1e100 * pts]), closed=True)
+        assert np.array_equal(stack.row(0).omega, build_curve(plane(), pts, closed=True).omega)
+        line = np.stack([np.arange(64.0), np.full(64, 1e6)], axis=1)
+        build_curve(plane(), line, closed=False)
+        with pytest.raises(NumericFailure):
+            build_curve(plane(), line * [1e-6, 1.0], closed=False)
+
+    @pytest.mark.parametrize("K", [1e-8, -1e-8])
+    def test_slightly_curved_paths_are_accurate(self, K):
+        traj, path = solve_concentric_geodesic(surface_of_curvature(K), 0.5, 1.0, m=16, n=64)
+        assert path_length(path) == pytest.approx(traj.distance, rel=2e-4)
 
 
 class TestDerivedGrids:

@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from curvespace import (
     CapabilityError,
+    CurveSpaceError,
     DomainError,
     ElasticaParams,
     ElasticaPathSpec,
@@ -738,6 +739,47 @@ class TestNonFiniteParameters:
         with pytest.raises(DomainError):
             endpoints_from_dict(data)
 
+    def test_overflowing_torsion_constant_is_a_numeric_failure(self):
+        # mu^2 overflows in _batch_profiles; the finite check names it, no RuntimeWarning
+        params = ElasticaParams(k=1.0, lam=1.0, mu=1e200, K=0.0, L=2.0, frame=default_flat_frame(1.0))
+        with pytest.raises(NumericFailure, match="non-finite values"):
+            solve_curvature_profile(params, 64)
+
+
+def _spec_args(**changes):
+    start, end = circle_endpoints()
+    args = dict(start=start, end=end, control_points=_interior_seed(start, end, 2), m=5, n=64)
+    return {**args, **changes}
+
+
+DOCUMENTED_REFUSALS = {
+    "negative k": (DomainError, lambda: ElasticaParams(
+        k=-1.0, lam=1.0, mu=0.0, K=0.0, L=2.0, frame=default_flat_frame(1.0))),
+    "torsion at k = 0": (DomainError, lambda: ElasticaParams(
+        k=0.0, lam=1.0, mu=0.1, K=0.0, L=2.0, frame=default_flat_frame(1.0))),
+    "zero length": (DomainError, lambda: ElasticaParams(
+        k=1.0, lam=1.0, mu=0.0, K=0.0, L=0.0, frame=default_flat_frame(1.0))),
+    "negative length": (DomainError, lambda: ElasticaParams(
+        k=1.0, lam=1.0, mu=0.0, K=0.0, L=-1.0, frame=default_flat_frame(1.0))),
+    "profile length": (DomainError, lambda: reconstruct_curve(
+        flat_params(1.0, 1.0, 0.0), np.ones(63), np.zeros(64), 64)),
+    "endpoints of different K": (DomainError, lambda: ElasticaPathSpec(
+        **_spec_args(end=surface_endpoints(1.0)[1]))),
+    "(q, 2) controls": (DomainError, lambda: ElasticaPathSpec(
+        **_spec_args(control_points=np.ones((2, 2))))),
+    "no controls": (PreconditionError, lambda: ElasticaPathSpec(
+        **_spec_args(control_points=np.empty((0, 3))))),
+    "flat surface frame": (DomainError, lambda: default_surface_frame(0.0)),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error
+
 
 class TestInteriorSeed:
     @pytest.mark.parametrize(
@@ -1140,6 +1182,20 @@ class TestTrustRegionSearch:
         monkeypatch.setattr(el, "materialize_path", no_path)
         with pytest.raises(OptimizationFailure, match="no feasible"):
             optimize_elastica_path(circle_endpoints(), q=1, m=7, n=64)
+
+    @pytest.mark.parametrize("end, cause", [
+        # every curve has radius about 1e-50: build_curve's omega floor
+        ((1e50, 1e100, 0.0), "curve derivative vanishes"),
+        # b * b overflows in _batch_profiles; the finite check names it, no RuntimeWarning
+        ((1e100, 1e200, 0.0), "curvature profile evaluation produced non-finite values"),
+    ])
+    def test_no_feasible_point_names_its_cause(self, end, cause):
+        data = endpoints_to_dict(*circle_endpoints())
+        data["end"] = dict(zip(("k", "lambda", "mu"), end))
+        with pytest.raises(OptimizationFailure, match="no feasible interior point found: ") as info:
+            optimize_elastica_path(endpoints_from_dict(data), q=1, m=5, n=64)
+        assert cause in str(info.value)
+        assert isinstance(info.value.__cause__, NumericFailure)
 
 
 def least_squares(A, b):

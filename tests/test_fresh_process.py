@@ -2,7 +2,8 @@
 
 ``import curvespace`` loads numpy and scipy.special only; scipy.integrate
 (and with it scipy.optimize) loads on the first radius-profile solve.  The
-elastica bytes must not depend on how many threads BLAS uses.
+bytes of the elastica runs and of two geodesic sessions (solve, check,
+distance, render) must not depend on how many threads BLAS uses.
 """
 
 import json
@@ -66,7 +67,7 @@ def test_import_loads_no_optimize_interpolate_or_integrate(tmp_path):
     assert abs(seen["distance_1_to_2"] - 3.7098994412119352) <= 1e-9
 
 
-ELASTICA_RUNS = """
+CLI_RUNS = """
 import sys
 from pathlib import Path
 from curvespace import cli
@@ -77,6 +78,16 @@ for spec in sorted(folder.glob("*.json")):
     argv = ["elastica", "--spec", str(spec), "--control-points", "3", "--seed", "0",
             "--out", str(out / spec.name), "--trace", str(out / (spec.stem + ".csv"))]
     assert cli.run(argv) == 0
+# geodesic sessions: render projects 3D paths by a matmul, check and distance reduce over them
+sizes = ["--s-samples", "16", "--t-samples", "128"]
+for name, solve in (("helices", ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2"] + sizes),
+                    ("circles", ["circles", "--curvature", "-1", "--r0", "0.5", "--r1", "1.5"] + sizes)):
+    path = str(out / f"{name}-path.json")
+    for argv in (solve + ["--out", path, "--traj", str(out / f"{name}.csv")],
+                 ["check", "--input", path, "--report", str(out / f"{name}-report.json")],
+                 ["distance", "--input", path],
+                 ["render", "--input", path, "--out", str(out / f"{name}.svg")]):
+        assert cli.run(argv) == 0
 """
 
 
@@ -104,8 +115,9 @@ def test_elastica_bytes_do_not_depend_on_blas_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        run_python(ELASTICA_RUNS, str(specs), str(out),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert len(outputs[0]) == 6
+        stdout = run_python(CLI_RUNS, str(specs), str(out),
+                            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append({"stdout": stdout, **{f.name: f.read_bytes() for f in sorted(out.iterdir())}})
+    assert len(outputs[0]) == 1 + 6 + 2 * 4
+    assert len(outputs[0]["stdout"].splitlines()) == 2  # the two distances
     assert outputs[0] == outputs[1]

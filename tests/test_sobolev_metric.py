@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvespace import (
+    CurveSpaceError,
     DomainError,
     NormalityError,
     PreconditionError,
@@ -303,6 +304,26 @@ class TestPathFromCurves:
         for path in (helix_path(m=3, n=64), path_from_curves(helix_path(m=3, n=64).curves)):
             with pytest.raises(ValueError):
                 path.points[0, 0, 0] = 0.0
+
+
+DOCUMENTED_REFUSALS = {
+    "make_path of one curve": (DomainError, lambda: make_path(plane(), circle_curve(64)[0].points, True)),
+    "make_path of 2 curves": (PreconditionError, lambda: concentric_path([1.0, 2.0], n=64)),
+    "path_from_curves of 2 curves": (PreconditionError, lambda: path_from_curves(
+        [circle_curve(64)[0], circle_curve(64, 2.0)[0]])),
+    "path_from_curves of mismatched n": (DomainError, lambda: path_from_curves(
+        [circle_curve(64)[0], circle_curve(64, 2.0)[0], circle_curve(32)[0]])),
+    "sobolev_inner of a wrong-shaped field": (DomainError, lambda: sobolev_inner(
+        circle_curve(64)[0], np.ones((63, 2)), np.ones((64, 2)))),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error
 
 
 class TestHorizontality:

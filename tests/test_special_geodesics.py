@@ -8,10 +8,12 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from curvespace import (
+    CurveSpaceError,
     DomainError,
     NumericFailure,
     PreconditionError,
     circle_profile_f,
+    euclidean3d,
     helix_profile_f,
     hyperbolic,
     path_speed,
@@ -25,6 +27,7 @@ from curvespace.sobolev_metric import tangential_component
 from curvespace import special_geodesics
 from curvespace.special_geodesics import (
     ConcentricCircles,
+    Helices,
     RadiusTrajectory,
     _solve_radius_profile,
     conserved_drift,
@@ -136,7 +139,7 @@ class TestPendulum:
         s = np.linspace(0.0, 1.0, 33)
         r = 0.3 + 0.9 * s  # linear radius is not a geodesic
         fam = ConcentricCircles(space=sphere(1.0), frame=None)
-        traj = RadiusTrajectory(family=fam, s_grid=s, r=r, conserved=1.0, distance=1.0)
+        traj = RadiusTrajectory(family=fam, r=r, conserved=1.0)
         res = pendulum_residual(traj)
         u = np.pi / 2 - r
         mean_value = np.mean(0.9**2 / np.cos(u))
@@ -156,9 +159,24 @@ class TestPendulum:
         fam = ConcentricCircles(space=sp, frame=standard_frame(sp))
         s = np.linspace(0, 1, 17)
         r = np.pi - 1e-9 - 0.5 * s
-        traj = RadiusTrajectory(family=fam, s_grid=s, r=r, conserved=1.0, distance=1.0)
+        traj = RadiusTrajectory(family=fam, r=r, conserved=1.0)
         with pytest.raises(DomainError):
             pendulum_residual(traj)
+
+
+DOCUMENTED_REFUSALS = {
+    "circle radius below R_MIN": (DomainError, lambda: solve_concentric_geodesic(plane(), 5e-5, 1.0)),
+    "helix radius below R_MIN": (DomainError, lambda: solve_helix_geodesic(5e-5, 1.0, 0.5)),
+    "circles in 3-space": (DomainError, lambda: solve_concentric_geodesic(euclidean3d(), 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error
 
 
 class TestHelixSolver:
@@ -282,7 +300,9 @@ class TestRadiusSolver:
         f, sqrt_f = _profile(family)
         _, oracle, sqrt_E = _newton_bisection_radii(sqrt_f, lo, hi, 9)
         for r0, r1, ref in ((lo, hi, oracle), (hi, lo, oracle[::-1])):
-            s, r, E, distance = _solve_radius_profile(f, r0, r1, 9)
+            r, E = _solve_radius_profile(f, r0, r1, 9)
+            fam = Helices(family) if isinstance(family, float) else ConcentricCircles(family, None)
+            distance = RadiusTrajectory(fam, r, E).distance
             assert E == sqrt_E * sqrt_E and distance == math.sqrt(2.0 * math.pi * E)
             assert r[0] == r0 and r[-1] == r1
             assert np.max(np.abs(r - ref)) <= 1e-11 * max(1.0, hi)
@@ -294,7 +314,8 @@ class TestRadiusSolver:
     ])
     def test_first_integral_against_mpmath(self, family, lo, hi, phi):
         # Phi(r_i) = integral_{lo}^{r_i} sqrt(f) dr must equal s_i sqrt(E)
-        s, r, E, _ = _solve_radius_profile(partial(circle_profile_f, family), lo, hi, 9)
+        r, E = _solve_radius_profile(partial(circle_profile_f, family), lo, hi, 9)
+        s = RadiusTrajectory(ConcentricCircles(family, None), r, E).s_grid
         sqrt_E = math.sqrt(E)
         with mp.workdps(30):
             Phi = [mp.quad(phi, [lo, 0.5 * (lo + ri), ri]) for ri in r[1:]]

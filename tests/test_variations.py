@@ -154,12 +154,6 @@ class TestCurvatureConservation:
         assert np.max(np.abs(c.kappa - 1.0)) <= 1e-5
         assert np.max(np.abs(curvature_conservation_residual(c))) <= 1e-4
 
-    def test_explicit_curvature_argument(self):
-        t = 2 * np.pi * np.arange(128) / 128
-        c = build_curve(plane(), np.stack([np.cos(t), np.sin(t)], axis=1), closed=True)
-        res = curvature_conservation_residual(c, K=-1.0)
-        assert np.max(np.abs(res)) <= 1e-6  # kappa^2 = 1 = -K
-
     def test_3d_rejected(self):
         t = np.linspace(0, 1, 64)
         c = build_curve(euclidean3d(), np.stack([np.cos(t), np.sin(t), t], axis=1), closed=False)
