@@ -51,6 +51,7 @@ from .errors import DomainError, ImmersionError, NumericFailure, PreconditionErr
 from .space_forms import (
     Model,
     SpaceForm,
+    euclidean_norm,
     json_array,
     json_count,
     json_flag,
@@ -81,7 +82,7 @@ class TangentField:
         if values.shape != curve.points.shape:
             raise DomainError("field shape does not match the curve grid")
         off = float(np.max(curve.space.tangent_distance(curve.points, values)))
-        if off > TANGENCY_TOL * (1.0 + float(np.max(np.linalg.norm(values, axis=-1)))):
+        if off > TANGENCY_TOL * (1.0 + float(np.max(euclidean_norm(values)))):
             raise DomainError("field is not tangent to the surface along the curve")
         return TangentField(values)
 
@@ -233,7 +234,7 @@ def _fd_frame(curve: DiscreteCurve) -> CurveFrame:
     if curve.space.model is Model.EUCLIDEAN3D:
         curv = d_theta(curve, T)
         curv -= inner(curv, T)[..., None] * T  # drop tangential FD noise
-        kappa = np.linalg.norm(curv, axis=-1)
+        kappa = euclidean_norm(curv)
         frame_ok = kappa >= KAPPA_FLOOR
         N = np.zeros_like(T)
         N[frame_ok] = curv[frame_ok] / kappa[frame_ok][:, None]

@@ -41,6 +41,12 @@ class Model(str, enum.Enum):
     EUCLIDEAN3D = "euclidean3d"
 
 
+def euclidean_norm(v) -> np.ndarray:
+    """|v| over the last axis: rounds as ``np.linalg.norm(v, axis=-1)`` (squares
+    summed in index order) but runs several times faster on 2 or 3 components."""
+    return np.sqrt(sum((v[..., k] * v[..., k] for k in range(1, v.shape[-1])), v[..., 0] * v[..., 0]))
+
+
 @dataclass(frozen=True)
 class SpaceForm:
     """Ambient space of constant sectional curvature.
@@ -113,12 +119,12 @@ class SpaceForm:
             return np.zeros(p.shape[:-1])
         R = self.radius
         if self.model is Model.SPHERE2D:
-            return np.abs(np.sqrt(np.sum(p * p, axis=-1)) - R)
+            return np.abs(euclidean_norm(p) - R)
         # |f - R| / |grad f| for f = sqrt(q): rounding floor eps |p|, not eps |p|^2
         q = -self.inner(p, p)
         bad = (q <= 0.0) | (p[..., 2] <= 0.0)
         root = np.sqrt(np.abs(q))
-        dist = np.abs(root - R) * root / np.linalg.norm(p, axis=-1)
+        dist = np.abs(root - R) * root / euclidean_norm(p)
         return np.where(bad, np.inf, dist)
 
     def check_on_surface(self, p):
@@ -139,7 +145,7 @@ class SpaceForm:
         if not self.curved:
             return np.zeros(v.shape[:-1])
         point = np.asarray(point, dtype=float)
-        return np.abs(self.inner(v, point)) / np.linalg.norm(point, axis=-1)
+        return np.abs(self.inner(v, point)) / euclidean_norm(point)
 
     def tangent_project(self, point, v, *, check: bool = True):
         """Component of ``v`` tangent to the surface at ``point``.
@@ -179,7 +185,7 @@ class SpaceForm:
         if self.model is Model.PLANE2D:
             return np.stack([-T[..., 1], T[..., 0]], axis=-1)
         if self.model is Model.SPHERE2D:
-            nu = points / np.linalg.norm(points, axis=-1, keepdims=True)
+            nu = points / euclidean_norm(points)[..., None]
             return np.cross(nu, T)
         # hyperboloid: J (p_hat x T) is unit, tangent, and consistently oriented
         w = np.cross(points / self.radius, T)

@@ -7,10 +7,11 @@ Both families collapse the geodesic equation to conservation of
 with profile f(r) = omega + omega_r^2 / omega for circles on a
 constant-curvature surface and f(r) = sqrt(r^2 + h^2) + 1/sqrt(r^2 + h^2)
 for pitch-h helices in R^3.  With boundary values r(0) = r0, r(1) = r1 the
-monotone solution takes E by quadrature, r(s) by one ODE solve:
+solution is monotone; for r0 < r1 and Phi(r) = integral_{r0}^{r} sqrt(f) dr
 
-    sqrt(E) = | integral_{r0}^{r1} sqrt(f) dr |,
-    |r'(s)| = sqrt(E) / sqrt(f(r)).
+    sqrt(E) = Phi(r1),    Phi(r(s)) = s sqrt(E),
+
+so one quadrature gives E and the radii invert Phi, with no ODE solve.
 
 The Sobolev speed of the materialized path is nu = sqrt(2 pi E), constant
 in s, and the path distance is sqrt(2 pi E).
@@ -19,7 +20,6 @@ in s, and the path distance is sqrt(2 pi E).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,10 +40,20 @@ from .space_forms import (
 )
 
 R_MIN = 1e-4
-_QUAD_TOL = 1e-12
-_ODE_RTOL = 1e-13
-# the solved r(1) must land on the far radius to this relative tolerance
-_LANDING_TOL = 1e-11
+# tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974), step 1/8 in t up to |t| = 3.5:
+# nodes 1 / (1 + exp(pi sinh |t|)) panel widths from the nearer end, weights per width.
+# Built with math: numpy ufuncs run at import grow every process's resident memory
+_TS_T = [k / 8.0 for k in range(1, 29)]
+_TS_OFFSET = np.array([1.0 / (1.0 + math.exp(math.pi * math.sinh(t))) for t in _TS_T])
+_TS_WEIGHT = np.array([math.pi / 32.0 * math.cosh(t) / math.cosh(math.pi / 2.0 * math.sinh(t)) ** 2
+                       for t in _TS_T])
+# panels 4-fold smaller toward hi, past which the sphere's sqrt(f) may blow up
+# (cut locus); halved while the rule of twice the step misses by _SPLIT_TOL sqrt(E)
+# (sqrt(f) bends sharply at the equator of large-K spheres)
+_GRADED = np.array([4.0 ** -k for k in range(1, 27)])
+_SPLIT_TOL, _MAX_PANELS = 1e-12, 2048
+# Newton stops at |Phi(r) - s sqrt(E)| <= _INVERT_TOL (sqrt(E) + r sqrt(f(r)))
+_INVERT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -104,60 +114,76 @@ def _helix_f(h: float, r):
 
 
 # ---------------------------------------------------------------------------
-# the radius profile: E by quadrature, r(s) by one ODE solve
+# the radius profile: sqrt(E) by quadrature, r(s) by inverting Phi
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call (scipy.integrate
-    loads scipy.optimize, which nothing else needs); a module function, so
-    it can be patched and traced by name."""
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
+def quad(g, a, b):
+    """Tanh-sinh integrals of ``g`` over the panels [a, b] (arrays of ends) and,
+    as their error estimates, the distances to the rule of twice the step.
+    A module function, so that it can be patched and traced by name."""
+    width = b - a
+    offset = width[..., None] * _TS_OFFSET
+    sides = g(a[..., None] + offset) + g(b[..., None] - offset)
+    centre = np.pi / 32.0 * g(0.5 * (a + b))
+    # numpy's sums, not BLAS, whose result could depend on its thread count
+    full = width * (centre + np.sum(sides * _TS_WEIGHT, axis=-1))
+    half = 2.0 * width * (centre + np.sum(sides[..., 1::2] * _TS_WEIGHT[1::2], axis=-1))
+    return full, np.abs(full - half)
 
 
 def _solve_radius_profile(f, r0: float, r1: float, m: int):
     """Solve (r')^2 f(r) = E with r(0) = r0, r(1) = r1 on a uniform s-grid.
 
-    Returns (r, E).  sqrt(E) is the quadrature of sqrt(f) over
-    [min(r0, r1), max(r0, r1)]; the radii solve r' = sqrt(E) / sqrt(f(r))
-    upward from the smaller radius and are reversed for r1 < r0, so forward
-    and reverse solves produce exactly mirrored radii.  ``f`` is evaluated
-    only on that interval, which the callers have checked, so it skips the
-    domain checks (``_circle_f``, ``_helix_f``).
+    Returns (r, E).  sqrt(E) = Phi(hi) over tanh-sinh panels of [lo, hi],
+    geometric when hi / lo > 10; each radius solves Phi(r) = s sqrt(E) by
+    Newton steps kept inside its panel.  The radii run upward from lo and
+    are reversed for r1 < r0, so forward and reverse solves mirror exactly.
+    ``f`` is evaluated only on [lo, hi], which the callers have checked, so
+    it skips the domain checks (``_circle_f``, ``_helix_f``).
     """
     if r0 == r1:
         raise PreconditionError("endpoint radii must differ (r0 != r1)")
     if min(r0, r1) < R_MIN:
         raise DomainError(f"radii must stay above {R_MIN}")
     check_count("m", m, MIN_PATH_SAMPLES)
-    from scipy.integrate import IntegrationWarning, solve_ivp
-
     lo, hi = float(min(r0, r1)), float(max(r0, r1))
-    with warnings.catch_warnings():
-        # a failed quadrature is reported through NumericFailure below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        sqrt_E, err = quad(
-            lambda r: math.sqrt(f(r)), lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200
-        )
-    if not math.isfinite(sqrt_E) or err > 1e-8 * max(1.0, abs(sqrt_E)):
-        raise NumericFailure("quadrature of sqrt(f) did not converge")
-    E = sqrt_E * sqrt_E
-    if not math.isfinite(2.0 * math.pi * E):
-        raise NumericFailure(f"conserved quantity E = {E} is not finite")
 
-    # Runge-Kutta stages may step outside [lo, hi], where f can be undefined
-    sol = solve_ivp(
-        lambda s, r: sqrt_E / np.sqrt(f(np.clip(r, lo, hi))), (0.0, 1.0), [lo],
-        method="DOP853", t_eval=np.linspace(0.0, 1.0, m), rtol=_ODE_RTOL, atol=0.0,
-    )
-    if not sol.success or not abs(sol.y[0, -1] - hi) <= _LANDING_TOL * max(1.0, hi):
+    def sqrt_f(r):
+        return np.sqrt(f(r))
+
+    edges = np.geomspace(lo, hi, 17) if hi > 10.0 * lo else np.linspace(lo, hi, 17)
+    edges = np.unique(np.concatenate([edges[:-1], hi - (hi - edges[-2]) * _GRADED, [hi]]))
+    for _ in range(64):  # a panel one ulp wide no longer splits
+        values, err = quad(sqrt_f, edges[:-1], edges[1:])
+        sqrt_E = float(np.sum(values))
+        E = sqrt_E * sqrt_E
+        if not math.isfinite(2.0 * math.pi * E):
+            raise NumericFailure(f"conserved quantity E = {E} is not finite")
+        bad = err > _SPLIT_TOL * sqrt_E
+        if not bad.any() or len(edges) > _MAX_PANELS:
+            break
+        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[bad]]))
+    if bad.any():
+        raise NumericFailure("quadrature of sqrt(f) did not converge")
+
+    phi = np.concatenate([[0.0], np.cumsum(values)])
+    target = sqrt_E * np.linspace(0.0, 1.0, m)[1:-1]
+    p = np.searchsorted(phi, target, side="right") - 1
+    start, low, high = edges[p], edges[p], edges[p + 1]
+    r = low + (high - low) * (target - phi[p]) / (phi[p + 1] - phi[p])
+    for _ in range(64):
+        resid = phi[p] + quad(sqrt_f, start, r)[0] - target
+        slope = sqrt_f(r)
+        done = np.abs(resid) <= _INVERT_TOL * (sqrt_E + r * slope)
+        if done.all():
+            break
+        high, low = np.where(resid > 0.0, r, high), np.where(resid < 0.0, r, low)
+        step = r - resid / slope
+        r = np.where(done, r, np.where((low <= step) & (step <= high), step, 0.5 * (low + high)))
+    else:
         raise NumericFailure("radius inversion did not converge")
-    r = sol.y[0]
-    r[0], r[-1] = lo, hi
-    if r1 < r0:
-        r = r[::-1].copy()
-    return r, E
+    r = np.concatenate([[lo], r, [hi]])
+    return (r if r0 < r1 else r[::-1].copy()), E
 
 
 def solve_concentric_geodesic(

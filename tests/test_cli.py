@@ -472,6 +472,9 @@ class TestRender:
     (["distance", "--input", "{array}"], 3),
     (["circles", "--curvature", "0", "--r0", "5e-5", "--r1", "1", "--out", "{out}"], 1),
     (["helices", "--pitch", "0.5", "--r0", "5e-5", "--r1", "1", "--out", "{out}"], 1),
+    # sqrt(E) overflows: "conserved quantity E = inf is not finite"
+    (["circles", "--curvature", "0", "--r0", "1", "--r1", "1e300", "--out", "{out}"], 2),
+    (["helices", "--pitch", "1e308", "--r0", "1", "--r1", "2", "--out", "{out}"], 2),
 ])
 def test_documented_refusal(argv, code, tmp_path):
     array, out = tmp_path / "array.json", tmp_path / "out.json"
@@ -783,7 +786,7 @@ class TestExitCodes:
         assert not out.exists() and not traj.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # pitch = 1e308 overflows the helix profile: the quadrature fails to converge
+        # pitch = 1e308 overflows the helix profile, and with it sqrt(E)
         out = tmp_path / "x.json"
         assert run(["helices", "--pitch", "1e308", "--r0", "1", "--r1", "2", "--out", str(out)]) == 2
 
@@ -797,20 +800,22 @@ class TestExitCodes:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith("numeric failure:")
+        assert captured.err.startswith("numeric failure: conserved quantity E = inf is not finite")
         assert not out.exists()
 
-    def test_overflowing_conserved_quantity(self, tmp_path, capfd):
-        # sqrt(E) = 6.7e299 is finite but E = inf; once written to every CSV row
+    # r1 = 1e200: sqrt(E) = 6.7e299 is finite but E = inf; once written to
+    # every CSV row.  r1 = 1e300: sqrt(E) itself overflows
+    @pytest.mark.parametrize("r1", ["1e200", "1e300"])
+    def test_overflowing_conserved_quantity(self, r1, tmp_path, capfd):
         out, traj = tmp_path / "x.json", tmp_path / "t.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run(["circles", "--curvature", "0", "--r0", "1", "--r1", "1e200",
+            code = run(["circles", "--curvature", "0", "--r0", "1", "--r1", r1,
                         "--out", str(out), "--traj", str(traj)])
         assert code == 2
         assert [str(w.message) for w in caught] == []
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith("numeric failure:")
+        assert captured.err.startswith("numeric failure: conserved quantity E = inf is not finite")
         assert not out.exists() and not traj.exists()

@@ -1,9 +1,10 @@
 """Checks that need a fresh interpreter: the import graph and BLAS threads.
 
-``import curvespace`` loads numpy and scipy.special only; scipy.integrate
-(and with it scipy.optimize) loads on the first radius-profile solve.  The
-bytes of the elastica runs and of two geodesic sessions (solve, check,
-distance, render) must not depend on how many threads BLAS uses.
+``import curvespace`` loads numpy and scipy.special only, and no later
+call loads another scipy subpackage: not the circle and helix solves
+(their quadrature is in numpy), and not whole CLI sessions.  The bytes of
+the elastica runs and of two geodesic sessions (solve, check, distance,
+render) must not depend on how many threads BLAS uses.
 """
 
 import json
@@ -38,7 +39,7 @@ def heavy():
     return [m for m in ("scipy.optimize", "scipy.interpolate", "scipy.integrate") if m in sys.modules]
 
 import curvespace, curvespace.cli
-from curvespace import cli, make_path, path_to_dict, plane, solve_concentric_geodesic
+from curvespace import cli, make_path, path_to_dict, plane, solve_concentric_geodesic, solve_helix_geodesic
 from curvespace.elastica import ElasticaParams, _end_frame, default_flat_frame, optimize_elastica_path
 
 seen = {"import": heavy()}
@@ -56,6 +57,8 @@ seen["elastica"] = heavy()
 traj, _ = solve_concentric_geodesic(plane(), 1.0, 2.0, m=5, n=64)
 seen["circles"] = heavy()
 seen["distance_1_to_2"] = traj.distance
+solve_helix_geodesic(1.0, 2.0, 0.5, m=5, n=64)
+seen["helices"] = heavy()
 print(json.dumps(seen))
 """
 
@@ -63,8 +66,40 @@ print(json.dumps(seen))
 def test_import_loads_no_optimize_interpolate_or_integrate(tmp_path):
     seen = json.loads(run_python(IMPORT_GRAPH, str(tmp_path / "path.json")).splitlines()[-1])
     assert seen["import"] == seen["distance"] == seen["elastica"] == []
-    assert "scipy.integrate" in seen["circles"]
+    assert seen["circles"] == seen["helices"] == []
     assert abs(seen["distance_1_to_2"] - 3.7098994412119352) <= 1e-9
+
+
+SESSION_IMPORTS = """
+import json, sys
+from pathlib import Path
+import curvespace.cli as cli
+
+def subpackages():
+    return sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})
+
+seen = {"import": subpackages()}
+out = Path(sys.argv[1])
+for name, solve in (("circles", ["circles", "--curvature", "1", "--r0", "0.5", "--r1", "1.2"]),
+                    ("helices", ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2"])):
+    path = str(out / f"{name}.json")
+    calls = [solve + ["--out", path, "--traj", str(out / f"{name}.csv")],
+             ["check", "--input", path, "--report", str(out / f"{name}-report.json")],
+             ["distance", "--input", path]]
+    if name == "circles":
+        calls.append(["render", "--input", path, "--out", str(out / "circles.svg")])
+    for argv in calls:
+        assert cli.run(argv) == 0
+seen["sessions"] = subpackages()
+print(json.dumps(seen))
+"""
+
+
+def test_geodesic_sessions_load_no_scipy_subpackage(tmp_path):
+    # a lazy import anywhere in these sessions would bring scipy.optimize
+    # and its dependencies back into every circles or helices process
+    seen = json.loads(run_python(SESSION_IMPORTS, str(tmp_path)).splitlines()[-1])
+    assert seen["sessions"] == seen["import"]
 
 
 CLI_RUNS = """

@@ -20,6 +20,7 @@ from curvespace import (
     standard_frame,
     surface_of_curvature,
 )
+from curvespace.space_forms import euclidean_norm
 
 
 def minkowski(u, v):
@@ -206,6 +207,15 @@ class TestInner:
         u, v = rng.normal(size=shape), rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, shape)
         space = plane() if shape[-1] == 2 else euclidean3d()
         assert np.array_equal(space.inner(u, v), np.sum(u * v, axis=-1))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+    @pytest.mark.parametrize("shape", [(3,), (64, 256, 3), (64, 256, 2)])
+    def test_euclidean_norm_rounds_like_np_linalg_norm(self, shape, scale):
+        rng = np.random.default_rng(53)
+        v = rng.normal(size=shape) * scale * 10.0 ** rng.integers(-3, 3, shape)
+        # a strided view as well: the order of the sum must not depend on the layout
+        for w in (v, v.T.copy().T):
+            assert np.array_equal(euclidean_norm(w), np.linalg.norm(w, axis=-1))
 
 
 class TestTangentDistance:

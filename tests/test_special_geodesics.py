@@ -294,53 +294,142 @@ def _profile(family):
     return partial(circle_profile_f, family), lambda r: math.sqrt(circle_profile_f(family, r))
 
 
+def _mp_sqrt_f(family):
+    """sqrt(f) in mpmath arithmetic, from the closed forms of the profiles."""
+    if isinstance(family, float):
+        h = mp.mpf(family)
+
+        def helix(r):
+            rho = mp.sqrt(r * r + h * h)
+            return mp.sqrt(rho + 1 / rho)
+
+        return helix
+    K = mp.mpf(family.curvature)
+    s = mp.sqrt(abs(K))
+
+    def circle(r):
+        if K == 0:
+            om, om_r = r, 1
+        elif K > 0:
+            om, om_r = mp.sin(s * r) / s, mp.cos(s * r)
+        else:
+            om, om_r = mp.sinh(s * r) / s, mp.cosh(s * r)
+        return mp.sqrt(om + om_r**2 / om)
+
+    return circle
+
+
+def _mp_phi(family, lo, hi):
+    """Phi(hi) = integral_{lo}^{hi} sqrt(f) dr by 30-digit tanh-sinh quadrature.
+
+    Split geometrically when hi / lo > 10 (sqrt(f) ~ r^(-1/2) near 0), at the
+    equator and 4-fold toward hi on a sphere, whose cut locus may sit just
+    beyond hi; the integrand is scaled by its value at lo so that mpmath's
+    error estimate is relative.
+    """
+    with mp.workdps(30):
+        g = _mp_sqrt_f(family)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        points = {lo, hi}
+        if hi > 10 * lo:
+            points.update(lo * (hi / lo) ** (mp.mpf(j) / 8) for j in range(1, 8))
+        if not isinstance(family, float) and family.curvature > 0:
+            cut = mp.pi / mp.sqrt(family.curvature)
+            points.update(x for x in (cut / 2 + k * cut / 64 for k in range(-3, 4)) if lo < x < hi)
+            depth = int(mp.log((hi - lo) / (cut - hi), 4)) + 2
+            points.update(hi - (hi - lo) * mp.mpf(4) ** -k for k in range(1, max(1, depth)))
+        g0 = g(lo)
+        return g0 * mp.quad(lambda r: g(r) / g0, sorted(points))
+
+
 class TestRadiusSolver:
     @pytest.mark.parametrize("family,lo,hi", RADIUS_CASES)
     def test_matches_newton_bisection(self, family, lo, hi):
         f, sqrt_f = _profile(family)
-        _, oracle, sqrt_E = _newton_bisection_radii(sqrt_f, lo, hi, 9)
+        _, oracle, _ = _newton_bisection_radii(sqrt_f, lo, hi, 9)
+        phi = _mp_phi(family, lo, hi)
+        # quadrature nodes near hi round to floats by up to half an ulp of hi,
+        # and half an ulp of hi moves sqrt(E) by sqrt(f(hi)) ulp(hi) / 2; a
+        # quarter of that is allowed, which exceeds 1e-15 only on the cases
+        # 1e-9 short of the cut locus
+        tol = 1e-15 + sqrt_f(hi) * np.spacing(hi) / 8.0 / float(phi)
         for r0, r1, ref in ((lo, hi, oracle), (hi, lo, oracle[::-1])):
             r, E = _solve_radius_profile(f, r0, r1, 9)
             fam = Helices(family) if isinstance(family, float) else ConcentricCircles(family, None)
             distance = RadiusTrajectory(fam, r, E).distance
-            assert E == sqrt_E * sqrt_E and distance == math.sqrt(2.0 * math.pi * E)
+            with mp.workdps(30):
+                assert float(abs(mp.sqrt(E) - phi) / phi) <= tol
+            assert distance == math.sqrt(2.0 * math.pi * E)
             assert r[0] == r0 and r[-1] == r1
             assert np.max(np.abs(r - ref)) <= 1e-11 * max(1.0, hi)
 
-    @pytest.mark.parametrize("family,lo,hi,phi", [
-        (plane(), 1e-4, 1.0, lambda r: mp.sqrt(r + 1 / r)),
-        (sphere(1.0), 1e-4, math.pi - 1e-4, lambda r: 1 / mp.sqrt(mp.sin(r))),
-        (hyperbolic(-1.0), 1e-4, 5.0, lambda r: mp.sqrt(mp.sinh(r) + mp.cosh(r) ** 2 / mp.sinh(r))),
+    @pytest.mark.parametrize("family,lo,hi", [
+        (plane(), 1e-4, 1.0),
+        (sphere(1.0), 1e-4, math.pi - 1e-4),
+        (sphere(1.0), 0.3 * math.pi, math.pi - 1e-9),
+        (hyperbolic(-1.0), 1e-4, 5.0),
+        (1.0, 1e-4, 1.0),
+        (0.5, 0.6, 1.8),
     ])
-    def test_first_integral_against_mpmath(self, family, lo, hi, phi):
+    def test_first_integral_against_mpmath(self, family, lo, hi):
         # Phi(r_i) = integral_{lo}^{r_i} sqrt(f) dr must equal s_i sqrt(E)
-        r, E = _solve_radius_profile(partial(circle_profile_f, family), lo, hi, 9)
-        s = RadiusTrajectory(ConcentricCircles(family, None), r, E).s_grid
+        r, E = _solve_radius_profile(_profile(family)[0], lo, hi, 9)
+        fam = Helices(family) if isinstance(family, float) else ConcentricCircles(family, None)
+        s = RadiusTrajectory(fam, r, E).s_grid
         sqrt_E = math.sqrt(E)
         with mp.workdps(30):
-            Phi = [mp.quad(phi, [lo, 0.5 * (lo + ri), ri]) for ri in r[1:]]
-            errors = [abs(float(P - mp.mpf(si) * mp.sqrt(E))) for P, si in zip(Phi, s[1:])]
+            errors = [abs(float(_mp_phi(family, lo, ri) - mp.mpf(si) * mp.sqrt(E)))
+                      for ri, si in zip(r[1:], s[1:])]
         assert max(errors) <= 1e-12 * max(1.0, sqrt_E)
 
-    def test_one_quadrature_per_solve(self, monkeypatch):
+    @pytest.mark.parametrize("solve,lo,hi,passes", [
+        (lambda: solve_concentric_geodesic(sphere(1.0), 0.3, 1.2, m=64, n=16), 0.3, 1.2, 1),
+        (lambda: solve_helix_geodesic(1.6, 1.0, 0.5, m=64, n=16), 1.0, 1.6, 1),
+        # the panels graded toward the cut locus resolve it; halving alone
+        # would take some 30 passes
+        (lambda: _solve_radius_profile(_profile(sphere(1.0))[0], 1e-4, math.pi - 1e-9, 64),
+         1e-4, math.pi - 1e-9, 3),
+    ])
+    def test_one_quadrature_per_solve(self, monkeypatch, solve, lo, hi, passes):
+        # a quadrature of the panel table over [lo, hi] (halved panels cost one
+        # more pass each time), then one per Newton step over the 62 targets
         calls = []
 
-        def counting_quad(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
+        def recording_quad(g, a, b):
+            calls.append((a.copy(), b.copy()))
+            return quad_rule(g, a, b)
 
-        monkeypatch.setattr(special_geodesics, "quad", counting_quad)
-        solve_concentric_geodesic(sphere(1.0), 0.3, 1.2, m=64, n=16)
-        assert len(calls) == 1
-        solve_helix_geodesic(1.6, 1.0, 0.5, m=64, n=16)
-        assert len(calls) == 2
+        quad_rule = special_geodesics.quad
+        monkeypatch.setattr(special_geodesics, "quad", recording_quad)
+        solve()
+        n_table = sum(a[0] == lo and b[-1] == hi for a, b in calls)
+        table, newton = calls[:n_table], calls[n_table:]
+        assert 1 <= n_table <= passes
+        assert all(a[0] == lo and b[-1] == hi and np.array_equal(a[1:], b[:-1]) for a, b in table)
+        assert 1 <= len(newton) <= 6 and all(a.shape == b.shape == (62,) for a, b in newton)
 
-    def test_inconsistent_quadrature_is_refused(self):
-        # QUADPACK's sqrt(E) for [0.3 pi, pi - 1e-9] on the unit sphere is 2e-5
-        # too large while its error estimate passes; the radii then overshoot
-        # the far endpoint by 2e-9 and the landing check refuses them
-        with pytest.raises(NumericFailure, match="radius inversion"):
-            solve_concentric_geodesic(sphere(1.0), 0.3 * math.pi, math.pi - 1e-9, m=9, n=16)
+    def test_cut_locus_case_is_solved(self, tmp_path, capfd):
+        # QUADPACK's sqrt(E) for [0.3 pi, pi - 1e-9] on the unit sphere was 2e-5
+        # too large while its error estimate passed, and the ODE radii then
+        # missed the far endpoint: the case exited 2
+        from curvespace.cli import run
+
+        lo, hi = 0.3 * math.pi, math.pi - 1e-9
+        out, traj = tmp_path / "c.json", tmp_path / "c.csv"
+        code = run(["circles", "--curvature", "1", "--r0", repr(lo), "--r1", repr(hi),
+                    "--s-samples", "9", "--t-samples", "16", "--out", str(out), "--traj", str(traj)])
+        assert code == 0 and capfd.readouterr().err == ""
+        E = float(traj.read_text().splitlines()[1].split(",")[2])
+        with mp.workdps(30):
+            oracle = mp.sqrt(2 * mp.pi) * _mp_phi(sphere(1.0), lo, hi)
+            assert float(abs(math.sqrt(2.0 * math.pi * E) - oracle) / oracle) <= 1e-10
+
+    def test_radius_one_ulp_short_of_the_cut_locus_is_refused(self):
+        # rounding noise in sqrt(f) keeps the last panel's error estimate up;
+        # the halving stops at a one-ulp panel instead of looping
+        f = partial(circle_profile_f, sphere(1.0))
+        with pytest.raises(NumericFailure, match=r"quadrature of sqrt\(f\) did not converge"):
+            _solve_radius_profile(f, 0.3 * math.pi, math.nextafter(math.pi, 0.0), 9)
 
     def test_overflowing_conserved_quantity_raises(self):
         # sqrt(E) = 6.7e299 is finite but E overflows
