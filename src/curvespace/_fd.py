@@ -1,8 +1,8 @@
 """Uniform-grid finite-difference stencils used throughout the package.
 
-First derivatives come in second- and fourth-order variants.  Periodic
-grids may carry an additive wrap shift, which lets screw-symmetric data
-(helices) keep the accuracy of periodic stencils: the sample shifted past
+First derivatives are of second or fourth order; periodic grids use the
+fourth-order stencil only, and may carry an additive wrap shift so that
+screw-symmetric data (helices) keep its accuracy: the sample shifted past
 the seam is translated by one pitch period.
 """
 
@@ -27,26 +27,23 @@ def diff1(values, dt: float, periodic: bool, *, order: int = 2, wrap_shift=None,
     """d(values)/dt on a uniform grid with spacing ``dt``.
 
     ``values`` has the grid on ``axis``; the other axes broadcast, and
-    ``wrap_shift`` broadcasts against the trailing ones.  Open grids use
-    one-sided stencils of the same order at the ends.  The result is
-    C-contiguous, so reductions over it sum in the same order as over a
-    single row.
+    ``wrap_shift`` broadcasts against the trailing ones.  Periodic grids
+    take order 4 only; open grids use one-sided stencils of the same order
+    at the ends.  The result is C-contiguous, so reductions over it sum in
+    the same order as over a single row.
     """
     v = np.asarray(values, dtype=float).swapaxes(0, axis)
     n = v.shape[0]
     if order not in (2, 4):
         raise PreconditionError(f"unsupported stencil order {order}")
-    need = 5 if order == 4 else 3
-    if n < need:
+    if periodic and order != 4:
+        raise PreconditionError("periodic grids take the order-4 stencil only")
+    if n < order + 1:
         raise PreconditionError(f"grid too short for order-{order} stencil")
 
     if periodic:
-        pad = 2 if order == 4 else 1
-        ext = _wrap_extend(v, pad, wrap_shift)
-        if order == 2:
-            out = (ext[2:] - ext[:-2]) / (2.0 * dt)
-        else:
-            out = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * dt)
+        ext = _wrap_extend(v, 2, wrap_shift)
+        out = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * dt)
     elif order == 2:
         out = np.empty_like(v)
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)

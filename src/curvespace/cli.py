@@ -331,6 +331,8 @@ def _render_svg(path: sm.CurvePath) -> str:
         pts = np.concatenate([pts, pts[:, :1]], axis=1)
     xs = _MARGIN + (pts[..., 0] - lo[0]) * scale
     ys = _VIEW - _MARGIN - (pts[..., 1] - lo[1]) * scale
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise NumericFailure("figure coordinates are not finite: the path's extent overflows")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW:.0f}" '

@@ -179,13 +179,13 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
     from a fourth-order derivative of the points; the frame and
     curvature, from arclength derivatives of the same order, are computed
     on first read (``DiscreteCurve.frame``).  The parameter grid follows
-    from ``n`` and periodicity (see the module docstring); ``screw_shift``
-    makes an open curve periodic.  Raises :class:`ImmersionError` when the
-    discrete derivative vanishes, :class:`NumericFailure` when rounding
-    would swamp it (``CHORD_ROUNDING``); the frame flags (without failing)
-    the 3D samples where the curvature is below ``KAPPA_FLOOR``.  The
-    curve keeps a read-only copy of ``points``, so its cached fields
-    cannot go stale.
+    from ``n`` and periodicity (see the module docstring); ``screw_shift``,
+    one (dim,) translation of a flat model, makes an open curve periodic.
+    Raises :class:`ImmersionError` when the discrete derivative vanishes,
+    :class:`NumericFailure` when rounding would swamp it
+    (``CHORD_ROUNDING``); the frame flags (without failing) the 3D samples
+    where the curvature is below ``KAPPA_FLOOR``.  The curve keeps a
+    read-only copy of ``points``, so its cached fields cannot go stale.
     """
     points = np.array(points, dtype=float, order="C")
     points.flags.writeable = False
@@ -199,8 +199,7 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
         raise DomainError(f"{space.model.value} expects dimension {space.ambient_dim}, got {dim}")
     space.check_on_surface(points)
 
-    # component at a time: reductions over the short last axis are several times slower
-    chords = np.sqrt(sum(d * d for d in np.moveaxis(np.diff(points, axis=axis), -1, 0)))
+    chords = euclidean_norm(np.diff(points, axis=axis))
     if np.any(chords == 0.0):
         raise ImmersionError("consecutive samples coincide")
     ends = np.abs(points[..., 0])  # the larger |coordinate| of each sample
@@ -213,6 +212,8 @@ def build_curve(space: SpaceForm, points, closed: bool, *, screw_shift=None) -> 
         if closed:
             raise DomainError("screw_shift only applies to open curves")
         screw_shift = np.asarray(screw_shift, dtype=float)
+        if space.curved or screw_shift.shape != (dim,):
+            raise DomainError(f"screw_shift is a translation: one {dim}-vector, on flat models only")
         if not np.all(np.isfinite(screw_shift)):
             raise DomainError("screw_shift must be finite")
     periodic = closed or screw_shift is not None
@@ -274,14 +275,6 @@ def cov_d_T(curve: DiscreteCurve, field) -> np.ndarray:
     return curve.space.tangent_project(curve.points, deriv, check=False)
 
 
-def _integrate_dtheta(curve: DiscreteCurve, values):
-    """Quadrature of scalar samples against d theta = omega dt, one value per curve."""
-    weighted = values * curve.omega
-    if curve.periodic:
-        return np.sum(weighted, axis=-1) * curve.dt
-    return np.trapezoid(weighted, dx=curve.dt, axis=-1)
-
-
 def trapezoid_weights(n: int, dx: float, periodic: bool = False) -> np.ndarray:
     """(n,) weights of the rectangle (periodic) or trapezoid rule with step ``dx``."""
     w = np.full(n, dx)
@@ -291,13 +284,13 @@ def trapezoid_weights(n: int, dx: float, periodic: bool = False) -> np.ndarray:
 
 
 def dtheta_weights(curve: DiscreteCurve) -> np.ndarray:
-    """Weights of ``_integrate_dtheta``: its value is the sum of weights times samples."""
+    """The one theta quadrature: f d theta over a curve is ``np.sum(f * weights, axis=-1)``."""
     return trapezoid_weights(curve.n, curve.dt, curve.periodic) * curve.omega
 
 
 def length(curve: DiscreteCurve):
-    """Curve length: the quadrature of omega over the parameter grid."""
-    return _integrate_dtheta(curve, 1.0)
+    """Curve length: the sum of the ``dtheta_weights``, one value per curve."""
+    return np.sum(dtheta_weights(curve), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from ._fd import diff1
 from .discrete_curves import (
     DiscreteCurve,
     _field_values,
-    _integrate_dtheta,
     build_curve,
     cov_d_T,
     d_theta,
@@ -152,13 +151,14 @@ def sobolev_inner(curve: DiscreteCurve, h, k):
     dh = cov_d_T(curve, hv)
     dk = dh if kv is hv else cov_d_T(curve, kv)
     integrand = curve.space.inner(hv, kv) + curve.space.inner(dh, dk)
-    return _integrate_dtheta(curve, np.asarray(integrand))
+    return np.sum(integrand * dtheta_weights(curve), axis=-1)
 
 
 def path_speed(path: CurvePath) -> np.ndarray:
     """Sobolev speed nu(s_j) = sqrt(G(c', c')) at every path sample (``sobolev_inner``)."""
     v, dv, inner = path.velocity, path.dT_velocity, path.space.inner
-    return np.sqrt(np.maximum(_integrate_dtheta(path.batch, inner(v, v) + inner(dv, dv)), 0.0))
+    nu2 = np.sum((inner(v, v) + inner(dv, dv)) * dtheta_weights(path.batch), axis=-1)
+    return np.sqrt(np.maximum(nu2, 0.0))
 
 
 def path_energy(path: CurvePath) -> float:
@@ -186,8 +186,8 @@ def path_residuals(path: CurvePath) -> np.ndarray:
 
 
 def path_length(path: CurvePath) -> float:
-    """Sobolev length of the path, the trapezoid sum of nu over s."""
-    return float(np.trapezoid(path_speed(path), dx=path.ds))
+    """Sobolev length of the path: nu summed against the s-weights ``path_residuals`` squares."""
+    return float(np.sum(trapezoid_weights(path.m, path.ds) * path_speed(path)))
 
 
 # ---------------------------------------------------------------------------

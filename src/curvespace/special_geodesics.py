@@ -153,16 +153,18 @@ def _solve_radius_profile(f, r0: float, r1: float, m: int):
 
     edges = np.geomspace(lo, hi, 17) if hi > 10.0 * lo else np.linspace(lo, hi, 17)
     edges = np.unique(np.concatenate([edges[:-1], hi - (hi - edges[-2]) * _GRADED, [hi]]))
-    for _ in range(64):  # a panel one ulp wide no longer splits
-        values, err = quad(sqrt_f, edges[:-1], edges[1:])
-        sqrt_E = float(np.sum(values))
-        E = sqrt_E * sqrt_E
-        if not math.isfinite(2.0 * math.pi * E):
-            raise NumericFailure(f"conserved quantity E = {E} is not finite")
-        bad = err > _SPLIT_TOL * sqrt_E
-        if not bad.any() or len(edges) > _MAX_PANELS:
-            break
-        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[bad]]))
+    # overflow of extreme radii or pitch ends in the finite check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(64):  # a panel one ulp wide no longer splits
+            values, err = quad(sqrt_f, edges[:-1], edges[1:])
+            sqrt_E = float(np.sum(values))
+            E = sqrt_E * sqrt_E
+            if not math.isfinite(2.0 * math.pi * E):
+                raise NumericFailure(f"conserved quantity E = {E} is not finite")
+            bad = err > _SPLIT_TOL * sqrt_E
+            if not bad.any() or len(edges) > _MAX_PANELS:
+                break
+            edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[bad]]))
     if bad.any():
         raise NumericFailure("quadrature of sqrt(f) did not converge")
 

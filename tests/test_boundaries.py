@@ -9,13 +9,15 @@ Every case holds ``cli.run`` to its exit-code contract:
   finite numbers (CSV, SVG and stdout hold no nan or inf either).
 
 The mutations are type swaps, booleans, strings, huge integers, deep
-nesting, truncation and wrong shapes.  The library entry points that take
-sample counts are held to one size contract too: an integer (numpy's
-included) or :class:`PreconditionError`.  Hypothesis runs derandomized, as in
-``test_properties.py``, so the suite is deterministic.  Every size stays far
-below ``cli.MAX_SAMPLES``; the bound is met only through its check, with
-counts whose product is refused before anything is allocated.  The argv
-strings contain no NUL byte, which no process argument can hold.
+nesting, truncation, wrong shapes, documented keys a file lacks (a
+``"pitch"`` on a circle path) and whole arrays scaled toward overflow.
+The library entry points that take sample counts are held to one size
+contract too: an integer (numpy's included) or :class:`PreconditionError`.
+Hypothesis runs derandomized, as in ``test_properties.py``, so the suite
+is deterministic.  Every size stays far below ``cli.MAX_SAMPLES``; the
+bound is met only through its check, with counts whose product is refused
+before anything is allocated.  The argv strings contain no NUL byte,
+which no process argument can hold.
 """
 
 import contextlib
@@ -266,6 +268,8 @@ VALUES = [
     10**400, 2**64, [], {}, [1.0], [[1.0, 2.0]], {"model": "plane2d"}, "plane2d",
 ]
 DEEP = "\x00deep\x00"
+# the documented keys a valid document may lack, with the path to their dict
+OPTIONAL_KEYS = {"path": [((), "pitch")], "spec": [(("init_frame",), "B")]}
 
 
 def locations(doc):
@@ -292,7 +296,7 @@ def _parent(doc, path):
 
 
 json_edits = st.tuples(
-    st.sampled_from(["replace", "delete", "duplicate", "wrap", "deep", "transpose"]),
+    st.sampled_from(["replace", "delete", "duplicate", "wrap", "deep", "transpose", "add", "scale"]),
     st.integers(0, 10**6),
     st.sampled_from(VALUES),
 )
@@ -303,14 +307,33 @@ text_edits = st.one_of(
 )
 
 
-def mutate_doc(doc, edit, text_edit) -> bytes:
-    """The mutated document as file bytes."""
+def _scaled(value, factor):
+    """``value`` with every number in it (booleans aside) multiplied by ``factor``."""
+    if isinstance(value, list):
+        return [_scaled(item, factor) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value * factor
+    return value
+
+
+def mutate_doc(doc, edit, text_edit, optional=()) -> bytes:
+    """The mutated document as file bytes; "add" inserts one of the ``optional``
+    (path to a dict, key) pairs that the document lacks, "scale" multiplies the
+    numbers of one array by a float value (1e308 moves it toward overflow)."""
     doc = json.loads(json.dumps(doc))
     kind, pick, value = edit
     paths = locations(doc)[1:]
     path = paths[pick % len(paths)]
     parent, key = _parent(doc, path), path[-1]
-    if kind == "replace":
+    if kind == "add":
+        lacking = [where + (name,) for where, name in optional
+                   if name not in _parent(doc, where + (name,))]
+        if lacking:
+            added = lacking[pick % len(lacking)]
+            _parent(doc, added)[added[-1]] = value
+    elif kind == "scale" and isinstance(value, float) and isinstance(parent[key], list):
+        parent[key] = _scaled(parent[key], value)
+    elif kind == "replace":
         parent[key] = value
     elif kind == "delete":
         del parent[key]
@@ -338,14 +361,14 @@ class TestMutatedJson:
     @FUZZ
     @given(family=st.sampled_from(sorted(PATH_DOCS)), edit=json_edits, text_edit=text_edits)
     def test_path_files(self, family, edit, text_edit):
-        files = {"in.json": mutate_doc(PATH_DOCS[family], edit, text_edit)}
+        files = {"in.json": mutate_doc(PATH_DOCS[family], edit, text_edit, OPTIONAL_KEYS["path"])}
         for command in ("check", "distance", "render"):
             assert_contract(VALID_ARGV[command], files)
 
     @FUZZ
     @given(edit=json_edits, text_edit=text_edits)
     def test_endpoint_files(self, edit, text_edit):
-        files = {"spec.json": mutate_doc(SPEC_DOC, edit, text_edit)}
+        files = {"spec.json": mutate_doc(SPEC_DOC, edit, text_edit, OPTIONAL_KEYS["spec"])}
         assert_contract(VALID_ARGV["elastica"] + ELASTICA_SIZES, files)
 
 

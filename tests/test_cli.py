@@ -442,7 +442,80 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+def _circles_file(tmp_path, radii, n=8):
+    # a closed plane2d path of circles about the origin; every number is a finite JSON number
+    t = 2 * np.pi * np.arange(n) / n
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+    data = {"space": {"model": "plane2d", "curvature": 0.0}, "closed": True, "t_samples": n,
+            "s_samples": len(radii), "points": [(r * ring).tolist() for r in radii]}
+    path_file = tmp_path / "circles.json"
+    path_file.write_text(json.dumps(data))
+    return path_file
+
+
+def _pitched_open_file(tmp_path, model):
+    # an open path with a "pitch", outside R^3: a plane2d parabola family or
+    # sphere latitudes (theta in [0, pi]) about the pole
+    t = np.linspace(0.0, 1.0, 16)
+    if model == "plane2d":
+        space, rows = {"model": "plane2d", "curvature": 0.0}, [np.stack([t, a * t * t], axis=1)
+                                                                for a in (0.0, 1.0, 2.0)]
+    else:
+        th = np.pi * t
+        space = {"model": "sphere2d", "curvature": 1.0}
+        rows = [np.stack([np.sin(r) * np.cos(th), np.sin(r) * np.sin(th), np.full(16, np.cos(r))],
+                         axis=1) for r in (0.5, 0.6, 0.7)]
+    data = {"space": space, "closed": False, "t_samples": 16, "s_samples": 3,
+            "points": [row.tolist() for row in rows], "pitch": 0.5}
+    path_file = tmp_path / f"{model}.json"
+    path_file.write_text(json.dumps(data))
+    return path_file
+
+
+@pytest.mark.parametrize("pitch", [0.5, 0.0])
+@pytest.mark.parametrize("model", ["plane2d", "sphere2d"])
+@pytest.mark.parametrize("subcommand", ["check", "distance", "render"])
+def test_pitch_outside_r3_is_invalid_input(subcommand, model, pitch, tmp_path, capsys):
+    # the screw shift (0, 0, 2 pi pitch) translates R^3 only: in the plane it has
+    # the wrong shape, on the sphere its wrap would move samples off the surface
+    path_file = _pitched_open_file(tmp_path, model)
+    data = read_json(path_file)
+    data["pitch"] = pitch
+    path_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = {
+        "check": ["check", "--input", str(path_file), "--report", str(out)],
+        "distance": ["distance", "--input", str(path_file)],
+        "render": ["render", "--input", str(path_file), "--out", str(out)],
+    }[subcommand]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("invalid input:") and "screw_shift" in captured.err
+    assert not out.exists()
+
+
 class TestRender:
+    def test_overflowing_extent_is_a_numeric_failure(self, tmp_path, capsys):
+        # hi - lo overflows, so the scale is 0 and inf * 0 would write nan
+        path_file = _circles_file(tmp_path, [1.5e308, 1.35e308, 1.2e308])
+        fig = tmp_path / "fig.svg"
+        assert run(["render", "--input", str(path_file), "--out", str(fig)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("numeric failure: ")
+        assert not fig.exists()
+
+    def test_large_finite_extent_renders(self, tmp_path):
+        path_file = _circles_file(tmp_path, [1.5e307, 1.35e307, 1.2e307])
+        fig = tmp_path / "fig.svg"
+        assert run(["render", "--input", str(path_file), "--out", str(fig)]) == 0
+        text = fig.read_text()
+        assert text.count("<polyline") == 3
+        assert "nan" not in text and "inf" not in text
+
     def test_svg_output(self, flat_path_file, tmp_path):
         fig = tmp_path / "fig.svg"
         assert run(["render", "--input", str(flat_path_file), "--out", str(fig)]) == 0

@@ -168,6 +168,18 @@ DOCUMENTED_REFUSALS = {
     "closed with a screw_shift": (DomainError, lambda: build_curve(
         plane(), circle_points(64)[0], closed=True, screw_shift=[0.0, 1.0])),
     "t_samples disagrees": (DomainError, lambda: curve_from_dict({**_circle_record(64), "t_samples": 63})),
+    # a screw shift translates the flat ambient space by one vector of its dimension
+    "a 3-vector screw_shift in the plane": (DomainError, lambda: build_curve(
+        plane(), circle_points(64)[0], closed=False, screw_shift=[0.0, 0.0, 1.0])),
+    "a screw_shift on the sphere": (DomainError, lambda: build_curve(
+        sphere(1.0), latitude_points(64, 0.5)[0], closed=False, screw_shift=[0.0, 0.0, 1.0])),
+    "a field of the wrong shape": (DomainError, lambda: TangentField.along(
+        build_curve(plane(), circle_points(64)[0], closed=True), np.ones((63, 2)))),
+    "cov_d_T of a scalar field": (DomainError, lambda: cov_d_T(
+        build_curve(plane(), circle_points(64)[0], closed=True), np.ones(64))),
+    "diff1 of order 3": (PreconditionError, lambda: diff1(np.arange(8.0), 0.1, False, order=3)),
+    "diff1 on 4 samples at order 4": (PreconditionError, lambda: diff1(np.arange(4.0), 0.1, False, order=4)),
+    "diff1 periodic at order 2": (PreconditionError, lambda: diff1(np.arange(8.0), 0.1, True, order=2)),
 }
 
 

@@ -7,10 +7,12 @@ from curvespace import (
     NormalityError,
     PreconditionError,
     build_curve,
+    cov_d_T,
     diagnose_path,
     euclidean3d,
     horizontality_defect,
     hyperbolic,
+    length,
     make_path,
     path_energy,
     path_from_dict,
@@ -404,6 +406,34 @@ class TestDiagnostics:
         assert diag.tangential.shape == (7, path.n)
         assert diag.is_normal
         assert diag.speed_drift >= 0.0
+
+    def test_standing_path_has_no_speed_drift(self):
+        # three identical rows: the speed is 0 everywhere, so its drift is 0, not 0/0;
+        # dyadic coordinates keep the one-sided s-stencil (-3, 4, -1) free of rounding
+        t = 2 * np.pi * np.arange(64) / 64
+        ring = np.round(1024 * np.stack([np.cos(t), np.sin(t)], axis=1)) / 1024
+        diag = diagnose_path(make_path(plane(), np.stack([ring] * 3), closed=True))
+        assert np.array_equal(diag.speed, np.zeros(3))
+        assert diag.speed_drift == 0.0
+
+
+class TestQuadrature:
+    """Length, G_c, speed and path length against numpy's trapezoid rule, to rounding."""
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_length_and_sobolev_inner(self, closed):
+        t = 2 * np.pi * np.arange(96) / 96 if closed else np.linspace(0.0, 2.0, 96)
+        c = build_curve(plane(), np.stack([2 * np.cos(t), np.sin(t)], axis=1), closed=closed)
+        h = np.stack([np.sin(t), np.cos(2 * t)], axis=1)
+        g = np.sum(h * h, axis=1) + np.sum(cov_d_T(c, h) ** 2, axis=1)
+        for got, f in ((length(c), 1.0), (sobolev_inner(c, h, h), g)):
+            want = np.sum(f * c.omega) * c.dt if closed else np.trapezoid(f * c.omega, dx=c.dt)
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_path_length(self):
+        path = latitude_path(lambda s: 0.5 + 0.8 * s * s, m=9, n=64)
+        want = np.trapezoid(path_speed(path), dx=path.ds)
+        assert path_length(path) == pytest.approx(want, rel=1e-14)
 
 
 class TestPathSerialization:

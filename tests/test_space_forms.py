@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvespace import (
+    CurveSpaceError,
     DomainError,
     Model,
     SpaceForm,
@@ -369,3 +370,17 @@ class TestSerialization:
         # once loaded as float() of itself, or escaped as an OverflowError
         with pytest.raises(DomainError, match="curvature"):
             space_from_dict({"model": "sphere2d", "curvature": curvature})
+
+
+DOCUMENTED_REFUSALS = {
+    "the radius of the plane": (DomainError, lambda: plane().radius),
+    "the radius of 3-space": (DomainError, lambda: euclidean3d().radius),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error

@@ -168,6 +168,10 @@ DOCUMENTED_REFUSALS = {
     "circle radius below R_MIN": (DomainError, lambda: solve_concentric_geodesic(plane(), 5e-5, 1.0)),
     "helix radius below R_MIN": (DomainError, lambda: solve_helix_geodesic(5e-5, 1.0, 0.5)),
     "circles in 3-space": (DomainError, lambda: solve_concentric_geodesic(euclidean3d(), 0.5, 1.0)),
+    # sqrt(E) overflows; under warnings-as-errors no RuntimeWarning may come first
+    "helix pitch 1e307": (NumericFailure, lambda: solve_helix_geodesic(1.0, 2.0, 1e307)),
+    "helix pitch 1e200": (NumericFailure, lambda: solve_helix_geodesic(1.0, 2.0, 1e200)),
+    "circle radius 1e300": (NumericFailure, lambda: solve_concentric_geodesic(plane(), 1.0, 1e300)),
 }
 
 

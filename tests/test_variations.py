@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from curvespace import (
+    CurveSpaceError,
     DomainError,
+    NormalityError,
     PreconditionError,
     build_curve,
     curvature_conservation_residual,
@@ -14,6 +16,7 @@ from curvespace import (
     plane,
     predicted_kappa_variation,
     predicted_omega_variation,
+    predicted_variation,
     shortening_flow_field,
     solve_concentric_geodesic,
     sphere,
@@ -193,6 +196,45 @@ class TestParallelGeodesicAlpha:
         path = make_path(plane(), pts, closed=True)
         with pytest.raises(PreconditionError):
             parallel_geodesic_alpha(path)
+
+
+def _reparametrized_circle_path(m=9, n=256):
+    # c(s, t) = circle(t + (s - 1/2) a(t)): omega' = a_t omega, but c' is tangential
+    t = 2 * np.pi * np.arange(n) / n
+    a = 0.05 * np.sin(t)
+    pts = np.stack([np.stack([np.cos(t + (sj - 0.5) * a), np.sin(t + (sj - 0.5) * a)], axis=1)
+                    for sj in np.linspace(0, 1, m)])
+    return make_path(plane(), pts, closed=True)
+
+
+def _unevenly_sampled_circles(m=9, n=256):
+    # concentric circles on the angle phi(t) = t + 0.1 sin t: normal, constant kappa,
+    # but alpha = r'^2 phi_t (1 + r^2) / r varies with t
+    t = 2 * np.pi * np.arange(n) / n
+    phi = t + 0.1 * np.sin(t)
+    ring = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    return make_path(plane(), (1.0 + np.linspace(0, 1, m))[:, None, None] * ring, closed=True)
+
+
+DOCUMENTED_REFUSALS = {
+    "predicted_variation of an unknown quantity": (DomainError, lambda: predicted_variation(
+        constant_path(m=5), "torsion")),
+    "alpha of a tangential path": (NormalityError, lambda: parallel_geodesic_alpha(
+        _reparametrized_circle_path())),
+    # latitudes of the unit sphere through the equator, whose kappa = cot(r) is 0
+    "alpha through a geodesic curve": (DomainError, lambda: parallel_geodesic_alpha(
+        concentric_path(lambda s: np.pi / 2 - 0.3 + 0.6 * s, m=9, space=sphere(1.0)))),
+    "alpha of a t-dependent family": (PreconditionError, lambda: parallel_geodesic_alpha(
+        _unevenly_sampled_circles())),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENTED_REFUSALS)
+def test_documented_refusal(case):
+    error, call = DOCUMENTED_REFUSALS[case]
+    with pytest.raises(CurveSpaceError) as info:
+        call()
+    assert type(info.value) is error
 
 
 class TestShorteningFlow:
