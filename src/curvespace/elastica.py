@@ -641,36 +641,37 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> tuple[np.
     return -(V @ (a / (w + mu))), True
 
 
-def minimize(fun, x0: np.ndarray, *, jac, hess, max_iter: int) -> SearchResult:
-    """Trust-region search for a minimum of ``fun`` with its gradient and Hessian.
+def minimize(fun, x0: np.ndarray, *, derivatives, max_iter: int) -> SearchResult:
+    """Trust-region search for a minimum of ``fun``; ``derivatives(x)`` is (gradient, Hessian).
 
     Each iteration evaluates ``fun`` at the exact step of the quadratic
-    model (``_trust_region_step``).  The ratio rho of actual to predicted
-    reduction shrinks the radius by 1/4 below 1/4 and doubles it above 3/4
-    for a boundary step; rho > ``_TR_ETA`` accepts the step, and only then
-    are ``jac`` and ``hess`` read (Nocedal & Wright, *Numerical
-    Optimization*, alg. 4.1).  An ``inf`` value is a rejected step.  Stops
-    when |g| < ``_TR_GTOL``, when the model predicts no reduction, or after
-    ``max_iter`` iterations, accepted or not.
+    model (``_trust_region_step``), or reuses its value at a rejected
+    interior step that fits the shrunk radius.  The ratio rho of actual to
+    predicted reduction shrinks the radius by 1/4 below 1/4 and doubles it
+    above 3/4 for a boundary step; rho > ``_TR_ETA`` accepts the step, and
+    only then, and at ``x0``, is ``derivatives`` read, right after ``fun``
+    (Nocedal & Wright, *Numerical Optimization*, alg. 4.1).  An ``inf``
+    value is a rejected step.  Stops when |g| < ``_TR_GTOL``, when the model
+    predicts no reduction, or after ``max_iter`` iterations, accepted or not.
     """
-    x = np.asarray(x0, dtype=float)
-    f, g, H = fun(x), jac(x), hess(x)
-    radius = _TR_RADIUS
-    nit = 0
+    x = trial = np.asarray(x0, dtype=float)  # trial: the point fun saw last
+    f = f_trial = fun(x)
+    g, H = derivatives(x)
+    radius, nit = _TR_RADIUS, 0
     while np.linalg.norm(g) >= _TR_GTOL and nit < max_iter:
         p, on_boundary = _trust_region_step(g, H, radius)
         predicted = f - (f + g @ p + 0.5 * (p @ (H @ p)))
         if not predicted > 0.0:
             break
-        trial = x + p
-        f_trial = fun(trial)
+        if not np.array_equal(x + p, trial):
+            trial, f_trial = x + p, fun(x + p)
         rho = (f - f_trial) / predicted
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and on_boundary:
             radius = min(2.0 * radius, _TR_MAX_RADIUS)
         if rho > _TR_ETA:
-            x, f, g, H = trial, f_trial, jac(trial), hess(trial)
+            x, f, (g, H) = trial, f_trial, derivatives(trial)
         nit += 1
     return SearchResult(x, nit)
 
@@ -727,8 +728,8 @@ def optimize_elastica_path(
     ``minimize``, an exact-step trust-region search on the Gauss-Newton
     model, starts from ``_interior_seed``, linear in z (``_shape``;
     z_3 = mu / k^3 stays 0 on curved surfaces), and gets the energy itself
-    as its objective, the gradient 2 J^T r and the Gauss-Newton Hessian
-    2 J^T J, with J from ``_path_jacobian`` once per point the search visits
+    as its objective, and the gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J
+    with J from ``_path_jacobian`` at the seed and at each accepted step only
     (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
     Identical endpoints too: their seed has a zero gradient, one visit.
     Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range (a
@@ -751,50 +752,47 @@ def optimize_elastica_path(
 
     evals = 0
     trace: list[tuple[int, float]] = []
-    best: dict = {"energy": math.inf}
-    point: dict = {"x": None}  # the point the search visited last
-    failure = None  # the error of the last infeasible visit
+    best = visited = None  # (spec, path) of the least energy; of the point energy saw last
+    failure = None  # the error of the last infeasible point or Jacobian
 
-    def visit(x: np.ndarray) -> dict:
-        """Energy, gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J at x, once per point."""
-        nonlocal evals, failure
-        if np.array_equal(point["x"], x):
-            return point
-        # zero derivatives unless the point and all its Jacobian columns are feasible
-        point.update(
-            x=x.copy(), energy=math.inf, grad=np.zeros(x.size), hess=np.zeros((x.size, x.size))
-        )
+    def energy(x: np.ndarray) -> float:
+        """The path energy at x; ``inf`` if infeasible or outside the box on log k."""
+        nonlocal evals, best, visited, failure
+        visited = None
         z = np.zeros((q, 3))
         z[:, :n_coords] = x.reshape(q, n_coords)
         if np.any(z[:, 0] < z_lo) or np.any(z[:, 0] > z_hi):
-            return point  # outside the box on log k: never materialized
+            return math.inf
         try:
             spec = ElasticaPathSpec(start, end, _triples(z, start.K), m, n)
             evals += 1
-            energy, path = elastica_path_energy(spec)
-            point["energy"] = energy
-            if energy < best["energy"]:
-                best.update(energy=energy, spec=spec, path=path)
-                trace.append((evals, energy))
-            stepped = x + _FD_STEP * np.maximum(1.0, np.abs(x))
-            r, J = _path_jacobian(spec, path, (stepped - x).reshape(q, n_coords))
+            value, path = elastica_path_energy(spec)
         except CurveSpaceError as exc:
             failure = exc
-            return point
-        point.update(grad=2.0 * (J.T @ r), hess=2.0 * (J.T @ J))
-        return point
+            return math.inf
+        visited = spec, path
+        if value < (trace[-1][1] if trace else math.inf):
+            best = visited
+            trace.append((evals, value))
+        return value
 
-    minimize(
-        lambda x: visit(x)["energy"],
-        seed_spec.nodes[1:-1, :n_coords].ravel(),
-        jac=lambda x: visit(x)["grad"],
-        hess=lambda x: visit(x)["hess"],
-        max_iter=opts.max_iter,
-    )
+    def derivatives(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """2 J^T r and 2 J^T J where ``energy`` was; zeros if it or a column is infeasible."""
+        nonlocal failure
+        if visited is not None:
+            stepped = x + _FD_STEP * np.maximum(1.0, np.abs(x))
+            try:
+                r, J = _path_jacobian(*visited, (stepped - x).reshape(q, n_coords))
+                return 2.0 * (J.T @ r), 2.0 * (J.T @ J)
+            except CurveSpaceError as exc:
+                failure = exc
+        return np.zeros(x.size), np.zeros((x.size, x.size))
 
+    x0 = seed_spec.nodes[1:-1, :n_coords].ravel()
+    minimize(energy, x0, derivatives=derivatives, max_iter=opts.max_iter)
     if not trace:
         raise OptimizationFailure(f"no feasible interior point found: {failure}") from failure
-    return best["spec"], trace, best["path"]
+    return best[0], trace, best[1]
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,18 @@ def diagnose_path(path: CurvePath) -> PathDiagnostics:
 # serialization
 
 
+def pitch_shift(pitch: float) -> np.ndarray:
+    """The ``screw_shift`` (0, 0, 2 pi pitch) of helices of that pitch: a record's ``pitch``."""
+    return np.array([0.0, 0.0, 2.0 * np.pi * pitch])
+
+
 def path_to_dict(path: CurvePath, *, pitch: float | None = None) -> dict:
+    """The path record.  ``pitch`` records the screw period of a helix path, so that
+    reloads rebuild the same periodic stencils: it is given exactly when the path has
+    a ``screw_shift``, and that shift is ``pitch_shift(pitch)``."""
+    shift = path.batch.screw_shift
+    if not np.array_equal(shift, None if pitch is None else pitch_shift(float(pitch))):
+        raise PreconditionError(f"pitch {pitch!r} does not record the path's screw_shift {shift}")
     data = {
         "space": space_to_dict(path.space),
         "closed": path.closed,
@@ -290,8 +301,6 @@ def path_to_dict(path: CurvePath, *, pitch: float | None = None) -> dict:
         "points": path.points.tolist(),
     }
     if pitch is not None:
-        # records the screw period of helix paths so that reloads rebuild
-        # the same periodic stencils
         data["pitch"] = float(pitch)
     return data
 
@@ -308,5 +317,5 @@ def path_from_dict(data: dict) -> CurvePath:
         raise DomainError(f"invalid path record: {exc}") from exc
     if points.shape[:2] != (m, n):
         raise DomainError("point array disagrees with s_samples/t_samples")
-    screw_shift = None if pitch is None else np.array([0.0, 0.0, 2.0 * np.pi * pitch])
+    screw_shift = None if pitch is None else pitch_shift(pitch)
     return make_path(space, points, closed, screw_shift=screw_shift)

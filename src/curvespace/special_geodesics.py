@@ -28,7 +28,7 @@ import numpy as np
 from ._fd import diff1
 from .discrete_curves import MIN_SAMPLES
 from .errors import DomainError, NumericFailure, PreconditionError, check_count
-from .sobolev_metric import MIN_PATH_SAMPLES, CurvePath, make_path
+from .sobolev_metric import MIN_PATH_SAMPLES, CurvePath, make_path, pitch_shift
 from .space_forms import (
     Model,
     PolarFrame,
@@ -208,8 +208,7 @@ def solve_concentric_geodesic(
 
     frame = standard_frame(space)
     t = 2.0 * np.pi * np.arange(n) / n
-    points = exp_polar(space, frame, r, t)
-    path = make_path(space, points, closed=True)
+    path = _path_of(space, exp_polar(space, frame, r, t), closed=True)
     return RadiusTrajectory(ConcentricCircles(space=space, frame=frame), r, E), path
 
 
@@ -232,9 +231,16 @@ def solve_helix_geodesic(
     points[:, :, 0] = r[:, None] * np.cos(t)
     points[:, :, 1] = r[:, None] * np.sin(t)
     points[:, :, 2] = h * t
-    shift = np.array([0.0, 0.0, 2.0 * np.pi * h])
-    path = make_path(space, points, closed=False, screw_shift=shift)
+    path = _path_of(space, points, closed=False, screw_shift=pitch_shift(h))
     return RadiusTrajectory(Helices(pitch=h), r, E), path
+
+
+def _path_of(space: SpaceForm, points: np.ndarray, **kwargs) -> CurvePath:
+    """``make_path`` on a solver's own points: a refusal there is a numeric failure."""
+    try:
+        return make_path(space, points, **kwargs)
+    except DomainError as exc:
+        raise NumericFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

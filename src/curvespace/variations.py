@@ -28,7 +28,7 @@ import numpy as np
 
 from ._fd import diff1
 from .discrete_curves import DiscreteCurve, d_theta
-from .errors import DomainError, NormalityError, PreconditionError
+from .errors import DomainError, NormalityError, PreconditionError, check_count
 from .sobolev_metric import CurvePath, normal_rows, rho_normal_component
 from .space_forms import Model
 
@@ -89,9 +89,8 @@ def fd_variation(path: CurvePath, quantity: str, eps_steps: int = 1) -> np.ndarr
     """Rows j = k .. m-1-k of the centered FD oracle (q(s_{j+k}) - q(s_{j-k})) / (2 k ds)."""
     if quantity not in VARIATION_QUANTITIES:
         raise DomainError(f"unknown variation quantity {quantity!r}")
-    k = int(eps_steps)
-    if k < 1:
-        raise PreconditionError("eps_steps must be a positive integer")
+    check_count("eps_steps", eps_steps, 1)
+    k = eps_steps
     if 2 * k >= path.m:
         raise PreconditionError("eps_steps too large for the path: the FD oracle needs 2 k < m")
     q = getattr(path.batch, quantity)
@@ -109,8 +108,8 @@ def predicted_variation(path: CurvePath, quantity: str) -> np.ndarray:
 def variation_report(path: CurvePath, quantity: str, eps_steps: int = 1) -> VariationReport:
     """The analytic variation of omega or kappa against ``fd_variation``, row for row."""
     observed = fd_variation(path, quantity, eps_steps)
-    k = int(eps_steps)
-    return VariationReport(quantity, predicted_variation(path, quantity)[k:path.m - k], observed)
+    predicted = predicted_variation(path, quantity)[eps_steps:path.m - eps_steps]
+    return VariationReport(quantity, predicted, observed)
 
 
 # ---------------------------------------------------------------------------

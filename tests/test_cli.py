@@ -848,6 +848,16 @@ class TestExitCodes:
         assert err.startswith("numeric failure: no feasible interior point found: ") and cause in err
         assert not out.exists() and not trace.exists()
 
+    @pytest.mark.parametrize("r1", ["18", "25"])
+    def test_far_hyperbolic_circles_are_a_numeric_failure(self, r1, tmp_path, capfd):
+        # valid flags: the solver's own points fall off the hyperboloid by rounding
+        out = tmp_path / "x.json"
+        code = run(["circles", "--curvature", "-1", "--r0", "1", "--r1", r1, "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert err == "numeric failure: point is not on the hyperbolic2d surface\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("curvature", ["1e-300", "-1e-300"])
     def test_surface_too_flat_for_its_embedding(self, curvature, tmp_path, capfd):
         # the samples sit |K|^(-1/2) = 1e150 from the origin, far past their chords

@@ -1150,6 +1150,29 @@ class TestTrustRegionSearch:
         for index, energy in trace:
             assert elastica_path_energy(specs[index - 1])[0] == energy
 
+    def test_jacobian_only_at_accepted_points(self, monkeypatch):
+        # wave-like rows: every trial of the 38 iterations is rejected, so the
+        # seed's Jacobian is the only one, while every trial is materialized
+        import curvespace.elastica as el
+
+        calls = {"materialize_path": 0, "_path_jacobian": 0}
+
+        def counting(name):
+            original = getattr(el, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(el, name, wrapped)
+
+        for name in calls:
+            counting(name)
+        endpoints = flat_endpoints((1.0, 0.7, 0.0), (0.6, 0.1, 0.0), L=2 * np.pi)
+        _, trace, _ = optimize_elastica_path(endpoints, q=3, m=13, n=96)
+        assert calls == {"materialize_path": 38, "_path_jacobian": 1}
+        assert [i for i, _ in trace] == [1]
+
     def test_infeasible_jacobian_column_stops_at_the_point(self, monkeypatch):
         # the seed integrates, its first batch of perturbed rows does not: no
         # derivative, so the search ends at the seed
@@ -1212,6 +1235,10 @@ def least_squares(A, b):
     )
 
 
+def derivatives_of(jac, hess):
+    return lambda x: (jac(x), hess(x))
+
+
 def quadratic_model(g, H, p):
     return g @ p + 0.5 * p @ H @ p
 
@@ -1228,7 +1255,7 @@ class TestMinimize:
         p, on_boundary = _trust_region_step(jac(x0), hess(x0), 1.0)
         assert not on_boundary
         assert np.allclose(p, x_min, rtol=0.0, atol=1e-15)
-        result = minimize(fun, x0, jac=jac, hess=hess, max_iter=10)
+        result = minimize(fun, x0, derivatives=derivatives_of(jac, hess), max_iter=10)
         assert result.nit == 1
         assert np.allclose(result.x, x_min, rtol=0.0, atol=1e-15)
 
@@ -1257,7 +1284,7 @@ class TestMinimize:
             p, on_boundary = _trust_region_step(jac(x0), hess(x0), radius)
             assert np.all(np.isfinite(p)) and p[1] == 0.0
             assert on_boundary == (radius == 0.01)
-        result = minimize(fun, x0, jac=jac, hess=hess, max_iter=10)
+        result = minimize(fun, x0, derivatives=derivatives_of(jac, hess), max_iter=10)
         assert result.x[1] == 0.7
         assert np.allclose(result.x[[0, 2]], x_min[[0, 2]], rtol=0.0, atol=1e-15)
 
@@ -1270,7 +1297,7 @@ class TestMinimize:
             calls.append(x.copy())
             return fun(x)
 
-        result = minimize(counted, x_min, jac=lambda x: np.zeros(3), hess=hess, max_iter=10)
+        result = minimize(counted, x_min, derivatives=lambda x: (np.zeros(3), hess(x)), max_iter=10)
         assert result.nit == 0 and np.array_equal(result.x, x_min)
         assert len(calls) == 1
 
@@ -1285,7 +1312,7 @@ class TestMinimize:
             trials.append(x.copy())
             return fun(x0) + 1.0
 
-        result = minimize(rejecting, x0, jac=jac, hess=hess, max_iter=5)
+        result = minimize(rejecting, x0, derivatives=derivatives_of(jac, hess), max_iter=5)
         assert result.nit == 5 and len(trials) == 5
         assert np.array_equal(result.x, x0)
 
@@ -1301,7 +1328,7 @@ class TestMinimize:
                     return np.inf
             return fun(x)
 
-        result = minimize(first_infeasible, x0, jac=jac, hess=hess, max_iter=2)
+        result = minimize(first_infeasible, x0, derivatives=derivatives_of(jac, hess), max_iter=2)
         assert result.nit == 2
         steps = [np.linalg.norm(t - x0) for t in trials]
         assert abs(steps[0] - 1.0) <= 1e-10 and abs(steps[1] - 0.25) <= 1e-10
@@ -1309,13 +1336,65 @@ class TestMinimize:
         assert np.array_equal(result.x, trials[1])
         assert fun(result.x) < fun(x0)
 
+    def test_derivatives_only_where_the_search_stands(self):
+        # every trial rejected: the gradient and Hessian are read at x0 alone
+        fun, jac, hess = least_squares(self.A, [30.0, -10.0, 20.0, 5.0])
+        x0 = np.zeros(3)
+        reads = []
 
-def scipy_trust_exact(fun, x0, *, jac, hess, max_iter):
-    """The search ``minimize`` replaced: scipy's ``trust-exact`` with its defaults."""
+        def rejecting(x):
+            return fun(x) if np.array_equal(x, x0) else fun(x0) + 1.0
+
+        def derivatives(x):
+            reads.append(x.copy())
+            return jac(x), hess(x)
+
+        result = minimize(rejecting, x0, derivatives=derivatives, max_iter=5)
+        assert result.nit == 5
+        assert len(reads) == 1 and np.array_equal(reads[0], x0)
+
+    def test_rejected_interior_step_is_evaluated_once(self):
+        # the Newton step (|p| = 0.23) is rejected and still fits the radius
+        # 1/4: the next iteration proposes the same trial and reuses its value
+        x_min = np.array([0.1, -0.2, 0.05])
+        fun, jac, hess = least_squares(self.A, self.A @ x_min)
+        x0 = np.zeros(3)
+        trials = []
+
+        def rejecting(x):
+            if np.array_equal(x, x0):
+                return fun(x)
+            trials.append(x.copy())
+            return fun(x0) + 1.0
+
+        result = minimize(rejecting, x0, derivatives=derivatives_of(jac, hess), max_iter=3)
+        assert result.nit == 3 and np.array_equal(result.x, x0)
+        # iterations 1 and 2 share the Newton trial; iteration 3 steps to the radius 1/16
+        assert len(trials) == 2
+        assert np.allclose(trials[0], x_min, rtol=0.0, atol=1e-15)
+        assert abs(np.linalg.norm(trials[1]) - 0.0625) <= 1e-10 * 0.0625
+
+
+def scipy_trust_exact(fun, x0, *, derivatives, max_iter):
+    """The search ``minimize`` replaced: scipy's ``trust-exact`` with its defaults.
+
+    scipy reads the Hessian at a trial before its value, and ``derivatives``
+    holds only right after ``fun`` at the same point, so each new point is
+    evaluated first: ``fun``, then ``derivatives``, once.
+    """
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, method="trust-exact", jac=jac, hess=hess,
-                          options={"maxiter": max_iter})
+    point = {"x": None}
+
+    def at(x):
+        if not np.array_equal(point["x"], x):
+            f = fun(x)
+            point.update(x=x.copy(), f=f, derivatives=derivatives(x))
+        return point
+
+    return scipy_minimize(lambda x: at(x)["f"], x0, method="trust-exact",
+                          jac=lambda x: at(x)["derivatives"][0],
+                          hess=lambda x: at(x)["derivatives"][1], options={"maxiter": max_iter})
 
 
 def flat_endpoints(a, b, L=None):

@@ -450,6 +450,21 @@ class TestPathSerialization:
         with pytest.raises(DomainError):
             path_from_dict(data)
 
+    @pytest.mark.parametrize("pitch", [None, 0.7])
+    def test_helix_record_needs_its_own_pitch(self, pitch):
+        # without its pitch the helix path reloads with one-sided stencils
+        # (length 3.7155), with another pitch as other helices (3.8995)
+        _, path = solve_helix_geodesic(1, 2, 0.5, m=16, n=64)
+        assert path_length(path) == 3.744875474317819
+        with pytest.raises(PreconditionError, match="screw_shift"):
+            path_to_dict(path, pitch=pitch)
+        assert path_length(path_from_dict(path_to_dict(path, pitch=0.5))) == path_length(path)
+
+    def test_pitch_of_a_path_without_screw_shift_refused(self):
+        _, path = solve_concentric_geodesic(plane(), 1.0, 1.5, m=5, n=64)
+        with pytest.raises(PreconditionError, match="screw_shift"):
+            path_to_dict(path, pitch=0.5)
+
     def test_helix_pitch_round_trip(self):
         from curvespace import solve_helix_geodesic
 

@@ -172,6 +172,12 @@ DOCUMENTED_REFUSALS = {
     "helix pitch 1e307": (NumericFailure, lambda: solve_helix_geodesic(1.0, 2.0, 1e307)),
     "helix pitch 1e200": (NumericFailure, lambda: solve_helix_geodesic(1.0, 2.0, 1e200)),
     "circle radius 1e300": (NumericFailure, lambda: solve_concentric_geodesic(plane(), 1.0, 1e300)),
+    # -<p, p> = cosh^2 r - sinh^2 r cancels to rounding: build_curve finds the solver's own
+    # points off the hyperboloid, a failure of the solve and not a bad argument
+    "hyperbolic radius 18": (NumericFailure, lambda: solve_concentric_geodesic(
+        hyperbolic(), 1.0, 18.0, m=8, n=16)),
+    "hyperbolic radius 25": (NumericFailure, lambda: solve_concentric_geodesic(
+        hyperbolic(), 1.0, 25.0, m=8, n=16)),
 }
 
 

@@ -226,6 +226,9 @@ DOCUMENTED_REFUSALS = {
         concentric_path(lambda s: np.pi / 2 - 0.3 + 0.6 * s, m=9, space=sphere(1.0)))),
     "alpha of a t-dependent family": (PreconditionError, lambda: parallel_geodesic_alpha(
         _unevenly_sampled_circles())),
+    # eps_steps is a count: no float or bool truncates to one
+    **{f"eps_steps {k!r}": (PreconditionError, lambda k=k: variation_report(
+        constant_path(m=9), "omega", eps_steps=k)) for k in (2.9, 1.5, True)},
 }
 
 
