@@ -9,10 +9,12 @@ profile solves the second-order ODE
 
 from the amplitude (kappa(0) = k, kappa_t(0) = 0).  Its first integral
 makes kappa a Jacobi elliptic function, evaluated in closed form (Langer
-& Singer, *Knotted elastic curves in R^3*, 1984).  The curve itself is
-rebuilt from an initial frame by Lie-group steps: the Frenet system (or
-its 2D intrinsic analogue on a surface) is linear in the frame rows, so
-each step is the exponential of a fourth-order Magnus exponent, and a
+& Singer, *Knotted elastic curves in R^3*, 1984): sn, cn, dn and the
+quarter period K come from one arithmetic-geometric mean in numpy
+(DLMF 22.20(ii)).  The curve itself is rebuilt from an initial frame by
+Lie-group steps: the Frenet system (or its 2D intrinsic analogue on a
+surface) is linear in the frame rows, so each step is the exponential of
+a fourth-order Magnus exponent, and a
 blocked prefix product of the steps (about 2n products in about 2 sqrt(n)
 batched rounds) gives every point at once.  The steps are closed forms:
 the exponents are written entry by entry in the isometry algebra, the
@@ -46,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import ellipj, ellipk
 
 from .discrete_curves import MIN_SAMPLES, DiscreteCurve, build_curve
 from .errors import (
@@ -195,6 +196,40 @@ def solve_curvature_profile(params: ElasticaParams, n: int, *, with_derivative: 
     return (kappa, tau, kappa_t) if with_derivative else (kappa, tau)
 
 
+def _jacobi(u, m, shifted):
+    """Jacobi sn, cn and dn of u + K(m) where ``shifted``, else of u.
+
+    u is (rows, n); m, in [0, 1], and ``shifted`` are (rows, 1).  One
+    arithmetic-geometric mean of 1 and sqrt(1 - m) per row gives the
+    quarter period K = pi / (2 a_N) and the amplitude phi, descending from
+    phi_N = 2^N a_N (u + K) (DLMF 22.20(ii), 19.8.1); sn = sin phi,
+    cn = cos phi and dn = sqrt((1 - m) + m cn^2), free of cancellation.  A
+    row stops once its c / a rounds to nothing: it keeps its a, and its
+    further ratios are 0, exact halvings of phi, so its values do not
+    depend on the rows beside it (the last step, 0 on every row, is left
+    out).  A NaN m stops at once and gives a NaN dn.  At m = 1 the mean
+    does not converge: sn = tanh u, cn = dn = sech u, and u + K(1) is NaN.
+    """
+    separatrix = m == 1.0
+    mc = np.where(separatrix, 0.0, m)  # the AGM of the separatrix rows is not read
+    a, b, c = 1.0, np.sqrt(1.0 - mc), np.sqrt(mc)
+    ratios, go = [], c > 2.0**-53 * a
+    while go.any():
+        a, b, c = np.where(go, 0.5 * (a + b), a), np.sqrt(a * b), np.where(go, 0.5 * (a - b), 0.0)
+        go = c > 2.0**-53 * a
+        ratios.append(c / a * go)
+    ratios = ratios[:-1]
+    phi = np.ldexp(a * u + 0.5 * np.pi * shifted, len(ratios))
+    for ratio in reversed(ratios):
+        phi = 0.5 * (np.arcsin(ratio * np.sin(phi)) + phi)
+    sn, cn = np.sin(phi), np.cos(phi)
+    rows = separatrix[:, 0]
+    if rows.any():
+        v = np.where(shifted[rows], np.nan, u[rows])
+        sn[rows], cn[rows] = np.tanh(v), 1.0 / np.cosh(v)
+    return sn, cn, np.sqrt((1.0 - m) + m * cn * cn)
+
+
 def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
     """Closed-form profiles of a whole family of parameters at once.
 
@@ -204,6 +239,7 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
     omega = sqrt(u1 - u3) / 2, p = (u1 - u2) / (u1 - u3) and the quarter
     period shift = K(p) when k^2 is the lower root u2.  For mu = 0 and
     u2 = 0 (wave-like branch, separatrix) kappa = k cn(.) changes sign.
+    sn, cn, dn and the shift K(p) come from one AGM per row (``_jacobi``).
     Parameter arrays have shape (m,); returns kappa, tau = mu / kappa^2
     (0 where mu = 0) and kappa_t, each (m, n).
     """
@@ -223,8 +259,7 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
         d = u1 - u2
         omega = 0.5 * np.sqrt(u1 - u3)
         p = d / (u1 - u3)
-        shift = np.where(a < u1, ellipk(p), 0.0)
-        sn, cn, dn, _ = ellipj(omega * t + shift, p)
+        sn, cn, dn = _jacobi(omega * t, p, a < u1)
         signed = (mu2 == 0.0) & (u2 == 0.0)
         kappa = np.where(signed, ks * cn, np.sqrt(u2 + d * cn**2))
         kappa_t = -omega * d * sn * dn * np.where(signed, 1.0 / ks, cn / kappa)

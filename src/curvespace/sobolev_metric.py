@@ -247,11 +247,13 @@ class PathDiagnostics:
     tangential: np.ndarray
     normal: np.ndarray  # ``normal_rows``
     rho_kappa_sup: np.ndarray | None  # sup_t |d_theta(rho^2 kappa)| if normal, else None
+    standing: bool  # every c' within the rounding of the s-stencil: the path does not move
 
     @property
     def speed_drift(self) -> float:
+        """(max - min) / mean of the speed; 0 for a path that does not move."""
         mean = float(np.mean(self.speed))
-        if mean == 0.0:
+        if self.standing or mean == 0.0:
             return 0.0
         return float((np.max(self.speed) - np.min(self.speed)) / mean)
 
@@ -267,6 +269,8 @@ def diagnose_path(path: CurvePath) -> PathDiagnostics:
     normal path whose Frenet frame is undefined somewhere raises :class:`DomainError`.
     """
     normal = normal_rows(path)
+    # rounding bound of the s-stencil (-3, 4, -1) / (2 ds) on points of this size
+    floor = 8.0 * np.finfo(float).eps * np.max(np.abs(path.points)) / path.ds
     return PathDiagnostics(
         speed=path_speed(path),
         horizontality_defect=np.max(np.abs(horizontality_defect(path)), axis=-1),
@@ -274,6 +278,7 @@ def diagnose_path(path: CurvePath) -> PathDiagnostics:
         tangential=tangential_component(path),
         normal=normal,
         rho_kappa_sup=np.max(np.abs(rho_kappa_defect(path)), axis=-1) if normal.all() else None,
+        standing=bool(np.max(np.abs(path.velocity)) <= floor),
     )
 
 

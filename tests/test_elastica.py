@@ -1,9 +1,11 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
+from scipy.special import ellipj, ellipk
 
 from curvespace import (
     CapabilityError,
@@ -32,6 +34,7 @@ from curvespace.elastica import (
     _FD_STEP,
     MU_LOCUS_SIGN,
     _GAUSS_NODES,
+    _batch_profiles,
     _batch_reconstruct,
     _end_frame,
     _expm,
@@ -39,6 +42,7 @@ from curvespace.elastica import (
     _gauss_values,
     _integrate_rows,
     _interior_seed,
+    _jacobi,
     _magnus_exponents,
     _path_jacobian,
     _prefix_products,
@@ -312,6 +316,100 @@ class TestClosedFormProfile:
         assert kappa("hyperbolic_wave").min() < 0.0
         assert np.all(kappa("separatrix") > 0.0)
         assert np.max(np.abs(kappa("circle_locus") - 0.9)) <= 1e-12
+
+
+def jacobi_grid(ms, u, shifted):
+    """``_jacobi`` of every u at every m: (len(ms), len(u)) arrays."""
+    ms = np.asarray(ms, dtype=float)[:, None]
+    return _jacobi(np.broadcast_to(u, (ms.shape[0], len(u))), ms, np.full(ms.shape, shifted))
+
+
+def mpmath_jacobi(ms, u, shifted):
+    """sn, cn and dn of u (+ K(m)) at 30 digits, rounded to floats."""
+    out = np.empty((3, len(ms), len(u)))
+    with mpmath.workdps(30):
+        for i, m in enumerate(ms):
+            m = mpmath.mpf(float(m))
+            shift = mpmath.ellipk(m) if shifted else 0
+            for j, x in enumerate(u):
+                for f, name in enumerate(("sn", "cn", "dn")):
+                    out[f, i, j] = float(mpmath.ellipfun(name, mpmath.mpf(float(x)) + shift, m=m))
+    return out
+
+
+class TestJacobiFunctions:
+    """sn, cn, dn and the quarter-period shift from one AGM, against scipy and mpmath."""
+
+    U = np.linspace(-6.0, 14.0, 201)
+    # where scipy's cephes evaluates by the AGM too; from m = 1 - 1e-10 on it
+    # switches to a first-order expansion about m = 1 that fails at large u + K
+    AGM_MS = np.concatenate([[0.0, 1e-12, 1e-9], np.random.default_rng(35).uniform(0.0, 1.0, 300)])
+    NEAR_ONE = [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_scipy(self, shifted):
+        sn, cn, dn = jacobi_grid(self.AGM_MS, self.U, shifted)
+        shift = ellipk(self.AGM_MS)[:, None] if shifted else 0.0
+        ref = ellipj(self.U + shift, self.AGM_MS[:, None])
+        # 45 ulp; scipy's dn = cos(phi) / cos(phi - phi_1) is itself off by up to 1.1e-14
+        assert np.max(np.abs(sn - ref[0])) <= 1e-14
+        assert np.max(np.abs(cn - ref[1])) <= 1e-14
+        assert np.max(np.abs(dn - ref[2])) <= 2e-14
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_mpmath(self, shifted):
+        ms = np.concatenate([self.AGM_MS[:15], self.NEAR_ONE])
+        u = self.U[::10]
+        ours = np.stack(jacobi_grid(ms, u, shifted))
+        err = np.max(np.abs(ours - mpmath_jacobi(ms, u, shifted)), axis=-1)
+        assert np.max(err[:, :-1]) <= 8e-15
+        # at m = 1 - 1e-12, cn ~ 1e-6 near u = 14: the descending recurrence
+        # keeps the amplitude near pi / 2 to about 160 ulp
+        assert np.max(err[:, -1]) <= 5e-14
+
+    def test_near_separatrix_with_shift(self):
+        # cephes's expansion about m = 1 returns sn = 1.00000000000025 here
+        m, u = 1.0 - 1e-12, 13.978177355145318
+        sn, cn, dn = (v[0, 0] for v in _jacobi(np.array([[u]]), np.array([[m]]), np.array([[True]])))
+        ref = mpmath_jacobi([m], [u], True)[:, 0, 0]
+        assert sn == pytest.approx(0.8407242264561147, abs=1e-15)
+        assert np.max(np.abs([sn, cn, dn] - ref)) <= 1e-14
+        assert ellipj(u + ellipk(m), m)[0] > 1.0
+
+    def test_separatrix_is_tanh_and_sech(self):
+        sn, cn, dn = jacobi_grid([1.0], self.U, False)
+        assert np.array_equal(sn[0], np.tanh(self.U))
+        assert np.array_equal(cn[0], 1.0 / np.cosh(self.U))
+        assert np.array_equal(dn[0], cn[0])
+
+    def test_shift_at_the_separatrix_has_no_value(self):
+        # K(1) = inf, so u + K(1) is no number, as scipy's ellipj(u + ellipk(1), 1)
+        assert ellipk(1.0) == np.inf
+        assert np.all(np.isnan(ellipj(self.U + ellipk(1.0), 1.0)[:3]))
+        assert np.all(np.isnan(jacobi_grid([1.0], self.U, True)))
+
+    def test_rows_do_not_depend_on_each_other(self):
+        # the AGM runs until its slowest row has converged; the other rows
+        # stop at their own step, so a batch equals its rows taken one by one
+        rng = np.random.default_rng(3)
+        ms = np.concatenate([rng.uniform(0.5, 1.0, 1000), [1.0 - 2.0**-52, 1.0, 0.0]])[:, None]
+        u = rng.uniform(-6.0, 14.0, (ms.shape[0], 16))
+        shifted = rng.uniform(size=ms.shape) < 0.5
+        shifted[-2] = False
+        batch = np.stack(_jacobi(u, ms, shifted))
+        alone = np.stack([np.stack(_jacobi(u[i : i + 1], ms[i : i + 1], shifted[i : i + 1]))[:, 0]
+                          for i in range(ms.shape[0])], axis=1)
+        assert np.array_equal(batch, alone)
+
+    def test_profile_with_p_rounding_to_one_below_the_upper_root(self):
+        # k^2 = 1e-20 is the lower root u2 = k^2 above u3 = 0, far below
+        # u1 = 2 lambda: p = 1 - 1e-20 rounds to 1, the shift is K(1) = inf, and
+        # the profile ends in NumericFailure, as with scipy's ellipk and ellipj
+        with pytest.raises(NumericFailure, match="non-finite"):
+            _batch_profiles([1e-10], [1.0], [0.0], 0.0, [2 * np.pi], 64)
+        # a larger k keeps p below 1 and a finite profile growing from k
+        kappa = _batch_profiles([1e-6], [1.0], [0.0], 0.0, [2 * np.pi], 64)[0][0]
+        assert kappa[0] == 1e-6 and np.all(np.diff(kappa[:32]) > 0.0)
 
 
 class TestReconstruction:

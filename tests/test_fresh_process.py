@@ -1,12 +1,15 @@
 """Checks that need a fresh interpreter: the import graph and BLAS threads.
 
-``import curvespace`` loads numpy and scipy.special only, and no later
-call loads another scipy subpackage: not the circle and helix solves
-(their quadrature is in numpy), and not whole CLI sessions.  The bytes of
+``import curvespace`` loads numpy and no scipy module, and no later call
+loads one: not the elastica run (its Jacobi functions come from a numpy
+AGM), not the circle and helix solves (their quadrature is in numpy), and
+not whole CLI sessions.  No file of the package imports scipy, also in
+branches these runs do not reach.  The bytes of
 the elastica runs and of two geodesic sessions (solve, check, distance,
 render) must not depend on how many threads BLAS uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -36,7 +39,7 @@ import json, sys
 import numpy as np
 
 def heavy():
-    return [m for m in ("scipy.optimize", "scipy.interpolate", "scipy.integrate") if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import curvespace, curvespace.cli
 from curvespace import cli, make_path, path_to_dict, plane, solve_concentric_geodesic, solve_helix_geodesic
@@ -63,7 +66,7 @@ print(json.dumps(seen))
 """
 
 
-def test_import_loads_no_optimize_interpolate_or_integrate(tmp_path):
+def test_import_and_runs_load_no_scipy(tmp_path):
     seen = json.loads(run_python(IMPORT_GRAPH, str(tmp_path / "path.json")).splitlines()[-1])
     assert seen["import"] == seen["distance"] == seen["elastica"] == []
     assert seen["circles"] == seen["helices"] == []
@@ -75,10 +78,10 @@ import json, sys
 from pathlib import Path
 import curvespace.cli as cli
 
-def subpackages():
-    return sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-seen = {"import": subpackages()}
+seen = {"import": scipy_modules()}
 out = Path(sys.argv[1])
 for name, solve in (("circles", ["circles", "--curvature", "1", "--r0", "0.5", "--r1", "1.2"]),
                     ("helices", ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2"])):
@@ -90,16 +93,31 @@ for name, solve in (("circles", ["circles", "--curvature", "1", "--r0", "0.5", "
         calls.append(["render", "--input", path, "--out", str(out / "circles.svg")])
     for argv in calls:
         assert cli.run(argv) == 0
-seen["sessions"] = subpackages()
+seen["sessions"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_geodesic_sessions_load_no_scipy_subpackage(tmp_path):
-    # a lazy import anywhere in these sessions would bring scipy.optimize
-    # and its dependencies back into every circles or helices process
+def test_geodesic_sessions_load_no_scipy(tmp_path):
+    # a lazy import anywhere in these sessions would bring scipy back
+    # into every circles or helices process
     seen = json.loads(run_python(SESSION_IMPORTS, str(tmp_path)).splitlines()[-1])
-    assert seen["sessions"] == seen["import"]
+    assert seen["sessions"] == seen["import"] == []
+
+
+def test_no_package_file_imports_scipy():
+    # also lazy imports in branches that no session above reaches
+    found = []
+    for file in sorted(Path(curvespace.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(), str(file))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            found += [f"{file.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 CLI_RUNS = """

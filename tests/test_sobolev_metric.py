@@ -416,6 +416,27 @@ class TestDiagnostics:
         assert np.array_equal(diag.speed, np.zeros(3))
         assert diag.speed_drift == 0.0
 
+    @pytest.mark.parametrize("model", ["plane", "sphere"])
+    def test_speed_at_rounding_level_has_no_drift(self, model):
+        # cos/sin rows round in the end-row stencil: the speed is ~1e-15 at rows
+        # 0 and m - 1 and exactly 0 between, a drift of 1.5 if it were measured
+        t = 2 * np.pi * np.arange(64) / 64
+        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+        space = plane() if model == "plane" else sphere(1.0)
+        if model == "sphere":
+            ring = np.concatenate([0.6 * ring, np.full((64, 1), 0.8)], axis=1)
+        diag = diagnose_path(make_path(space, np.stack([ring] * 3), closed=True))
+        assert 0.0 < np.max(diag.speed) <= 1e-14
+        assert diag.speed_drift == 0.0
+
+    def test_slow_path_keeps_its_speed_drift(self):
+        # rows 1e-12 apart move above the stencil's rounding: the drift is measured
+        t = 2 * np.pi * np.arange(64) / 64
+        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+        path = make_path(plane(), np.stack([(1.0 + 1e-12 * j) * ring for j in range(3)]), closed=True)
+        diag = diagnose_path(path)
+        assert diag.speed_drift == float(np.ptp(diag.speed) / np.mean(diag.speed)) > 0.0
+
 
 class TestQuadrature:
     """Length, G_c, speed and path length against numpy's trapezoid rule, to rounding."""
