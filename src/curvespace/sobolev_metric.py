@@ -51,10 +51,11 @@ class CurvePath:
 
     The s-grid is ``linspace(0, 1, m)``, derived from the stack, never
     stored.  ``velocity``, ``dT_velocity`` and ``dT2_velocity`` hold c',
-    D_T c' and D_T^2 c' over the whole stack, each computed once on first
-    read.  A (..., m, n, dim) stack of paths sharing one grid is one
-    ``CurvePath`` too: its fields and ``path_residuals`` keep the leading
-    axes; ``curves`` and the scalar path quantities take one path.
+    D_T c' and D_T^2 c' over the whole stack, and ``residuals`` the
+    ``path_residuals``, each computed once on first read.  A (..., m, n,
+    dim) stack of paths sharing one grid is one ``CurvePath`` too: its
+    fields and ``path_residuals`` keep the leading axes; ``curves`` and the
+    scalar path quantities take one path.
     """
 
     batch: DiscreteCurve
@@ -104,6 +105,15 @@ class CurvePath:
     def dT2_velocity(self) -> np.ndarray:
         """D_T^2 c' at every sample, over the whole stack; read-only."""
         return _read_only(cov_d_T(self.batch, self.dT_velocity))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """``path_residuals`` over the whole stack, computed once on first read; read-only."""
+        weights = trapezoid_weights(self.m, self.ds)[:, None] * dtheta_weights(self.batch)
+        coords = [self.space.tangent_coordinates(self.points, f)
+                  for f in (self.velocity, self.dT_velocity)]
+        r = np.sqrt(weights)[..., None] * np.concatenate(coords, axis=-1)
+        return _read_only(r.reshape(*r.shape[:-3], -1))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -176,13 +186,11 @@ def path_residuals(path: CurvePath) -> np.ndarray:
     (``dtheta_weights``), so r holds sqrt(w_j w_i omega_ij) times the
     Euclidean tangent coordinates (``SpaceForm.tangent_coordinates``) of
     c' and D_T c', flattened: (R,) for one path, (..., R) for a stack of
-    paths, row for row equal to the single-path calls.
+    paths, row for row equal to the single-path calls.  Cached on the path
+    (``CurvePath.residuals``), so ``path_energy`` and a Jacobian at the same
+    path read one array.
     """
-    weights = trapezoid_weights(path.m, path.ds)[:, None] * dtheta_weights(path.batch)
-    coords = [path.space.tangent_coordinates(path.points, f)
-              for f in (path.velocity, path.dT_velocity)]
-    r = np.sqrt(weights)[..., None] * np.concatenate(coords, axis=-1)
-    return r.reshape(*r.shape[:-3], -1)
+    return path.residuals
 
 
 def path_length(path: CurvePath) -> float:

@@ -1203,6 +1203,18 @@ class TestPathResiduals:
         r = path_residuals(path)
         assert np.sum(r * r) == energy
 
+    def test_energy_and_jacobian_read_one_residual_pass(self):
+        # path_energy leaves r on the path; the Jacobian at that path reads it
+        start, end = circle_endpoints()
+        spec = ElasticaPathSpec(
+            start=start, end=end, control_points=_interior_seed(start, end, 1), m=7, n=64
+        )
+        _, path = elastica_path_energy(spec)
+        r = vars(path)["residuals"]
+        assert not r.flags.writeable
+        assert path_residuals(path) is r
+        assert _path_jacobian(spec, path, np.full((1, 2), _FD_STEP))[0] is r
+
 
 class TestTrustRegionSearch:
     # materialize_path calls of the simplex search this replaced on the
