@@ -519,6 +519,11 @@ class ElasticaPathSpec:
         return self.control_points.shape[0]
 
 
+def _gauge_centre(start: ElasticaParams) -> np.ndarray:
+    """The start's osculating centre at theta = 0, which ``_gauge`` pins for K = 0."""
+    return start.frame.origin + start.frame.N / start.k
+
+
 def _gauge(start: ElasticaParams, ks) -> tuple[np.ndarray, np.ndarray]:
     """Initial rows (r, 4, dim) and lengths (r,) of the curves with amplitudes ``ks``.
 
@@ -533,7 +538,7 @@ def _gauge(start: ElasticaParams, ks) -> tuple[np.ndarray, np.ndarray]:
     ks = np.asarray(ks, dtype=float)
     frames = np.repeat(_frame_rows(start.frame)[None], len(ks), axis=0)
     if start.K == 0.0:
-        frames[:, 0] = start.frame.origin + start.frame.N / start.k - start.frame.N / ks[:, None]
+        frames[:, 0] = _gauge_centre(start) - start.frame.N / ks[:, None]
     return frames, start.L * start.k / ks
 
 
@@ -663,8 +668,9 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> tuple[np.
     """
     w, V = np.linalg.eigh(H)
     kept = w > w[-1] * w.size * np.finfo(float).eps
-    w, V = w[kept], V[:, kept]
-    a = V.T @ g
+    unit = math.ldexp(1.0, -math.frexp(w[-1])[1])  # exact rescaling: a^2, w^3 stay finite
+    w, V = w[kept] * unit, V[:, kept]
+    a = (V.T @ g) * unit
     mu, p_norm = 0.0, np.linalg.norm(a / w)
     if p_norm <= radius:
         return -(V @ (a / w)), False
@@ -693,7 +699,7 @@ def minimize(fun, x0: np.ndarray, *, derivatives, max_iter: int) -> SearchResult
     f = f_trial = fun(x)
     g, H = derivatives(x)
     radius, nit = _TR_RADIUS, 0
-    while np.linalg.norm(g) >= _TR_GTOL and nit < max_iter:
+    while math.hypot(*g) >= _TR_GTOL and nit < max_iter:  # no overflow of |g|^2
         p, on_boundary = _trust_region_step(g, H, radius)
         predicted = f - (f + g @ p + 0.5 * (p @ (H @ p)))
         if not predicted > 0.0:
@@ -725,7 +731,9 @@ def _path_jacobian(
     alone and the endpoint rows move with no control.  Block d of one
     integration of (coordinates, m - 2) interior rows steps z_jd and gives
     dc_j/dz_jd by a forward difference (Curtis, Powell & Reid, *IMA J. Appl.
-    Math.* 13, 1974); control (i, d) moves row j by W[j, i + 1] dc_j/dz_jd.
+    Math.* 13, 1974), except on flat paths for d = 1: z_1 = log k scales
+    curve j about the centre ``_gauge`` pins, so dc_j/dz_j1 = -(c_j - centre)
+    exactly.  Control (i, d) moves row j by W[j, i + 1] dc_j/dz_jd.
     Column (i, d) is the forward difference of the residuals along that
     motion with step ``steps[i, d]``.  All q * coordinates displaced paths
     are one stack, passed through every ``build_curve`` check and scored
@@ -737,11 +745,14 @@ def _path_jacobian(
     Z = (W @ spec.nodes)[1:-1]
     W = W[1:-1, 1:-1]
     c = path.points
-    stepped = np.eye(n_coords, 3, dtype=bool)[:, None]  # block d steps coordinate d
+    exact = 1 if spec.K == 0.0 else 0  # blocks in closed form: the flat scaling
+    stepped = np.eye(n_coords, 3, dtype=bool)[exact:, None]  # block d steps coordinate d
     rows = np.where(stepped, Z + _FD_STEP * np.maximum(1.0, np.abs(Z)), Z)
     moved = _integrate_rows(spec, _triples(rows, spec.K).reshape(-1, 3))
     h = (rows - Z).sum(axis=-1)[..., None, None]  # the one nonzero difference of each row
-    dc = (moved.reshape(n_coords, *c[1:-1].shape) - c[1:-1]) / h
+    dc = (moved.reshape(n_coords - exact, *c[1:-1].shape) - c[1:-1]) / h
+    if exact:
+        dc = np.concatenate([(_gauge_centre(spec.start) - c[1:-1])[None], dc])
     points = np.repeat(c[None], q * n_coords, axis=0)
     motion = (steps[..., None] * W.T[:, None])[..., None, None] * dc
     points[:, 1:-1] += motion.reshape(-1, *dc.shape[1:])
@@ -761,11 +772,14 @@ def optimize_elastica_path(
 
     The path energy is the sum of squares r . r of ``path_residuals``.
     ``minimize``, an exact-step trust-region search on the Gauss-Newton
-    model, starts from ``_interior_seed``, linear in z (``_shape``;
-    z_3 = mu / k^3 stays 0 on curved surfaces), and gets the energy itself
-    as its objective, and the gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J
-    with J from ``_path_jacobian`` at the seed and at each accepted step only
-    (Nocedal & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
+    model, starts from ``_interior_seed``, linear in z (``_shape``), and
+    moves z_3 = mu / k^3 only when an endpoint is twisted: reflection in the
+    start's osculating plane maps z_3 to -z_3 and fixes untwisted paths, so
+    there dE/dz_3 = 0 and mu stays exactly 0 (so on curved surfaces, whose
+    endpoints are untwisted).  It gets the energy itself as its objective,
+    and the gradient 2 J^T r and Gauss-Newton Hessian 2 J^T J with J from
+    ``_path_jacobian`` at the seed and at each accepted step only (Nocedal
+    & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
     Identical endpoints too: their seed has a zero gradient, one visit.
     Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range (a
     box on z_1 = log k), and infeasible controls, score ``inf`` and are
@@ -783,7 +797,7 @@ def optimize_elastica_path(
     )
     z_lo = math.log(min(start.k, end.k) / K_BOUNDS_FACTOR)
     z_hi = math.log(max(start.k, end.k) * K_BOUNDS_FACTOR)
-    n_coords = 3 if start.K == 0.0 else 2  # mu frozen at 0 on curved surfaces
+    n_coords = 2 if start.mu == end.mu == 0.0 else 3
 
     evals = 0
     trace: list[tuple[int, float]] = []

@@ -39,6 +39,7 @@ from curvespace.elastica import (
     _end_frame,
     _expm,
     _frame_rows,
+    _gauge_centre,
     _gauss_values,
     _integrate_rows,
     _interior_seed,
@@ -1261,11 +1262,18 @@ class TestTrustRegionSearch:
             assert elastica_path_energy(specs[index - 1])[0] == energy
 
     def test_jacobian_only_at_accepted_points(self, monkeypatch):
-        # wave-like rows: every trial of the 38 iterations is rejected, so the
-        # seed's Jacobian is the only one, while every trial is materialized
+        # every trial scores above the seed and is rejected, so the seed's
+        # Jacobian is the only one, while every trial is materialized
         import curvespace.elastica as el
 
         calls = {"materialize_path": 0, "_path_jacobian": 0}
+        energy = el.elastica_path_energy
+
+        def worse_than_the_seed(spec):
+            value, path = energy(spec)
+            return value + (calls["materialize_path"] > 1), path
+
+        monkeypatch.setattr(el, "elastica_path_energy", worse_than_the_seed)
 
         def counting(name):
             original = getattr(el, name)
@@ -1278,10 +1286,19 @@ class TestTrustRegionSearch:
 
         for name in calls:
             counting(name)
-        endpoints = flat_endpoints((1.0, 0.7, 0.0), (0.6, 0.1, 0.0), L=2 * np.pi)
-        _, trace, _ = optimize_elastica_path(endpoints, q=3, m=13, n=96)
-        assert calls == {"materialize_path": 38, "_path_jacobian": 1}
+        _, trace, _ = optimize_elastica_path(circle_endpoints(), q=3, m=13, n=96)
+        assert calls == {"materialize_path": 28, "_path_jacobian": 1}
         assert [i for i, _ in trace] == [1]
+
+    def test_wave_like_search_descends_untwisted(self):
+        # the search on z_1 and z_2 alone leaves its seed, and mu stays exactly 0
+        endpoints = flat_endpoints((1.0, 0.7, 0.0), (0.6, 0.1, 0.0), L=2 * np.pi)
+        start, end = endpoints
+        seed = ElasticaPathSpec(start, end, _interior_seed(start, end, 3), m=13, n=96)
+        spec, trace, path = optimize_elastica_path(endpoints, q=3, m=13, n=96)
+        assert trace[0] == (1, elastica_path_energy(seed)[0])
+        assert len(trace) >= 2 and trace[-1][1] < trace[0][1]
+        assert np.all(spec.control_points[:, 2] == 0.0)
 
     def test_infeasible_jacobian_column_stops_at_the_point(self, monkeypatch):
         # the seed integrates, its first batch of perturbed rows does not: no
@@ -1463,6 +1480,17 @@ class TestMinimize:
         assert result.nit == 5
         assert len(reads) == 1 and np.array_equal(reads[0], x0)
 
+    def test_finite_huge_gradient_runs_without_overflow(self):
+        # |g| ~ 1e280: |g|^2, a^2 and the Hessian's eigenvalues cubed pass the
+        # largest float, the search still steps (warnings are errors here)
+        scale = 1e140
+        x_min = np.array([0.1, -0.2, 0.05])
+        fun, jac, hess = least_squares(scale * self.A, scale * (self.A @ x_min))
+        x0 = np.array([3.0, 1.0, -2.0])
+        assert np.all(np.isfinite(jac(x0))) and np.linalg.norm(jac(x0) / scale**2) > 1.0
+        result = minimize(fun, x0, derivatives=derivatives_of(jac, hess), max_iter=10)
+        assert np.allclose(result.x, x_min, rtol=0.0, atol=1e-12)
+
     def test_rejected_interior_step_is_evaluated_once(self):
         # the Newton step (|p| = 0.23) is rejected and still fits the radius
         # 1/4: the next iteration proposes the same trial and reuses its value
@@ -1550,6 +1578,101 @@ class TestSearchMatchesTrustExact:
             assert [i for i, _ in trace] == [1, 2, 3, 4]
 
 
+def three_coordinate_search(endpoints, q, m, n):
+    """(evaluation, energy, controls) improvements of the search with z_3 free: scipy's
+    trust-exact on ``per_column_jacobian(spec, 3)``, the search before the mirror freeze."""
+    start, end = endpoints
+    trace = []
+
+    def spec_at(x):
+        return ElasticaPathSpec(start, end, _triples(x.reshape(q, 3), start.K), m, n)
+
+    def energy(x):
+        energy.evals += 1
+        value = elastica_path_energy(spec_at(x))[0]
+        if not trace or value < trace[-1][1]:
+            trace.append((energy.evals, value, spec_at(x).control_points))
+        return value
+
+    def derivatives(x):
+        spec = spec_at(x)
+        r, J = path_residuals(materialize_path(spec)), per_column_jacobian(spec, 3)
+        return 2.0 * (J.T @ r), 2.0 * (J.T @ J)
+
+    energy.evals = 0
+    seed = _shape(_interior_seed(start, end, q), start.K).ravel()
+    scipy_trust_exact(energy, seed, derivatives=derivatives, max_iter=500)
+    return trace
+
+
+class TestMirrorAndScaling:
+    """The search on (z_1, z_2) between untwisted endpoints, with the flat log-k
+    Jacobian column in closed form, against the searches it replaced."""
+
+    # criterion 8 at n = 96 with z_3 searched and every row derivative a forward
+    # difference: the visits and final E of the search this one replaced
+    PARENT = {(3, 13): (4, 13.722714980873445), (5, 13): (5, 13.657035788156819),
+              (7, 13): (5, 13.571085234397835), (11, 13): (5, 13.3670400224686),
+              (11, 25): (5, 13.696897614544104)}
+
+    @pytest.mark.parametrize("q, m", list(PARENT))
+    def test_criterion_8_keeps_its_visits(self, q, m):
+        visits, energy = self.PARENT[q, m]
+        spec, trace, _ = optimize_elastica_path(circle_endpoints(), q=q, m=m, n=96)
+        assert [i for i, _ in trace] == list(range(1, visits + 1))
+        assert abs(trace[-1][1] - energy) <= 1e-12 * energy
+        assert np.all(spec.control_points[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_three_coordinate_search_agrees(self, q):
+        _, trace, _ = optimize_elastica_path(circle_endpoints(), q=q, m=13, n=96)
+        reference = three_coordinate_search(circle_endpoints(), q, 13, 96)
+        assert [i for i, _ in trace] == [i for i, _, _ in reference]
+        assert abs(trace[-1][1] - reference[-1][1]) <= 1e-12 * reference[-1][1]
+        assert np.max(np.abs(reference[-1][2][:, 2])) <= 1e-9
+
+    SEEDS = {
+        "circles": (circle_endpoints, 1, 7, 64),
+        "K=0-torsional": (torsional_endpoints, 3, 13, 96),
+        "criterion8": (circle_endpoints, 3, 13, 96),
+    }
+
+    @staticmethod
+    def seed_path(case):
+        endpoints, q, m, n = TestMirrorAndScaling.SEEDS[case]
+        start, end = endpoints()
+        spec = ElasticaPathSpec(start, end, _interior_seed(start, end, q), m=m, n=n)
+        return spec, materialize_path(spec), searched_coordinates(start, end)
+
+    @pytest.mark.parametrize("case", list(SEEDS))
+    def test_log_k_column_matches_the_forward_difference(self, case):
+        spec, path, n_coords = self.seed_path(case)
+        x = spec.nodes[1:-1, :n_coords]
+        steps = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
+        _, J = _path_jacobian(spec, path, steps)
+        _, J_fd = per_row_jacobian(spec, path, steps, scaling=False)
+        J, J_fd = J.reshape(-1, spec.q, n_coords), J_fd.reshape(-1, spec.q, n_coords)
+        assert np.array_equal(J[..., 1:], J_fd[..., 1:])
+        error = np.linalg.norm(J[..., 0] - J_fd[..., 0], axis=0)
+        assert np.all(error <= 1e-6 * np.linalg.norm(J_fd[..., 0], axis=0))
+
+    @pytest.mark.parametrize("case", list(SEEDS))
+    def test_log_k_row_derivative_is_exact(self, case):
+        # -(c_j - centre) against the Richardson extrapolation of central
+        # differences of the interior rows in z_1
+        spec, path, _ = self.seed_path(case)
+        Z = (_trajectory_weights(spec.q, spec.m) @ spec.nodes)[1:-1]
+
+        def central(h):
+            rows = [Z + sign * h * np.eye(3)[0] for sign in (1.0, -1.0)]
+            plus, minus = (_integrate_rows(spec, _triples(z, spec.K)) for z in rows)
+            return (plus - minus) / (2.0 * h)
+
+        richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+        exact = _gauge_centre(spec.start) - path.points[1:-1]
+        assert np.linalg.norm(exact - richardson) <= 1e-9 * np.linalg.norm(exact)
+
+
 def per_column_jacobian(spec, n_coords):
     """Forward-difference Jacobian of the residuals in the controls' shape coordinates,
     one materialized path per coordinate."""
@@ -1568,8 +1691,9 @@ def per_column_jacobian(spec, n_coords):
     return np.stack(columns, axis=1)
 
 
-def per_row_jacobian(spec, path, steps):
-    """``_path_jacobian`` with one ``build_curve`` and ``path_residuals`` call per column."""
+def per_row_jacobian(spec, path, steps, scaling=True):
+    """``_path_jacobian`` with one ``build_curve`` and ``path_residuals`` call per column;
+    with ``scaling=False`` every row derivative a forward difference, the flat log-k one too."""
     q, n_coords = steps.shape
     Z = (_trajectory_weights(q, spec.m) @ spec.nodes)[1:-1]
     W = _trajectory_weights(q, spec.m)[1:-1, 1:-1]
@@ -1579,14 +1703,22 @@ def per_row_jacobian(spec, path, steps):
     for d in range(n_coords):
         rows = Z.copy()
         rows[:, d] += _FD_STEP * np.maximum(1.0, np.abs(Z[:, d]))
-        moved = _integrate_rows(spec, _triples(rows, spec.K))
-        dc = (moved - c[1:-1]) / (rows[:, d] - Z[:, d])[:, None, None]
+        if scaling and d == 0 and spec.K == 0.0:
+            dc = _gauge_centre(spec.start) - c[1:-1]
+        else:
+            moved = _integrate_rows(spec, _triples(rows, spec.K))
+            dc = (moved - c[1:-1]) / (rows[:, d] - Z[:, d])[:, None, None]
         for i in range(q):
             points = c.copy()
             points[1:-1] += steps[i, d] * W[:, i, None, None] * dc
             column = CurvePath(build_curve(path.space, points, closed=False))
             J[:, i, d] = (path_residuals(column) - r) / steps[i, d]
     return r, J.reshape(r.size, -1)
+
+
+def searched_coordinates(start, end):
+    """The shape coordinates the search moves: z_3 only between twisted endpoints."""
+    return 2 if start.mu == end.mu == 0.0 else 3
 
 
 class TestRowJacobian:
@@ -1606,7 +1738,7 @@ class TestRowJacobian:
     )
     def test_matches_the_per_column_jacobian(self, endpoints, q, m, n):
         start, end = endpoints()
-        n_coords = 3 if start.K == 0.0 else 2
+        n_coords = searched_coordinates(start, end)
         spec = ElasticaPathSpec(
             start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
         )
@@ -1629,13 +1761,14 @@ class TestRowJacobian:
         "endpoints", [torsional_endpoints, lambda: surface_endpoints(1.0)], ids=["K=0", "K=+1"]
     )
     def test_one_pass_per_jacobian(self, monkeypatch, endpoints):
-        # every coordinate's rows in one integration, all columns in one
-        # build_curve and one path_residuals call besides the path's own
+        # every stepped coordinate's rows in one integration, all columns in
+        # one build_curve and one path_residuals call besides the path's own
         import curvespace.elastica as el
 
         start, end = endpoints()
         q, m, n = 3, 13, 96
-        n_coords = 3 if start.K == 0.0 else 2
+        n_coords = searched_coordinates(start, end)
+        stepped = n_coords - (start.K == 0.0)  # the flat log-k block is in closed form
         spec = ElasticaPathSpec(
             start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
         )
@@ -1653,7 +1786,7 @@ class TestRowJacobian:
             monkeypatch.setattr(el, name, counting(name, getattr(el, name)))
         x = spec.nodes[1:-1, :n_coords]
         r, J = el._path_jacobian(spec, path, (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x)
-        assert [rows.shape for _, rows in calls["_integrate_rows"]] == [(n_coords * (m - 2), 3)]
+        assert [rows.shape for _, rows in calls["_integrate_rows"]] == [(stepped * (m - 2), 3)]
         dim = path.points.shape[-1]
         assert [points.shape for _, points in calls["build_curve"]] == [(q * n_coords, m, n, dim)]
         assert [p.points.shape for (p,) in calls["path_residuals"]] == [
@@ -1701,22 +1834,22 @@ class TestRowJacobian:
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_rows_integrated_per_visited_point(self, monkeypatch, q):
-        # m rows for the point and one batch of 3 (m - 2) for its Jacobian,
-        # whatever q, and nothing else; a Jacobian of materialized paths
-        # integrates (1 + 3 q) m rows
+        # m rows for the point and one batch of m - 2 for its Jacobian (z_2;
+        # z_1 in closed form, z_3 not searched), whatever q, and nothing else;
+        # a Jacobian of materialized paths integrates (1 + 2 q) m rows
         m, n = 9, 64
         rows, visits = self.count_profile_batches(monkeypatch, q, m, n)
-        assert set(rows) <= {m, 3 * (m - 2)}
+        assert set(rows) <= {m, m - 2}
         assert len(visits) >= 2
-        assert sum(rows) <= (m + 3 * (m - 2)) * len(visits)
+        assert sum(rows) <= (m + (m - 2)) * len(visits)
 
     def test_criterion_8_profile_batches(self, monkeypatch):
-        # 4 visits, each one batch for the point and one for every coordinate
-        # of its Jacobian: no endpoint integrations besides
+        # 4 visits, each one batch for the point and one for the stepped
+        # coordinate of its Jacobian: no endpoint integrations besides
         rows, visits = self.count_profile_batches(monkeypatch, 3, 13, 96)
         assert len(visits) == 4
         assert len(rows) == 8
-        assert rows == [13, 33] * 4
+        assert rows == [13, 11] * 4
 
 
 class TestEndpointsJSON:
