@@ -613,24 +613,17 @@ def elastica_path_energy(spec: ElasticaPathSpec) -> tuple[float, CurvePath]:
 # energy minimization over control coordinates
 
 
-# control amplitudes k are kept within this factor of the endpoint range
-K_BOUNDS_FACTOR = 5.0
-
-
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """``max_iter`` caps the iterations of ``minimize``, accepted or not.
-
-    ``seed`` (an integer >= 0, like ``max_iter`` >= 1) is validated but has
-    no effect: the search is deterministic.
+    """``seed`` (an integer >= 0) is validated but has no effect: the search
+    is deterministic.  The class stays because callers construct
+    ``OptimizeOptions(seed=...)``.
     """
 
     seed: int = 0
-    max_iter: int = 500
 
     def __post_init__(self):
         check_count("seed", self.seed, 0)
-        check_count("max_iter", self.max_iter, 1)
 
 
 def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.ndarray:
@@ -649,6 +642,8 @@ def _interior_seed(start: ElasticaParams, end: ElasticaParams, q: int) -> np.nda
 _TR_RADIUS, _TR_MAX_RADIUS, _TR_ETA, _TR_GTOL = 1.0, 1000.0, 0.15, 1e-4
 # Newton's method for a boundary step's multiplier: at most 50 steps, to |p| = radius (1 +- 1e-13)
 _TR_SECULAR_STEPS, _TR_SECULAR_RTOL = 50, 1e-13
+# iterations of one search, accepted or not
+_TR_MAX_ITER = 500
 
 
 class SearchResult(NamedTuple):
@@ -781,13 +776,12 @@ def optimize_elastica_path(
     ``_path_jacobian`` at the seed and at each accepted step only (Nocedal
     & Wright, *Numerical Optimization*, ch. 4, 8 and 10).
     Identical endpoints too: their seed has a zero gradient, one visit.
-    Control amplitudes outside ``K_BOUNDS_FACTOR`` of the endpoint range (a
-    box on z_1 = log k), and infeasible controls, score ``inf`` and are
-    never accepted; only an infeasible Jacobian column zeroes the gradient,
-    and the search stops there.  Returns the best spec, the (evaluation,
-    energy) trace of improvements among the visited points, and the best
-    path; the evaluation index counts the ``materialize_path`` calls, one
-    per visited point within the bounds.
+    Infeasible controls score ``inf`` and are never accepted; only an
+    infeasible Jacobian column zeroes the gradient, and the search stops
+    there.  Returns the best spec, the (evaluation, energy) trace of
+    improvements among the visited points, and the best path; the
+    evaluation index counts the ``materialize_path`` calls, one per visited
+    point.  ``opts`` has no effect (see ``OptimizeOptions``).
     """
     check_count("q", q, 1)
     start, end = endpoints
@@ -795,8 +789,6 @@ def optimize_elastica_path(
     seed_spec = ElasticaPathSpec(
         start=start, end=end, control_points=_interior_seed(start, end, q), m=m, n=n
     )
-    z_lo = math.log(min(start.k, end.k) / K_BOUNDS_FACTOR)
-    z_hi = math.log(max(start.k, end.k) * K_BOUNDS_FACTOR)
     n_coords = 2 if start.mu == end.mu == 0.0 else 3
 
     evals = 0
@@ -805,13 +797,11 @@ def optimize_elastica_path(
     failure = None  # the error of the last infeasible point or Jacobian
 
     def energy(x: np.ndarray) -> float:
-        """The path energy at x; ``inf`` if infeasible or outside the box on log k."""
+        """The path energy at x; ``inf`` if infeasible."""
         nonlocal evals, best, visited, failure
         visited = None
         z = np.zeros((q, 3))
         z[:, :n_coords] = x.reshape(q, n_coords)
-        if np.any(z[:, 0] < z_lo) or np.any(z[:, 0] > z_hi):
-            return math.inf
         try:
             spec = ElasticaPathSpec(start, end, _triples(z, start.K), m, n)
             evals += 1
@@ -838,7 +828,7 @@ def optimize_elastica_path(
         return np.zeros(x.size), np.zeros((x.size, x.size))
 
     x0 = seed_spec.nodes[1:-1, :n_coords].ravel()
-    minimize(energy, x0, derivatives=derivatives, max_iter=opts.max_iter)
+    minimize(energy, x0, derivatives=derivatives, max_iter=_TR_MAX_ITER)
     if not trace:
         raise OptimizationFailure(f"no feasible interior point found: {failure}") from failure
     return best[0], trace, best[1]

@@ -1117,7 +1117,7 @@ class TestOptimizer:
 
     def test_trace_strictly_decreasing_and_deterministic(self):
         start, end = circle_endpoints()
-        opts = OptimizeOptions(seed=3, max_iter=40)
+        opts = OptimizeOptions(seed=3)
         spec1, trace1, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         spec2, trace2, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         assert trace1 == trace2
@@ -1128,8 +1128,7 @@ class TestOptimizer:
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(seed=-1), dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=True),
-            dict(max_iter=np.nan), dict(seed=1.5), dict(seed=True), dict(seed=np.nan),
+            dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(seed=np.nan),
         ],
     )
     def test_options_reject_out_of_range_values(self, bad):
@@ -1148,8 +1147,8 @@ class TestOptimizer:
 
         monkeypatch.setattr(el, "minimize", counting)
         start, end = circle_endpoints()
-        optimize_elastica_path((start, end), q=1, m=7, n=64, opts=OptimizeOptions(max_iter=30))
-        assert calls == [30]
+        optimize_elastica_path((start, end), q=1, m=7, n=64)
+        assert calls == [el._TR_MAX_ITER]
 
     def test_too_few_path_samples_fail_before_the_search(self, monkeypatch):
         import curvespace.elastica as el
@@ -1164,7 +1163,7 @@ class TestOptimizer:
 
     def test_endpoints_never_modified(self):
         start, end = circle_endpoints()
-        opts = OptimizeOptions(seed=1, max_iter=30)
+        opts = OptimizeOptions(seed=1)
         spec, _, _ = optimize_elastica_path((start, end), q=1, m=9, n=64, opts=opts)
         assert spec.start is start and spec.end is end
         assert (start.k, start.lam, start.mu) == (1.0, 1.0, 0.0)
@@ -1178,7 +1177,7 @@ class TestOptimizer:
             frame=_end_frame(flat_params(1.0, 0.6, 0.1), 0.8),
         )
         assert circle_locus_residual(start) > 0 and circle_locus_residual(end) > 0
-        opts = OptimizeOptions(seed=0, max_iter=30)
+        opts = OptimizeOptions(seed=0)
         spec, trace, path = optimize_elastica_path((start, end), q=1, m=7, n=64, opts=opts)
         energies = [e for _, e in trace]
         assert len(energies) >= 2
@@ -1325,13 +1324,14 @@ class TestTrustRegionSearch:
         import curvespace.elastica as el
 
         def no_path(spec):
-            raise AssertionError("a control outside the k bounds was materialized")
+            raise NumericFailure("no path here")
 
-        # k_lo = 2 min(k) > k_hi = max(k) / 2: every control is out of bounds
-        monkeypatch.setattr(el, "K_BOUNDS_FACTOR", 0.5)
+        # every point scores inf, the seed too: no gradient, and the search names the cause
         monkeypatch.setattr(el, "materialize_path", no_path)
-        with pytest.raises(OptimizationFailure, match="no feasible"):
+        with pytest.raises(OptimizationFailure, match="no feasible interior point found: ") as info:
             optimize_elastica_path(circle_endpoints(), q=1, m=7, n=64)
+        assert "no path here" in str(info.value)
+        assert isinstance(info.value.__cause__, NumericFailure)
 
     @pytest.mark.parametrize("end, cause", [
         # every curve has radius about 1e-50: build_curve's omega floor
