@@ -47,10 +47,11 @@ EXIT_NUMERIC = 2
 EXIT_INPUT = 3
 
 # Bound on the arrays one invocation may ask for, checked before any array
-# exists: the s x t points of a path (--s-samples times --t-samples), and
+# exists: the s x t points of a path (--s-samples times --t-samples),
 # --control-points squared (the spline through q + 2 nodes and the Gauss-Newton
-# Hessian of the 3q coordinates are quadratic in q).  A larger request is a
-# usage error, exit 1.
+# Hessian of the 3q coordinates are quadratic in q), and 4 x MAX_SAMPLES for
+# q x s x t (the Jacobian's stack of displaced paths holds 2q of them).  A
+# larger request is a usage error, exit 1.
 MAX_SAMPLES = 1 << 20
 
 
@@ -150,6 +151,7 @@ def parse_command(argv) -> Command:
     ns = _build_parser().parse_args(args)
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     _check_sample_counts(options)
+    _check_distinct_outputs(options)
     return Command(subcommand=ns.subcommand, options=options)
 
 
@@ -161,6 +163,17 @@ def _check_sample_counts(options: dict) -> None:
     q = options.get("control_points", 1)
     if q * q > MAX_SAMPLES:
         raise _UsageError(f"--control-points squared = {q * q} exceeds {MAX_SAMPLES}")
+    if q * s * t > 4 * MAX_SAMPLES:
+        raise _UsageError(f"--control-points x --s-samples x --t-samples = {q * s * t}"
+                          f" exceeds {4 * MAX_SAMPLES}")
+
+
+def _check_distinct_outputs(options: dict) -> None:
+    """Refuse a --traj or --trace file that is the --out file: one would overwrite the other."""
+    for flag in ("traj", "trace"):
+        other = options.get(flag)
+        if other is not None and os.path.realpath(other) == os.path.realpath(options["out"]):
+            raise _UsageError(f"--out and --{flag} name the same file {other!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -598,19 +598,22 @@ class TestIntegerFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, bound",
         [
-            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
-             "--t-samples", "1000000000000"],
-            ["helices", "--pitch", "1", "--r0", "1", "--r1", "2", "--s-samples", str(1 << 21)],
+            (["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+              "--t-samples", "1000000000000"], 1),
+            (["helices", "--pitch", "1", "--r0", "1", "--r1", "2", "--s-samples", str(1 << 21)], 1),
             # each count under the bound, their product past it
-            ["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
-             "--s-samples", "1024", "--t-samples", "1025"],
-            ["elastica", "--spec", "s.json", "--control-points", "1025"],
+            (["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+              "--s-samples", "1024", "--t-samples", "1025"], 1),
+            (["elastica", "--spec", "s.json", "--control-points", "1025"], 1),
+            # q^2 and s x t at the bound, the Jacobian's q x s x t past four times it
+            (["elastica", "--spec", "s.json", "--control-points", "1024",
+              "--s-samples", "1024", "--t-samples", "1024"], 4),
         ],
     )
-    def test_sample_counts_past_the_bound_are_usage_errors(self, argv, tmp_path, monkeypatch,
-                                                          capsys):
+    def test_sample_counts_past_the_bound_are_usage_errors(self, argv, bound, tmp_path,
+                                                          monkeypatch, capsys):
         import curvespace.cli as cli
 
         def no_handler(opt):
@@ -623,8 +626,29 @@ class TestIntegerFlags:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
-        assert f"exceeds {cli.MAX_SAMPLES}" in err
+        assert f"exceeds {bound * cli.MAX_SAMPLES}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--traj"],
+        ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2", "--traj"],
+        ["elastica", "--spec", "s.json", "--trace"],
+    ], ids=["circles", "helices", "elastica"])
+    @pytest.mark.parametrize("spelling", ["x.json", "./x.json"])
+    def test_outputs_naming_one_file_are_usage_errors(self, argv, spelling, tmp_path,
+                                                      monkeypatch, capsys):
+        import curvespace.cli as cli
+
+        def no_handler(opt):
+            raise AssertionError("handler ran")
+
+        # one file would hold only the last of the two outputs
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, no_handler))
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + [spelling, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --out and --") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_sample_counts_at_the_bound_parse(self):
         from curvespace.cli import MAX_SAMPLES, parse_command
