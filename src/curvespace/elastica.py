@@ -196,38 +196,48 @@ def solve_curvature_profile(params: ElasticaParams, n: int, *, with_derivative: 
     return (kappa, tau, kappa_t) if with_derivative else (kappa, tau)
 
 
-def _jacobi(u, m, shifted):
+def _jacobi(u, m, m1, shifted):
     """Jacobi sn, cn and dn of u + K(m) where ``shifted``, else of u.
 
-    u is (rows, n); m, in [0, 1], and ``shifted`` are (rows, 1).  One
-    arithmetic-geometric mean of 1 and sqrt(1 - m) per row gives the
-    quarter period K = pi / (2 a_N) and the amplitude phi, descending from
-    phi_N = 2^N a_N (u + K) (DLMF 22.20(ii), 19.8.1); sn = sin phi,
-    cn = cos phi and dn = sqrt((1 - m) + m cn^2), free of cancellation.  A
-    row stops once its c / a rounds to nothing: it keeps its a, and its
-    further ratios are 0, exact halvings of phi, so its values do not
-    depend on the rows beside it (the last step, 0 on every row, is left
-    out).  A NaN m stops at once and gives a NaN dn.  At m = 1 the mean
-    does not converge: sn = tanh u, cn = dn = sech u, and u + K(1) is NaN.
+    u is (rows, n); m, in [0, 1], its complement m1 = 1 - m and ``shifted``
+    are (rows, 1).  One arithmetic-geometric mean of 1 and sqrt(m1) per row
+    gives the quarter period K = pi / (2 a_N) and the amplitude phi,
+    descending from phi_N = 2^N a_N u (DLMF 22.20(ii), 19.8.1); sn = sin phi,
+    cn = cos phi and dn = sqrt(m1 + m cn^2), free of cancellation.  A shifted
+    u within K / 2 of an odd multiple of K descends from 2^N a_N (u + K);
+    elsewhere, where that phase would end near pi / 2 and cos phi would lose
+    the small m1, sn(u + K) = cd u, cn(u + K) = -sqrt(m1) sd u and
+    dn(u + K) = sqrt(m1) nd u (DLMF 22.4.3).  A row stops once its c / a
+    rounds to nothing: it keeps its a, and its further ratios are 0, exact
+    halvings of phi, so its values do not depend on the rows beside it (the
+    last step, 0 on every row, is left out).  A NaN m stops at once and gives
+    a NaN dn.  At m1 = 0 the mean does not converge: sn = tanh u,
+    cn = dn = sech u, and the shifted values are their limits 1, 0 and 0 as
+    K grows without bound.
     """
-    separatrix = m == 1.0
-    mc = np.where(separatrix, 0.0, m)  # the AGM of the separatrix rows is not read
-    a, b, c = 1.0, np.sqrt(1.0 - mc), np.sqrt(mc)
+    separatrix = m1 == 0.0  # the AGM of the separatrix rows is not read
+    a, b, c = 1.0, np.sqrt(np.where(separatrix, 1.0, m1)), np.sqrt(np.where(separatrix, 0.0, m))
     ratios, go = [], c > 2.0**-53 * a
     while go.any():
         a, b, c = np.where(go, 0.5 * (a + b), a), np.sqrt(a * b), np.where(go, 0.5 * (a - b), 0.0)
         go = c > 2.0**-53 * a
         ratios.append(c / a * go)
     ratios = ratios[:-1]
-    phi = np.ldexp(a * u + 0.5 * np.pi * shifted, len(ratios))
+    fold = shifted & ~separatrix & (np.abs(np.remainder(a * u, np.pi) - 0.5 * np.pi) <= 0.25 * np.pi)
+    phi = np.ldexp(a * u + 0.5 * np.pi * fold, len(ratios))
     for ratio in reversed(ratios):
         phi = 0.5 * (np.arcsin(ratio * np.sin(phi)) + phi)
     sn, cn = np.sin(phi), np.cos(phi)
     rows = separatrix[:, 0]
     if rows.any():
-        v = np.where(shifted[rows], np.nan, u[rows])
-        sn[rows], cn[rows] = np.tanh(v), 1.0 / np.cosh(v)
-    return sn, cn, np.sqrt((1.0 - m) + m * cn * cn)
+        sn[rows], cn[rows] = np.tanh(u[rows]), 1.0 / np.cosh(u[rows])
+    dn = np.sqrt(m1 + m * cn * cn)
+    turn = shifted & ~fold
+    if turn.any():
+        k1, d = np.sqrt(m1), np.where(separatrix, 1.0, dn)
+        cd = np.where(separatrix, 1.0, cn / d)
+        sn, cn, dn = np.where(turn, cd, sn), np.where(turn, -k1 * sn / d, cn), np.where(turn, k1 / d, dn)
+    return sn, cn, dn
 
 
 def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
@@ -239,7 +249,9 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
     omega = sqrt(u1 - u3) / 2, p = (u1 - u2) / (u1 - u3) and the quarter
     period shift = K(p) when k^2 is the lower root u2.  For mu = 0 and
     u2 = 0 (wave-like branch, separatrix) kappa = k cn(.) changes sign.
-    sn, cn, dn and the shift K(p) come from one AGM per row (``_jacobi``).
+    sn, cn, dn and the shift K(p) come from one AGM per row (``_jacobi``),
+    handed p and its complement (u2 - u3) / (u1 - u3), which keeps its
+    digits where p rounds to 1.
     Parameter arrays have shape (m,); returns kappa, tau = mu / kappa^2
     (0 where mu = 0) and kappa_t, each (m, n).
     """
@@ -258,8 +270,7 @@ def _batch_profiles(ks, lams, mus, K: float, Ls, n: int):
         u3, u2, u1 = np.sort(np.stack([a, r1, r2]), axis=0)
         d = u1 - u2
         omega = 0.5 * np.sqrt(u1 - u3)
-        p = d / (u1 - u3)
-        sn, cn, dn = _jacobi(omega * t, p, a < u1)
+        sn, cn, dn = _jacobi(omega * t, d / (u1 - u3), (u2 - u3) / (u1 - u3), a < u1)
         signed = (mu2 == 0.0) & (u2 == 0.0)
         kappa = np.where(signed, ks * cn, np.sqrt(u2 + d * cn**2))
         kappa_t = -omega * d * sn * dn * np.where(signed, 1.0 / ks, cn / kappa)

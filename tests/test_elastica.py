@@ -319,18 +319,21 @@ class TestClosedFormProfile:
         assert np.max(np.abs(kappa("circle_locus") - 0.9)) <= 1e-12
 
 
-def jacobi_grid(ms, u, shifted):
-    """``_jacobi`` of every u at every m: (len(ms), len(u)) arrays."""
+def jacobi_grid(ms, u, shifted, complements=False):
+    """``_jacobi`` of every u at every m: (len(ms), len(u)) arrays.  With
+    ``complements`` the ms are the complements m1, and m = 1 - m1 rounded."""
     ms = np.asarray(ms, dtype=float)[:, None]
-    return _jacobi(np.broadcast_to(u, (ms.shape[0], len(u))), ms, np.full(ms.shape, shifted))
+    m, m1 = (1.0 - ms, ms) if complements else (ms, 1.0 - ms)
+    return _jacobi(np.broadcast_to(u, (ms.shape[0], len(u))), m, m1, np.full(ms.shape, shifted))
 
 
-def mpmath_jacobi(ms, u, shifted):
-    """sn, cn and dn of u (+ K(m)) at 30 digits, rounded to floats."""
+def mpmath_jacobi(ms, u, shifted, complements=False):
+    """sn, cn and dn of u (+ K(m)) at 30 digits, rounded to floats.  With
+    ``complements`` the ms are the complements m1, and m = 1 - m1 at 60 digits."""
     out = np.empty((3, len(ms), len(u)))
-    with mpmath.workdps(30):
+    with mpmath.workdps(60 if complements else 30):
         for i, m in enumerate(ms):
-            m = mpmath.mpf(float(m))
+            m = 1 - mpmath.mpf(float(m)) if complements else mpmath.mpf(float(m))
             shift = mpmath.ellipk(m) if shifted else 0
             for j, x in enumerate(u):
                 for f, name in enumerate(("sn", "cn", "dn")):
@@ -371,7 +374,8 @@ class TestJacobiFunctions:
     def test_near_separatrix_with_shift(self):
         # cephes's expansion about m = 1 returns sn = 1.00000000000025 here
         m, u = 1.0 - 1e-12, 13.978177355145318
-        sn, cn, dn = (v[0, 0] for v in _jacobi(np.array([[u]]), np.array([[m]]), np.array([[True]])))
+        sn, cn, dn = (v[0, 0] for v in _jacobi(np.array([[u]]), np.array([[m]]), np.array([[1.0 - m]]),
+                                               np.array([[True]])))
         ref = mpmath_jacobi([m], [u], True)[:, 0, 0]
         assert sn == pytest.approx(0.8407242264561147, abs=1e-15)
         assert np.max(np.abs([sn, cn, dn] - ref)) <= 1e-14
@@ -383,11 +387,27 @@ class TestJacobiFunctions:
         assert np.array_equal(cn[0], 1.0 / np.cosh(self.U))
         assert np.array_equal(dn[0], cn[0])
 
-    def test_shift_at_the_separatrix_has_no_value(self):
-        # K(1) = inf, so u + K(1) is no number, as scipy's ellipj(u + ellipk(1), 1)
-        assert ellipk(1.0) == np.inf
-        assert np.all(np.isnan(ellipj(self.U + ellipk(1.0), 1.0)[:3]))
-        assert np.all(np.isnan(jacobi_grid([1.0], self.U, True)))
+    def test_shift_at_the_separatrix_is_the_limit(self):
+        # K(1) = inf: the shifted values are the limits 1, 0 and 0 of cd u,
+        # -sqrt(m1) sd u and sqrt(m1) nd u as m1 -> 0, where mpmath tends
+        sn, cn, dn = jacobi_grid([1.0], self.U, True)
+        assert np.all(sn == 1.0) and np.all(cn == 0.0) and np.all(dn == 0.0)
+        near = mpmath_jacobi([1e-60], self.U[::10], True, complements=True)[:, 0]
+        assert np.max(np.abs(near - np.array([[1.0], [0.0], [0.0]]))) <= 1e-20
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_complement_below_the_rounding_of_m(self, shifted):
+        # m = 1 - m1 rounds to 1, or to within an ulp of it; m1 keeps the row
+        # off the separatrix.  Near u = K / 2 and past it the amplitude ends
+        # near pi / 2, and the descent holds it to an absolute 1e-12 only
+        m1s = [2.0**-52, 1e-17, 1e-20]
+        u = self.U[::10]
+        ours = np.stack(jacobi_grid(m1s, u, shifted, complements=True))
+        ref = mpmath_jacobi(m1s, u, shifted, complements=True)
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+        # within K / 4 of u = 0 as closely as the grid above; K(1 - m1) >= 19.4 here
+        small = np.abs(u) <= 4.0
+        assert np.max(np.abs(ours - ref)[..., small]) <= 8e-15
 
     def test_rows_do_not_depend_on_each_other(self):
         # the AGM runs until its slowest row has converged; the other rows
@@ -396,21 +416,28 @@ class TestJacobiFunctions:
         ms = np.concatenate([rng.uniform(0.5, 1.0, 1000), [1.0 - 2.0**-52, 1.0, 0.0]])[:, None]
         u = rng.uniform(-6.0, 14.0, (ms.shape[0], 16))
         shifted = rng.uniform(size=ms.shape) < 0.5
-        shifted[-2] = False
-        batch = np.stack(_jacobi(u, ms, shifted))
-        alone = np.stack([np.stack(_jacobi(u[i : i + 1], ms[i : i + 1], shifted[i : i + 1]))[:, 0]
+        batch = np.stack(_jacobi(u, ms, 1.0 - ms, shifted))
+        alone = np.stack([np.stack(_jacobi(u[i : i + 1], ms[i : i + 1], 1.0 - ms[i : i + 1],
+                                           shifted[i : i + 1]))[:, 0]
                           for i in range(ms.shape[0])], axis=1)
         assert np.array_equal(batch, alone)
 
-    def test_profile_with_p_rounding_to_one_below_the_upper_root(self):
-        # k^2 = 1e-20 is the lower root u2 = k^2 above u3 = 0, far below
-        # u1 = 2 lambda: p = 1 - 1e-20 rounds to 1, the shift is K(1) = inf, and
-        # the profile ends in NumericFailure, as with scipy's ellipk and ellipj
-        with pytest.raises(NumericFailure, match="non-finite"):
-            _batch_profiles([1e-10], [1.0], [0.0], 0.0, [2 * np.pi], 64)
-        # a larger k keeps p below 1 and a finite profile growing from k
-        kappa = _batch_profiles([1e-6], [1.0], [0.0], 0.0, [2 * np.pi], 64)[0][0]
-        assert kappa[0] == 1e-6 and np.all(np.diff(kappa[:32]) > 0.0)
+    @pytest.mark.parametrize("k", [1e-10, 1e-6, 1e-3])
+    def test_profile_near_the_separatrix_matches_mpmath(self, k):
+        # k^2 is the lower root u2 above u3 = 0, far below u1 = 2 lambda - k^2:
+        # p = 1 - k^2 / (1 - k^2 / 2) rounds to 1 at k = 1e-10, and the
+        # complement keeps the quarter period K(p) finite
+        t = 2 * np.pi * np.linspace(0.0, 1.0, 96)
+        kappa, _, kappa_t = _batch_profiles([k], [1.0], [0.0], 0.0, [2 * np.pi], 96)
+        with mpmath.workdps(60):
+            u2, u1 = mpmath.mpf(k) ** 2, 2 - mpmath.mpf(k) ** 2
+            p, omega = (u1 - u2) / u1, mpmath.sqrt(u1) / 2
+            w = [omega * mpmath.mpf(float(x)) + mpmath.ellipk(p) for x in t]
+            ref = np.array([float(mpmath.sqrt(u2 + (u1 - u2) * mpmath.ellipfun("cn", x, m=p) ** 2))
+                            for x in w])
+        assert np.max(np.abs(kappa[0] - ref) / ref) <= 1e-12
+        assert kappa[0, 0] == k and np.all(np.diff(kappa[0]) > 0.0)
+        assert np.all(np.isfinite(kappa_t))
 
 
 class TestReconstruction:
