@@ -236,7 +236,8 @@ def _jacobi(u, m, m1, shifted):
     if turn.any():
         k1, d = np.sqrt(m1), np.where(separatrix, 1.0, dn)
         cd = np.where(separatrix, 1.0, cn / d)
-        sn, cn, dn = np.where(turn, cd, sn), np.where(turn, -k1 * sn / d, cn), np.where(turn, k1 / d, dn)
+        sn, cn, dn = (np.where(turn, cd, sn), np.where(turn, -k1 * sn / d, cn),
+                      np.where(turn, k1 / d, dn))
     return sn, cn, dn
 
 

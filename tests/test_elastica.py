@@ -374,8 +374,8 @@ class TestJacobiFunctions:
     def test_near_separatrix_with_shift(self):
         # cephes's expansion about m = 1 returns sn = 1.00000000000025 here
         m, u = 1.0 - 1e-12, 13.978177355145318
-        sn, cn, dn = (v[0, 0] for v in _jacobi(np.array([[u]]), np.array([[m]]), np.array([[1.0 - m]]),
-                                               np.array([[True]])))
+        args = np.array([[u]]), np.array([[m]]), np.array([[1.0 - m]]), np.array([[True]])
+        sn, cn, dn = (v[0, 0] for v in _jacobi(*args))
         ref = mpmath_jacobi([m], [u], True)[:, 0, 0]
         assert sn == pytest.approx(0.8407242264561147, abs=1e-15)
         assert np.max(np.abs([sn, cn, dn] - ref)) <= 1e-14
