@@ -223,21 +223,25 @@ def _jacobi(u, m, m1, shifted):
         go = c > 2.0**-53 * a
         ratios.append(c / a * go)
     ratios = ratios[:-1]
-    fold = shifted & ~separatrix & (np.abs(np.remainder(a * u, np.pi) - 0.5 * np.pi) <= 0.25 * np.pi)
-    phi = np.ldexp(a * u + 0.5 * np.pi * fold, len(ratios))
+    phi, shift = a * u, shifted & ~separatrix
+    if shift.any():
+        half = 0.5 * np.rint(phi * (2.0 / np.pi))  # u / 2K, to the nearest half
+        fold = shift & (np.rint(half) != half)  # u within K / 2 of an odd multiple of K
+        phi = np.where(fold, phi + 0.5 * np.pi, phi)
+    phi = np.ldexp(phi, len(ratios))
     for ratio in reversed(ratios):
         phi = 0.5 * (np.arcsin(ratio * np.sin(phi)) + phi)
     sn, cn = np.sin(phi), np.cos(phi)
     rows = separatrix[:, 0]
     if rows.any():
-        sn[rows], cn[rows] = np.tanh(u[rows]), 1.0 / np.cosh(u[rows])
+        v, limit = u[rows], shifted[rows]
+        sn[rows], cn[rows] = np.where(limit, 1.0, np.tanh(v)), np.where(limit, 0.0, 1.0 / np.cosh(v))
     dn = np.sqrt(m1 + m * cn * cn)
-    turn = shifted & ~fold
-    if turn.any():
-        k1, d = np.sqrt(m1), np.where(separatrix, 1.0, dn)
-        cd = np.where(separatrix, 1.0, cn / d)
-        sn, cn, dn = (np.where(turn, cd, sn), np.where(turn, -k1 * sn / d, cn),
-                      np.where(turn, k1 / d, dn))
+    if shift.any():  # the identities where the quarter period was not folded in
+        turn, k1sn = shift & ~fold, -np.sqrt(m1) * sn
+        np.divide(cn, dn, out=sn, where=turn)
+        np.divide(k1sn, dn, out=cn, where=turn)
+        np.divide(np.sqrt(m1), dn, out=dn, where=turn)
     return sn, cn, dn
 
 
