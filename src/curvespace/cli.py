@@ -151,7 +151,7 @@ def parse_command(argv) -> Command:
     ns = _build_parser().parse_args(args)
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     _check_sample_counts(options)
-    _check_distinct_outputs(options)
+    _check_distinct_files(options)
     return Command(subcommand=ns.subcommand, options=options)
 
 
@@ -168,12 +168,16 @@ def _check_sample_counts(options: dict) -> None:
                           f" exceeds {4 * MAX_SAMPLES}")
 
 
-def _check_distinct_outputs(options: dict) -> None:
-    """Refuse a --traj or --trace file that is the --out file: one would overwrite the other."""
-    for flag in ("traj", "trace"):
-        other = options.get(flag)
-        if other is not None and os.path.realpath(other) == os.path.realpath(options["out"]):
-            raise _UsageError(f"--out and --{flag} name the same file {other!r}")
+def _check_distinct_files(options: dict) -> None:
+    """Refuse two file flags that name one file: a write would replace what the other holds."""
+    seen = {}
+    for flag in ("spec", "input", "out", "traj", "trace", "report"):
+        if options.get(flag) is not None:
+            real = os.path.realpath(options[flag])
+            if real in seen:
+                raise _UsageError(
+                    f"--{seen[real]} and --{flag} name the same file {options[flag]!r}")
+            seen[real] = flag
 
 
 # ---------------------------------------------------------------------------

@@ -629,26 +629,33 @@ class TestIntegerFlags:
         assert f"exceeds {bound * cli.MAX_SAMPLES}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--traj"],
-        ["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2", "--traj"],
-        ["elastica", "--spec", "s.json", "--trace"],
-    ], ids=["circles", "helices", "elastica"])
+    @pytest.mark.parametrize("argv, flags", [
+        (["circles", "--curvature", "0", "--r0", "1", "--r1", "2", "--out", "{x}", "--traj", "{y}"],
+         "--out and --traj"),
+        (["helices", "--pitch", "0.5", "--r0", "1", "--r1", "2", "--out", "{x}", "--traj", "{y}"],
+         "--out and --traj"),
+        (["elastica", "--spec", "s.json", "--out", "{x}", "--trace", "{y}"], "--out and --trace"),
+        (["elastica", "--spec", "{y}", "--out", "{x}", "--trace", "t.csv"], "--spec and --out"),
+        (["check", "--input", "{y}", "--report", "{x}"], "--input and --report"),
+        (["render", "--input", "{y}", "--out", "{x}"], "--input and --out"),
+    ], ids=["circles", "helices", "elastica", "elastica-spec", "check", "render"])
     @pytest.mark.parametrize("spelling", ["x.json", "./x.json"])
-    def test_outputs_naming_one_file_are_usage_errors(self, argv, spelling, tmp_path,
-                                                      monkeypatch, capsys):
+    def test_flags_naming_one_file_are_usage_errors(self, argv, flags, spelling, tmp_path,
+                                                    monkeypatch, capsys):
         import curvespace.cli as cli
 
         def no_handler(opt):
             raise AssertionError("handler ran")
 
-        # one file would hold only the last of the two outputs
+        # one write would replace the other output, or the input, with no error
         monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, no_handler))
         monkeypatch.chdir(tmp_path)
-        assert run(argv + [spelling, "--out", str(tmp_path / "x.json")]) == 1
+        x = tmp_path / "x.json"
+        x.write_text("{}")
+        assert run([a.format(x=x, y=spelling) for a in argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: --out and --") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert err.startswith(f"usage error: {flags} name the same file") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [x] and x.read_text() == "{}"
 
     def test_sample_counts_at_the_bound_parse(self):
         from curvespace.cli import MAX_SAMPLES, parse_command
