@@ -203,17 +203,16 @@ def _jacobi(u, m, m1, shifted):
     are (rows, 1).  One arithmetic-geometric mean of 1 and sqrt(m1) per row
     gives the quarter period K = pi / (2 a_N) and the amplitude phi,
     descending from phi_N = 2^N a_N u (DLMF 22.20(ii), 19.8.1); sn = sin phi,
-    cn = cos phi and dn = sqrt(m1 + m cn^2), free of cancellation.  A shifted
-    u within K / 2 of an odd multiple of K descends from 2^N a_N (u + K);
-    elsewhere, where that phase would end near pi / 2 and cos phi would lose
-    the small m1, sn(u + K) = cd u, cn(u + K) = -sqrt(m1) sd u and
-    dn(u + K) = sqrt(m1) nd u (DLMF 22.4.3).  A row stops once its c / a
-    rounds to nothing: it keeps its a, and its further ratios are 0, exact
-    halvings of phi, so its values do not depend on the rows beside it (the
-    last step, 0 on every row, is left out).  A NaN m stops at once and gives
-    a NaN dn.  At m1 = 0 the mean does not converge: sn = tanh u,
-    cn = dn = sech u, and the shifted values are their limits 1, 0 and 0 as
-    K grows without bound.
+    cn = cos phi and dn = sqrt(m1 + m cn^2), free of cancellation.  Where the
+    argument lies nearer an odd multiple of K, phi would end near pi / 2 and
+    cos phi lose the small m1, so the descent runs at v = argument - K and
+    sn = cd v, cn = -sqrt(m1) sd v, dn = sqrt(m1) nd v (DLMF 22.4.3).  A row
+    stops once its c / a rounds to nothing: it keeps its a, and its further
+    ratios are 0, exact halvings of phi, so its values do not depend on the
+    rows beside it (the last step, 0 on every row, is left out).  A NaN m
+    stops at once and gives a NaN dn.  At m1 = 0 the mean does not converge:
+    sn = tanh u, cn = dn = sech u, and the shifted values are their limits
+    1, 0 and 0 as K grows without bound.
     """
     separatrix = m1 == 0.0  # the AGM of the separatrix rows is not read
     a, b, c = 1.0, np.sqrt(np.where(separatrix, 1.0, m1)), np.sqrt(np.where(separatrix, 0.0, m))
@@ -223,12 +222,11 @@ def _jacobi(u, m, m1, shifted):
         go = c > 2.0**-53 * a
         ratios.append(c / a * go)
     ratios = ratios[:-1]
-    phi, shift = a * u, shifted & ~separatrix
-    if shift.any():
-        half = 0.5 * np.rint(phi * (2.0 / np.pi))  # u / 2K, to the nearest half
-        fold = shift & (np.rint(half) != half)  # u within K / 2 of an odd multiple of K
-        phi = np.where(fold, phi + 0.5 * np.pi, phi)
-    phi = np.ldexp(phi, len(ratios))
+    phi = a * u
+    half = 0.5 * np.rint(phi * (2.0 / np.pi))  # u / 2K, to the nearest half
+    turn = ((np.rint(half) != half) != shifted) & ~separatrix  # descend at the argument - K
+    # an exact multiple of pi / 2: a zero offset leaves phi's bits alone
+    phi = np.ldexp(phi + 0.5 * np.pi * np.subtract(shifted, turn, dtype=float), len(ratios))
     for ratio in reversed(ratios):
         phi = 0.5 * (np.arcsin(ratio * np.sin(phi)) + phi)
     sn, cn = np.sin(phi), np.cos(phi)
@@ -237,11 +235,10 @@ def _jacobi(u, m, m1, shifted):
         v, limit = u[rows], shifted[rows]
         sn[rows], cn[rows] = np.where(limit, 1.0, np.tanh(v)), np.where(limit, 0.0, 1.0 / np.cosh(v))
     dn = np.sqrt(m1 + m * cn * cn)
-    if shift.any():  # the identities where the quarter period was not folded in
-        turn, k1sn = shift & ~fold, -np.sqrt(m1) * sn
-        np.divide(cn, dn, out=sn, where=turn)
-        np.divide(k1sn, dn, out=cn, where=turn)
-        np.divide(np.sqrt(m1), dn, out=dn, where=turn)
+    k1sn = -np.sqrt(m1) * sn
+    np.divide(cn, dn, out=sn, where=turn)
+    np.divide(k1sn, dn, out=cn, where=turn)
+    np.divide(np.sqrt(m1), dn, out=dn, where=turn)
     return sn, cn, dn
 
 

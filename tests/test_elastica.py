@@ -398,8 +398,8 @@ class TestJacobiFunctions:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_complement_below_the_rounding_of_m(self, shifted):
         # m = 1 - m1 rounds to 1, or to within an ulp of it; m1 keeps the row
-        # off the separatrix.  Near u = K / 2 and past it the amplitude ends
-        # near pi / 2, and the descent holds it to an absolute 1e-12 only
+        # off the separatrix.  Near u = K / 2 the descent holds the values to
+        # an absolute 1e-12 only
         m1s = [2.0**-52, 1e-17, 1e-20]
         u = self.U[::10]
         ours = np.stack(jacobi_grid(m1s, u, shifted, complements=True))
@@ -408,6 +408,16 @@ class TestJacobiFunctions:
         # within K / 4 of u = 0 as closely as the grid above; K(1 - m1) >= 19.4 here
         small = np.abs(u) <= 4.0
         assert np.max(np.abs(ours - ref)[..., small]) <= 8e-15
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_relative_accuracy_past_half_the_quarter_period(self, shifted):
+        # K(1 - m1) = 24.4 at m1 = 1e-20 and 20.9 at 1e-17: near odd multiples
+        # of K, cn and dn are of the size sqrt(m1) and keep it only where the
+        # descent ends away from pi / 2
+        m1s, u = [1e-20, 1e-17], np.array([10.0, 14.0, 20.0, 30.0, 50.0])
+        ours = np.stack(jacobi_grid(m1s, u, shifted, complements=True))
+        ref = mpmath_jacobi(m1s, u, shifted, complements=True)
+        assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-8
 
     def test_rows_do_not_depend_on_each_other(self):
         # the AGM runs until its slowest row has converged; the other rows
