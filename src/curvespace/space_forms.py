@@ -118,18 +118,20 @@ class SpaceForm:
         if not self.curved:
             return np.zeros(p.shape[:-1])
         R = self.radius
-        if self.model is Model.SPHERE2D:
-            return np.abs(euclidean_norm(p) - R)
-        # |f - R| / |grad f| for f = sqrt(q): rounding floor eps |p|, not eps |p|^2
-        q = -self.inner(p, p)
-        bad = (q <= 0.0) | (p[..., 2] <= 0.0)
-        root = np.sqrt(np.abs(q))
-        dist = np.abs(root - R) * root / euclidean_norm(p)
+        # far out |p|^2 overflows: the distance is inf, or NaN on the hyperboloid
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.model is Model.SPHERE2D:
+                return np.abs(euclidean_norm(p) - R)
+            # |f - R| / |grad f| for f = sqrt(q): rounding floor eps |p|, not eps |p|^2
+            q = -self.inner(p, p)
+            bad = (q <= 0.0) | (p[..., 2] <= 0.0)
+            root = np.sqrt(np.abs(q))
+            dist = np.abs(root - R) * root / euclidean_norm(p)
         return np.where(bad, np.inf, dist)
 
     def check_on_surface(self, p):
         scale = 1.0 + (self.radius if self.curved else 1.0)
-        if np.any(self.surface_distance(p) > SURFACE_TOL * scale):
+        if not np.all(self.surface_distance(p) <= SURFACE_TOL * scale):
             raise DomainError(f"point is not on the {self.model.value} surface")
 
     # -- tangent plane -------------------------------------------------

@@ -253,6 +253,23 @@ class TestOutputFiles:
         assert assert_contract(argv, _valid_files()) == 3
 
 
+def _far_hyperboloid_doc():
+    # circles of radius 400, 401 and 402 about the pole: <p, p> overflows
+    t = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    r = np.array([400.0, 401.0, 402.0])[:, None]
+    points = np.stack([np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t), np.cosh(r) + 0 * t], axis=-1)
+    return {"space": {"model": "hyperbolic2d", "curvature": -1.0}, "closed": True,
+            "t_samples": 16, "s_samples": 3, "points": points.tolist()}
+
+
+class TestFarHyperboloid:
+    @pytest.mark.parametrize("command", ["check", "distance", "render"])
+    def test_overflowing_points_are_invalid_input(self, command):
+        # their surface distance is NaN: refused like any point off the surface
+        files = {"in.json": json.dumps(_far_hyperboloid_doc()).encode()}
+        assert assert_contract(VALID_ARGV[command], files) == 3
+
+
 class TestMutatedArgv:
     @FUZZ
     @given(command=st.sampled_from(sorted(VALID_ARGV)), edits=argv_edits)

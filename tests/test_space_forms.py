@@ -12,6 +12,7 @@ from curvespace import (
     exp_polar,
     hyperbolic,
     jacobi_residual,
+    make_path,
     omega_profile,
     plane,
     polar_frame,
@@ -199,6 +200,18 @@ class TestSurfaceMembership:
         assert space.surface_distance(moved) == pytest.approx(1e-6, rel=0.05)
         with pytest.raises(DomainError):
             space.check_on_surface(moved)
+
+    def test_overflowing_points_are_refused(self):
+        # circles of radius 400 and more about the pole: <p, p> overflows and
+        # the surface distance is NaN, which must not pass as within tolerance
+        t = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+        r = np.array([400.0, 401.0, 402.0])[:, None]
+        pts = np.stack([np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t), np.cosh(r) + 0 * t], axis=-1)
+        assert np.all(np.isnan(hyperbolic(-1.0).surface_distance(pts)))
+        with pytest.raises(DomainError, match="not on the hyperbolic2d surface"):
+            make_path(hyperbolic(-1.0), pts, closed=True)
+        with pytest.raises(DomainError, match="not on the sphere2d surface"):
+            make_path(sphere(1.0), pts * np.array([1.0, 1.0, 0.0]), closed=True)
 
 
 class TestInner:
