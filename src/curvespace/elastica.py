@@ -373,7 +373,7 @@ def _gauss_values(samples: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,ijk->...ij", samples[..., index], weights)
 
 
-def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
+def _magnus_exponents(K: float, kappas, taus, Ls) -> np.ndarray:
     """Fourth-order Magnus exponents, (m, n - 1, 4, 4): one per step of each curve.
 
     Omega_i = h/2 (A_1 + A_2) + sqrt(3)/12 h^2 [A_2, A_1] with A (see
@@ -387,7 +387,7 @@ def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
         raise NumericFailure("Frenet reconstruction got a non-finite profile")
     (k1, k2), (t1, t2) = np.moveaxis(_gauss_values(samples), -1, 1)  # each (m, n - 1)
-    h = (np.asarray(Ls, dtype=float) / (n - 1))[:, None]
+    h = (np.asarray(Ls, dtype=float) / (samples.shape[-1] - 1))[:, None]
     c = math.sqrt(3.0) / 12.0 * h * h
     a, b = 0.5 * h * (k1 + k2), 0.5 * h * (t1 + t2)
     g, d = c * (k2 - k1), c * (k2 * t1 - k1 * t2)
@@ -400,7 +400,7 @@ def _magnus_exponents(K: float, kappas, taus, Ls, n: int) -> np.ndarray:
     return Omega
 
 
-def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray:
+def _batch_reconstruct(K: float, frames, kappas, taus, Ls) -> np.ndarray:
     """Rebuild a family of curves from their profiles by Lie-group steps.
 
     The rows Y = (c, T, N, B) of each curve solve Y' = A(s) Y with
@@ -415,8 +415,9 @@ def _batch_reconstruct(K: float, frames, kappas, taus, Ls, n: int) -> np.ndarray
     points on the sphere or hyperboloid, with no projection.  ``frames``
     is (m, 4, dim), the profiles (m, n); returns (m, n, dim) points.
     """
-    P = _prefix_products(_expm(_magnus_exponents(K, kappas, taus, Ls, n)))
-    points = P[:, :, 0] @ frames
+    # overflow ends in the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = _prefix_products(_expm(_magnus_exponents(K, kappas, taus, Ls)))[:, :, 0] @ frames
     if not np.all(np.isfinite(points)):
         raise NumericFailure("Frenet reconstruction produced non-finite points")
     return points
@@ -445,9 +446,12 @@ def reconstruct_curve(params: ElasticaParams, kappa, tau, n: int) -> DiscreteCur
             "reconstruction with torsion is only available in Euclidean 3-space (K = 0)"
         )
     points = _batch_reconstruct(
-        params.K, _frame_rows(params.frame)[None], kappa[None], tau[None], [params.L], n
+        params.K, _frame_rows(params.frame)[None], kappa[None], tau[None], [params.L]
     )[0]
-    return build_curve(params.space, points, closed=False)
+    try:
+        return build_curve(params.space, points, closed=False)
+    except DomainError as exc:  # its own points: far out, rounding leaves the surface
+        raise NumericFailure(f"curve reconstruction failed: {exc}") from exc
 
 
 def generate_curve(params: ElasticaParams, n: int) -> DiscreteCurve:
@@ -604,7 +608,7 @@ def _integrate_rows(spec: ElasticaPathSpec, rows: np.ndarray) -> np.ndarray:
     ks, lams, mus = rows.T
     frames, Ls = _gauge(spec.start, ks)
     kappas, taus, _ = _batch_profiles(ks, lams, mus, spec.K, Ls, spec.n)
-    return _batch_reconstruct(spec.K, frames, kappas, taus, Ls, spec.n)
+    return _batch_reconstruct(spec.K, frames, kappas, taus, Ls)
 
 
 def materialize_path(spec: ElasticaPathSpec) -> CurvePath:

@@ -207,6 +207,17 @@ class TestCurvatureProfile:
             assert kap.max() <= k + 1e-6
             assert kap[0] == k
 
+    @pytest.mark.parametrize("n", [97, 129])
+    def test_zero_curvature_with_torsion_is_a_numeric_failure(self, n):
+        # flat (1, 0.1, 1e-12): the deflated cubic u^2 + 0.8 u - 4e-24 of
+        # _batch_profiles has the roots u3 ~ -0.8 and u2 ~ 5e-24 below u1 = k^2 = 1;
+        # over L = 2 K(p) / omega the middle sample is the minimum, kappa ~ 1e-12
+        u3 = -0.5 * (0.8 + np.sqrt(0.64 + 16e-24))
+        u2 = -4e-24 / u3
+        L = 2.0 * ellipk((1.0 - u2) / (1.0 - u3)) / (0.5 * np.sqrt(1.0 - u3))
+        with pytest.raises(NumericFailure, match="curvature reached zero with nonzero torsion"):
+            solve_curvature_profile(flat_params(1.0, 0.1, 1e-12, L=L), n)
+
     def test_first_integral_conserved(self):
         p = flat_params(1.2, 0.5, 0.1, L=10.0)
         kap, tau, kap_t = solve_curvature_profile(p, 256, with_derivative=True)
@@ -513,6 +524,17 @@ class TestReconstruction:
         c = generate_curve(p, 256)
         assert np.max(np.linalg.norm(c.points, axis=1)) > 1e3
 
+    @pytest.mark.parametrize("L, cause", [
+        (100.0, "not on the hyperbolic2d surface"),  # rounding leaves the surface
+        (800.0, "not on the hyperbolic2d surface"),  # <p, p> overflows
+        (2000.0, "non-finite points"),  # the prefix products overflow
+    ])
+    def test_overflowing_hyperbolic_curve_is_a_numeric_failure(self, L, cause):
+        # a hypercycle (circle locus, k < 1) runs off exponentially with its length
+        p = ElasticaParams(k=0.5, lam=-1.75, mu=0.0, K=-1.0, L=L, frame=default_surface_frame(-1.0))
+        with pytest.raises(NumericFailure, match=cause):
+            generate_curve(p, 256)
+
     def test_torsion_on_surface_rejected(self):
         p = ElasticaParams(k=1.0, lam=1.0, mu=0.0, K=1.0, L=2.0, frame=default_surface_frame(1.0))
         n = 64
@@ -686,7 +708,7 @@ class TestClosedFormSteps:
     @pytest.mark.parametrize("name", list(PROFILE_CASES))
     def test_exponents_match_a_stack(self, name):
         p, kap, tau = case_profile(name)
-        omega = _magnus_exponents(p.K, kap, tau, [p.L], 256)
+        omega = _magnus_exponents(p.K, kap, tau, [p.L])
         ref = a_stack_exponents(p.K, _gauss_values(kap), _gauss_values(tau), [p.L], 256)
         err = np.max(np.abs(omega - ref), axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
         assert np.max(err) <= 1e-14
@@ -694,7 +716,7 @@ class TestClosedFormSteps:
     @pytest.mark.parametrize("name", list(PROFILE_CASES))
     def test_exp_matches_taylor_on_exponents(self, name):
         p, kap, tau = case_profile(name)
-        omega = _magnus_exponents(p.K, kap, tau, [p.L], 256)
+        omega = _magnus_exponents(p.K, kap, tau, [p.L])
         ref = taylor_expm(omega)
         err = np.max(np.abs(_expm(omega) - ref), axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
         assert np.max(err) <= 1e-14
@@ -789,7 +811,7 @@ class TestLieGroupReconstruction:
         # P^T G P = G: orthonormal frames, and <c, c> = 1/K on the surfaces
         p = profile_params(*PROFILE_CASES[name])
         kap, tau = solve_curvature_profile(p, 256)
-        P = _prefix_products(_expm(_magnus_exponents(p.K, kap[None], tau[None], [p.L], 256)))
+        P = _prefix_products(_expm(_magnus_exponents(p.K, kap[None], tau[None], [p.L])))
         G = np.diag([p.K, 1.0, 1.0, 1.0])
         defect = np.max(np.abs(np.swapaxes(P, -1, -2) @ G @ P - G))
         assert defect <= 1e-12 * max(1.0, np.max(np.abs(P)) ** 2)
@@ -839,7 +861,7 @@ class TestLieGroupReconstruction:
         kap = np.ones((1, 64))
         kap[0, 10] = bad
         with pytest.raises(NumericFailure):
-            _batch_reconstruct(0.0, _frame_rows(p.frame)[None], kap, np.zeros((1, 64)), [p.L], 64)
+            _batch_reconstruct(0.0, _frame_rows(p.frame)[None], kap, np.zeros((1, 64)), [p.L])
         with pytest.raises(NumericFailure):
             _expm(np.full((2, 4, 4), bad))
 
@@ -1382,6 +1404,16 @@ class TestTrustRegionSearch:
         with pytest.raises(OptimizationFailure, match="no feasible interior point found: ") as info:
             optimize_elastica_path(endpoints_from_dict(data), q=1, m=5, n=64)
         assert cause in str(info.value)
+        assert isinstance(info.value.__cause__, NumericFailure)
+
+    def test_overflowing_hyperbolic_path_names_its_cause(self):
+        # hypercycles of length 800: every path leaves the hyperboloid
+        frame = default_surface_frame(-1.0)
+        endpoints = tuple(ElasticaParams(k=k, lam=lam, mu=0.0, K=-1.0, L=800.0, frame=frame)
+                          for k, lam in ((0.5, -1.75), (0.6, -1.64)))
+        with pytest.raises(OptimizationFailure, match="no feasible interior point found: ") as info:
+            optimize_elastica_path(endpoints, q=1, m=5, n=64)
+        assert "not on the hyperbolic2d surface" in str(info.value)
         assert isinstance(info.value.__cause__, NumericFailure)
 
 
