@@ -35,9 +35,7 @@ from .errors import (
     CurveSpaceError,
     DomainError,
     InputFormatError,
-    NormalityError,
     NumericFailure,
-    PreconditionError,
 )
 from .space_forms import surface_of_curvature
 
@@ -98,23 +96,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="curvespace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("circles", help="concentric-circle geodesic")
+    # the options of the two reduced families; each adds its one family parameter
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--r0", type=_finite_float, required=True)
+    family.add_argument("--r1", type=_finite_float, required=True)
+    family.add_argument("--s-samples", type=_positive_int, default=64)
+    family.add_argument("--t-samples", type=_positive_int, default=256)
+    family.add_argument("--out", required=True)
+    family.add_argument("--traj", default=None)
+    p = sub.add_parser("circles", parents=[family], help="concentric-circle geodesic")
     p.add_argument("--curvature", type=_finite_float, required=True)
-    p.add_argument("--r0", type=_finite_float, required=True)
-    p.add_argument("--r1", type=_finite_float, required=True)
-    p.add_argument("--s-samples", type=_positive_int, default=64)
-    p.add_argument("--t-samples", type=_positive_int, default=256)
-    p.add_argument("--out", required=True)
-    p.add_argument("--traj", default=None)
-
-    p = sub.add_parser("helices", help="coaxial-helix geodesic")
+    p = sub.add_parser("helices", parents=[family], help="coaxial-helix geodesic")
     p.add_argument("--pitch", type=_finite_float, required=True)
-    p.add_argument("--r0", type=_finite_float, required=True)
-    p.add_argument("--r1", type=_finite_float, required=True)
-    p.add_argument("--s-samples", type=_positive_int, default=64)
-    p.add_argument("--t-samples", type=_positive_int, default=256)
-    p.add_argument("--out", required=True)
-    p.add_argument("--traj", default=None)
 
     p = sub.add_parser("elastica", help="energy-minimizing path of elastica")
     p.add_argument("--spec", required=True)
@@ -205,7 +198,8 @@ def _write_outputs(outputs: dict) -> None:
         raise
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """``parse`` of the JSON object in ``path``; a file it refuses is an invalid input, exit 3."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -216,15 +210,10 @@ def _load_json(path: str) -> dict:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
-    return data
-
-
-def _load_path(path_file: str) -> sm.CurvePath:
-    data = _load_json(path_file)
     try:
-        return sm.path_from_dict(data)
+        return parse(data)
     except CurveSpaceError as exc:
-        raise InputFormatError(f"{path_file}: {exc}") from exc
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +244,8 @@ def _write_path_and_traj(opt, path_data: dict, traj: sg.RadiusTrajectory) -> int
 
 
 def _cmd_elastica(opt) -> int:
-    data = _load_json(opt["spec"])
-    try:
-        endpoints = el.endpoints_from_dict(data)
-    except CurveSpaceError as exc:
-        raise InputFormatError(f"{opt['spec']}: {exc}") from exc
     spec, trace, path = el.optimize_elastica_path(
-        endpoints,
+        _load(opt["spec"], el.endpoints_from_dict),
         q=opt["control_points"],
         m=opt["s_samples"],
         n=opt["t_samples"],
@@ -294,7 +278,7 @@ def _variation_block(path: sm.CurvePath, normal: bool) -> dict:
 
 
 def _cmd_check(opt) -> int:
-    path = _load_path(opt["input"])
+    path = _load(opt["input"], sm.path_from_dict)
     diag = sm.diagnose_path(path)
     report = {
         "speed": diag.speed.tolist(),
@@ -309,7 +293,7 @@ def _cmd_check(opt) -> int:
 
 
 def _cmd_distance(opt) -> int:
-    path = _load_path(opt["input"])
+    path = _load(opt["input"], sm.path_from_dict)
     distance = sm.path_length(path)
     if not math.isfinite(distance):
         raise NumericFailure(f"path length is not finite: {distance}")
@@ -371,7 +355,7 @@ def _render_svg(path: sm.CurvePath) -> str:
 
 
 def _cmd_render(opt) -> int:
-    path = _load_path(opt["input"])
+    path = _load(opt["input"], sm.path_from_dict)
     _write_outputs({opt["out"]: _render_svg(path)})
     return EXIT_OK
 
@@ -402,7 +386,7 @@ def run(argv) -> int:
     except InputFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, PreconditionError, NormalityError, CapabilityError) as exc:
+    except (DomainError, CapabilityError) as exc:  # PreconditionError, NormalityError are DomainErrors
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailure as exc:

@@ -227,9 +227,7 @@ def solve_helix_geodesic(
 
     space = SpaceForm(Model.EUCLIDEAN3D, 0.0)
     t = 2.0 * np.pi * np.arange(n) / n
-    points = np.empty((m, n, 3))
-    points[:, :, 0] = r[:, None] * np.cos(t)
-    points[:, :, 1] = r[:, None] * np.sin(t)
+    points = exp_polar(space, standard_frame(space), r, t)  # the planar circles, z = 0
     points[:, :, 2] = h * t
     path = _path_of(space, points, closed=False, screw_shift=pitch_shift(h))
     return RadiusTrajectory(Helices(pitch=h), r, E), path

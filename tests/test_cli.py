@@ -107,6 +107,24 @@ class TestCircles:
         assert not out.exists()
 
 
+class TestFamilyOptions:
+    SHARED = ("r0", "r1", "s_samples", "t_samples", "out", "traj")
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--s-samples", "9", "--t-samples", "40", "--traj", "t.csv"],
+    ])
+    def test_circles_and_helices_share_six_options(self, extra):
+        common = ["--r0", "0.5", "--r1", "1.5", "--out", "p.json"] + extra
+        circles = parse_command(["circles", "--curvature", "1"] + common).options
+        helices = parse_command(["helices", "--pitch", "0.3"] + common).options
+        assert set(circles) - set(self.SHARED) == {"curvature"}
+        assert set(helices) - set(self.SHARED) == {"pitch"}
+        assert {k: circles[k] for k in self.SHARED} == {k: helices[k] for k in self.SHARED}
+        if not extra:
+            assert (circles["s_samples"], circles["t_samples"], circles["traj"]) == (64, 256, None)
+
+
 class TestNegativeNumbers:
     def test_exponent_form_is_a_value(self, tmp_path):
         # argparse takes "-0.5" as a number but "-5e-1" as an option name
