@@ -263,16 +263,24 @@ def d_theta(curve: DiscreteCurve, field):
 
 
 def cov_d_T(curve: DiscreteCurve, field) -> np.ndarray:
-    """Covariant derivative of a tangent field along the curve.
+    """Covariant derivative D_T u of the tangent part u of any ambient field v along the curve.
 
-    Ambient arclength derivative followed by the tangent projection, which
-    is the exact Levi-Civita connection on the embedded models.
+    Ambient arclength derivative followed by the tangent projection P is
+    the exact Levi-Civita connection on the embedded models.  On the curved
+    ones v = u + c p with c = <v, p> / <p, p>, and D_theta p = T gives
+    D_T u = P(D_theta v) - c T: the derivative acts on v itself, never on
+    the rounding of its projection, which far out on the hyperboloid grows
+    like eps |p|^2 |v| / R^2 and changes from sample to sample.
     """
     values = _field_values(field)
     if values.ndim != curve.points.ndim:
         raise DomainError("cov_d_T expects a vector field")
+    space, points = curve.space, curve.points
     deriv = d_theta(curve, values)
-    return curve.space.tangent_project(curve.points, deriv, check=False)
+    if not space.curved:
+        return deriv
+    c = space.inner(values, points) / space.inner(points, points)
+    return space.tangent_project(points, deriv, check=False) - c[..., None] * curve.T
 
 
 def trapezoid_weights(n: int, dx: float, periodic: bool = False) -> np.ndarray:

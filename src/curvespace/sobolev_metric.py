@@ -90,16 +90,20 @@ class CurvePath:
         """The m curves, as row views of ``batch``."""
         return tuple(self.batch.row(j) for j in range(self.m))
 
+    def _s_difference(self) -> np.ndarray:
+        """c' at every sample by second-order differences in s, before its tangent projection."""
+        return diff1(self.points, self.ds, False, order=2, axis=self.points.ndim - 3)
+
     @cached_property
     def velocity(self) -> np.ndarray:
-        """c' at every sample by second-order differences in s, projected tangent; read-only."""
-        v = diff1(self.points, self.ds, False, order=2, axis=self.points.ndim - 3)
-        return _read_only(self.space.tangent_project(self.points, v, check=False))
+        """c' at every sample, the s-difference projected tangent; read-only."""
+        return _read_only(self.space.tangent_project(self.points, self._s_difference(), check=False))
 
     @cached_property
     def dT_velocity(self) -> np.ndarray:
-        """D_T c' at every sample, over the whole stack; read-only."""
-        return _read_only(cov_d_T(self.batch, self.velocity))
+        """D_T c' at every sample, over the whole stack; read-only.  ``cov_d_T`` takes the
+        unprojected s-difference, whose projection would round to noise far out on the hyperboloid."""
+        return _read_only(cov_d_T(self.batch, self._s_difference()))
 
     @cached_property
     def dT2_velocity(self) -> np.ndarray:

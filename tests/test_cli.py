@@ -165,6 +165,15 @@ class TestDistance:
         assert len(printed.replace(".", "").replace("-", "").lstrip("0")) <= 12
         assert value == pytest.approx(FLAT_DISTANCE_1_TO_2, rel=5e-3)
 
+    def test_far_hyperbolic_distance(self, tmp_path, capsys):
+        # |p| reaches 1.6e6 at r = 15; the printed length holds to sqrt(2 pi E)
+        out, traj = tmp_path / "p.json", tmp_path / "t.csv"
+        assert run(["circles", "--curvature", "-1", "--r0", "14", "--r1", "15",
+                    "--out", str(out), "--traj", str(traj)]) == 0
+        E = float(traj.read_text().splitlines()[1].split(",")[2])
+        assert run(["distance", "--input", str(out)]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(np.sqrt(2 * np.pi * E), rel=5e-4)
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["distance", "--input", str(tmp_path / "nope.json")]) == 3
 

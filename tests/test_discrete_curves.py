@@ -297,6 +297,17 @@ class TestCovDT:
         rhs = 2.0 * np.asarray(c.space.inner(cov_d_T(c, h), h))
         assert np.max(np.abs(lhs - rhs)) <= 50.0 / n**2
 
+    @pytest.mark.parametrize("space", [sphere(1.0), hyperbolic(-1.0)], ids=["sphere", "hyperboloid"])
+    def test_normal_part_of_an_ambient_field_is_dropped(self, space):
+        # D_T of u + c p is D_T u, for any c(t): only the tangent part counts
+        n = 256
+        t = 2 * np.pi * np.arange(n) / n
+        pts = exp_polar(space, standard_frame(space), 0.8, t)
+        c = build_curve(space, pts, closed=True)
+        u = np.sin(t)[:, None] * c.T + np.cos(2 * t)[:, None] * c.N
+        v = u + (0.3 + 0.2 * np.cos(3 * t))[:, None] * pts
+        assert np.max(np.abs(cov_d_T(c, v) - cov_d_T(c, u))) <= 1e-5
+
     def test_unit_speed_frame(self):
         # g(D_T T, T) = 0 for 2D curves; exact on circles, resolved on an ellipse
         pts, _ = circle_points(256)

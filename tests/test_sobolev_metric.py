@@ -132,16 +132,19 @@ class TestPathVelocity:
         assert np.max(np.abs(norms - delta)) <= 1e-6
 
 
-def row_velocity(path, j):
-    """Per-sample second-order s-difference, one-sided at the ends, projected tangent."""
+def row_s_difference(path, j):
+    """Per-sample second-order s-difference of row j, one-sided at the ends."""
     p, ds = path.points, path.ds
     if j == 0:
-        v = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * ds)
-    elif j == path.m - 1:
-        v = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * ds)
-    else:
-        v = (p[j + 1] - p[j - 1]) / (2.0 * ds)
-    return path.space.tangent_project(p[j], v, check=False)
+        return (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * ds)
+    if j == path.m - 1:
+        return (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * ds)
+    return (p[j + 1] - p[j - 1]) / (2.0 * ds)
+
+
+def row_velocity(path, j):
+    """``row_s_difference`` projected tangent."""
+    return path.space.tangent_project(path.points[j], row_s_difference(path, j), check=False)
 
 
 def helix_path(m=9, n=128):
@@ -354,6 +357,26 @@ class TestHorizontality:
         pts = np.stack([ring + (sj - 0.5) * 0.1 * flow for sj in s])
         path = make_path(plane(), pts, closed=True)
         assert np.max(np.abs(horizontality_defect(path)[m // 2])) <= 1e-6
+
+
+class TestFarHyperboloid:
+    """Concentric circles far out on the K = -1 hyperboloid, where |p| ~ e^r / 2.
+
+    The tangent projection of the s-difference rounds there to about
+    eps |p|^2 |c'| / R^2, differently at each sample; D_T c' must not
+    differentiate that rounding.
+    """
+
+    @pytest.mark.parametrize("n", [256, 64])
+    @pytest.mark.parametrize("r0", [12.0, 14.0])
+    def test_length_and_horizontality_hold(self, r0, n):
+        traj, path = solve_concentric_geodesic(hyperbolic(-1.0), r0, r0 + 1.0, m=64, n=n)
+        assert path_length(path) == pytest.approx(traj.distance, rel=5e-4)
+        assert np.max(np.abs(horizontality_defect(path))) <= 1e-5
+
+    def test_horizontality_at_radius_nine(self):
+        _, path = solve_concentric_geodesic(hyperbolic(-1.0), 9.0, 10.0, m=64, n=256)
+        assert np.max(np.abs(horizontality_defect(path))) <= 1e-7
 
 
 class TestRhoKappaDefect:

@@ -1,7 +1,8 @@
 """Whole-stack path diagnostics against the per-row implementations they replaced.
 
 The oracles below rebuild row j with ``batch.row(j)`` and run ``cov_d_T``
-on that single curve, as the per-sample functions once did; the library
+on that single curve, as the per-sample functions once did, taking D_T c'
+from the row's unprojected s-difference as ``CurvePath`` does; the library
 computes every row at once from the derivatives it caches over the stack.
 Row j of each whole-stack result must agree bitwise with the oracle's
 value for row j, and be NaN exactly where the oracle finds the row not
@@ -33,6 +34,7 @@ from curvespace.elastica import (
     default_flat_frame,
     materialize_path,
 )
+from test_sobolev_metric import row_s_difference
 
 
 def _torsional_elastica_path():
@@ -72,9 +74,13 @@ def _row(path, j):
     return path.batch.row(j), path.velocity[j]
 
 
+def _row_dT_velocity(path, j):
+    return cov_d_T(path.batch.row(j), row_s_difference(path, j))
+
+
 def oracle_horizontality_defect(path, j):
     curve, v = _row(path, j)
-    ddv = cov_d_T(curve, cov_d_T(curve, v))
+    ddv = cov_d_T(curve, _row_dT_velocity(path, j))
     return np.asarray(curve.space.inner(v - ddv, curve.T))
 
 
@@ -99,13 +105,13 @@ def oracle_rho_kappa_defect(path, j):
 
 
 def oracle_predicted_omega_variation(path, j):
-    curve, v = _row(path, j)
-    return np.asarray(curve.space.inner(cov_d_T(curve, v), curve.T)) * curve.omega
+    curve, _ = _row(path, j)
+    return np.asarray(curve.space.inner(_row_dT_velocity(path, j), curve.T)) * curve.omega
 
 
 def oracle_predicted_kappa_variation(path, j):
     curve, v = _row(path, j)
-    dv = cov_d_T(curve, v)
+    dv = _row_dT_velocity(path, j)
     ddv = cov_d_T(curve, dv)
     return np.asarray(
         curve.space.inner(ddv, curve.N)
