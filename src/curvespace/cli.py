@@ -48,8 +48,10 @@ EXIT_INPUT = 3
 # exists: the s x t points of a path (--s-samples times --t-samples),
 # --control-points squared (the spline through q + 2 nodes and the Gauss-Newton
 # Hessian of the 3q coordinates are quadratic in q), and 4 x MAX_SAMPLES for
-# q x s x t (the Jacobian's stack of displaced paths holds 2q of them).  A
-# larger request is a usage error, exit 1.
+# q x s x t.  The Jacobian's stack holds one displaced path per searched
+# coordinate, 3q of them between twisted flat endpoints: at that bound
+# 12 x MAX_SAMPLES points, 288 MiB of 3-vectors before the fields build_curve
+# derives from them.  A larger request is a usage error, exit 1.
 MAX_SAMPLES = 1 << 20
 
 

@@ -448,3 +448,17 @@ class TestRadiusSolver:
             with pytest.raises(NumericFailure, match="not finite"):
                 solve_concentric_geodesic(plane(), 1.0, 1e200, m=9, n=16)
         assert [str(w.message) for w in caught] == []
+
+    def test_unfinished_radius_inversion_is_a_numeric_failure(self, monkeypatch, tmp_path, capfd):
+        # a negative stopping tolerance: no Newton sweep can finish
+        from curvespace.cli import run
+
+        monkeypatch.setattr(special_geodesics, "_INVERT_TOL", -1.0)
+        with pytest.raises(NumericFailure, match="radius inversion did not converge"):
+            solve_concentric_geodesic(plane(), 1.0, 2.0)
+        out, traj = tmp_path / "c.json", tmp_path / "c.csv"
+        code = run(["circles", "--curvature", "0", "--r0", "1", "--r1", "2",
+                    "--out", str(out), "--traj", str(traj)])
+        assert code == 2
+        assert capfd.readouterr().err == "numeric failure: radius inversion did not converge\n"
+        assert list(tmp_path.iterdir()) == []
